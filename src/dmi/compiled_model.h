@@ -15,7 +15,6 @@
 
 #include "src/describe/catalog.h"
 #include "src/dmi/interaction.h"
-#include "src/dmi/visit.h"
 #include "src/ripper/delta.h"
 #include "src/ripper/ripper.h"
 #include "src/topology/nav_graph.h"
@@ -33,7 +32,6 @@ struct ModelingOptions {
   uint64_t externalize_threshold = topo::kDefaultExternalizeThreshold;
   desc::PruneOptions prune;
   desc::DescribeOptions describe;
-  VisitConfig visit;
   InteractionConfig interaction;
 };
 
@@ -113,13 +111,14 @@ class CompiledModel {
   const desc::TopologyCatalog& catalog() const { return *catalog_; }
   const ModelingStats& stats() const { return stats_; }
   // The options the model was compiled with; thin sessions default their
-  // visit/interaction configs from here.
+  // interaction config from here.
   const ModelingOptions& options() const { return options_; }
   size_t usage_hint_tokens() const { return usage_hint_tokens_; }
 
   // Per-subtree structural checksum table of the app build this model was
-  // ripped from (empty for models compiled without one, e.g. loaded from a
-  // pre-v2 artifact). The delta ripper diffs a live app against this.
+  // ripped from (empty for models compiled without one; the artifact then
+  // carries no checksum table). The delta ripper diffs a live app against
+  // this.
   const ripper::ChecksumTable& subtree_checksums() const { return subtree_checksums_; }
 
   // The static prompt segment — usage hint + serialized core topology —

@@ -22,8 +22,10 @@ enum SectionId : uint32_t {
   kSectionPrompt = 4,
   kSectionStats = 5,
   kSectionOptions = 6,
-  kSectionChecksums = 7,  // v2+: per-subtree structural checksum table
+  kSectionChecksums = 7,  // per-subtree structural checksum table
 };
+// Every section id up to this one is required.
+constexpr uint32_t kLastRequiredSection = kSectionChecksums;
 
 const char* SectionName(uint32_t id) {
   switch (id) {
@@ -231,8 +233,8 @@ std::string BuildOptionsSection(const ModelingOptions& options) {
   return body;
 }
 
-// v2+: the per-subtree structural checksum table the delta ripper diffs a
-// live app against. Entries are written in the table's canonical (sorted-
+// The per-subtree structural checksum table the delta ripper diffs a live
+// app against. Entries are written in the table's canonical (sorted-
 // by-key) order so identical tables serialize byte-identically.
 std::string BuildChecksumsSection(const ripper::ChecksumTable& table) {
   std::string body;
@@ -397,7 +399,6 @@ class Reader {
 
 struct Header {
   ArtifactMeta meta;
-  uint32_t version = 0;  // parsed format version (within the accepted range)
   uint64_t payload_len = 0;
   uint64_t checksum = 0;
   size_t payload_offset = 0;  // into the file bytes
@@ -436,15 +437,13 @@ support::Status ParseHeader(const std::string& bytes, const std::string& path, H
   if (support::Status st = reader.ReadU32(&version); !st.ok()) {
     return st;
   }
-  if (version < kArtifactMinFormatVersion || version > kArtifactFormatVersion) {
+  if (version != kArtifactFormatVersion) {
     return support::UnimplementedError(
                support::Format("artifact '%s' has unsupported format version %u "
-                               "(reader supports %u..%u)",
-                               path.c_str(), version, kArtifactMinFormatVersion,
-                               kArtifactFormatVersion))
+                               "(reader supports %u)",
+                               path.c_str(), version, kArtifactFormatVersion))
         .WithDetail(ArtifactDetail(path, support::Format("version=%u", kArtifactFormatVersion)));
   }
-  out->version = version;
   if (support::Status st = reader.ReadStr(&out->meta.app_kind); !st.ok()) {
     return st;
   }
@@ -776,7 +775,7 @@ support::Status SaveModelArtifact(const CompiledModel& model, const ArtifactMeta
   PutSection(payload, kSectionStats, 1, BuildStatsSection(model.stats()));
   PutSection(payload, kSectionOptions, 1, BuildOptionsSection(model.options()));
   // Written even when empty (a model compiled without a table): readers then
-  // load an empty table and the delta ripper full-falls-back, same as v1.
+  // load an empty table and the delta ripper falls back to a full rip.
   PutSection(payload, kSectionChecksums, model.subtree_checksums().size(),
              BuildChecksumsSection(model.subtree_checksums()));
 
@@ -983,13 +982,13 @@ support::Result<LoadedModelArtifact> LoadModelArtifact(const std::string& path,
     return dag_st;
   }
 
-  bool have[7] = {false, false, false, false, false, false, false};
+  bool have[kLastRequiredSection + 1] = {};
   for (const SectionSpan& s : spans) {
-    if (s.id >= 1 && s.id <= 6) {
+    if (s.id >= 1 && s.id <= kLastRequiredSection) {
       have[s.id] = true;
     }
   }
-  for (uint32_t id = 1; id <= 6; ++id) {
+  for (uint32_t id = 1; id <= kLastRequiredSection; ++id) {
     if (!have[id]) {
       return support::InvalidArgumentError("artifact '" + path + "' is missing the '" +
                                            SectionName(id) + "' section")
@@ -1025,7 +1024,7 @@ support::Result<ArtifactInfo> InspectModelArtifact(const std::string& path) {
     return st;
   }
   ArtifactInfo info;
-  info.format_version = header.version;
+  info.format_version = kArtifactFormatVersion;
   info.meta = header.meta;
   info.payload_bytes = header.payload_len;
   info.stored_checksum = header.checksum;

@@ -13,10 +13,10 @@
 //
 //   magic[8]            "DMIMODL\0"
 //   endian_tag  u32     0x01020304 as written by the producer
-//   version     u32     format version (readers accept 1..kArtifactFormatVersion;
-//                       v2 added the optional checksums section — a v1 artifact
-//                       loads into a model with an empty subtree-checksum table,
-//                       which the delta ripper treats as "no baseline": full rip)
+//   version     u32     format version; the reader accepts exactly
+//                       kArtifactFormatVersion (a store holding any other
+//                       version recompiles and overwrites it, see
+//                       ModelRegistry::Acquire)
 //   app_kind    str     producer-declared application kind  ─┐ the registry
 //   app_version str     producer-declared application build  ┘ key
 //   payload_len u64
@@ -25,7 +25,8 @@
 //
 // Each section: id u32, item_count u64, byte_len u64, body. Unknown section
 // ids are skipped (a same-version reader tolerates additive producers); a
-// missing required section is a typed error. `str` is u32 length + bytes.
+// missing required section (all seven, checksums included) is a typed error.
+// `str` is u32 length + bytes.
 //
 // Every failure mode is a distinct typed support::Status (never a crash, and
 // never a silently wrong model — the checksum gates all section parsing):
@@ -53,8 +54,6 @@ namespace dmi {
 inline constexpr char kArtifactMagic[8] = {'D', 'M', 'I', 'M', 'O', 'D', 'L', '\0'};
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 inline constexpr uint32_t kArtifactFormatVersion = 2;
-// Oldest format version the reader still accepts (v1 = no checksums section).
-inline constexpr uint32_t kArtifactMinFormatVersion = 1;
 
 // Conventional artifact filename extension ("<kind>-<version>.dmim").
 inline constexpr char kArtifactExtension[] = ".dmim";

@@ -1,7 +1,5 @@
 #include "src/dmi/policy.h"
 
-#include "src/dmi/session.h"
-
 namespace dmi {
 
 Policy Policy::None() {
@@ -46,13 +44,6 @@ Policy Policy::Hostile() {
   // Bounded badness: a hostile run may never stall unboundedly.
   p.run_deadline_ticks = 600;
   return p;
-}
-
-SessionOptions Policy::session_options() const {
-  SessionOptions options;
-  options.visit = visit;
-  options.interaction = interaction;
-  return options;
 }
 
 }  // namespace dmi

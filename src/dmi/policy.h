@@ -5,10 +5,9 @@
 // with the robustness layer — typed retry schedules and a per-run tick
 // deadline. Policy aggregates all of them behind named presets that mirror
 // gsim::InstabilityConfig::{None,Typical,Harsh,Hostile}: the preset pairs a
-// hazard level with the retry/deadline posture calibrated for it. The old
-// structs (VisitConfig, InteractionConfig) remain the working views — Policy
-// holds them by value and session_options() projects them out — so every
-// existing call site keeps compiling unchanged.
+// hazard level with the retry/deadline posture calibrated for it. Policy
+// holds VisitConfig and InteractionConfig by value; the run configuration
+// copies them out.
 #ifndef SRC_DMI_POLICY_H_
 #define SRC_DMI_POLICY_H_
 
@@ -20,9 +19,6 @@
 #include "src/support/retry.h"
 
 namespace dmi {
-
-// Forward-declared here to avoid a session.h cycle; defined in session.h.
-struct SessionOptions;
 
 struct Policy {
   // Preset name ("none", "typical", "harsh", "hostile"); empty for a policy
@@ -41,15 +37,6 @@ struct Policy {
   static Policy Typical();
   static Policy Harsh();
   static Policy Hostile();
-
-  // Thin view for DmiSession construction (visit + interaction only).
-  SessionOptions session_options() const;
-
-  support::Deadline MakeDeadline(uint64_t start_tick) const {
-    return run_deadline_ticks == 0
-               ? support::Deadline::Unlimited()
-               : support::Deadline::AtTicks(start_tick, run_deadline_ticks);
-  }
 };
 
 }  // namespace dmi

@@ -1,46 +1,22 @@
 #include "src/dmi/service_config.h"
 
-#include <cstdlib>
+#include <charconv>
 
 namespace dmi {
 namespace {
 
-bool ParseInt(const std::string& value, int* out) {
-  if (value.empty()) {
+// Whole-string decimal parse into T. Empty input, trailing junk, a sign T
+// cannot hold and out-of-range values are all rejected (a value that would
+// wrap or saturate is a bad value, not a different setting).
+template <typename T>
+bool ParseNumber(const std::string& value, T* out) {
+  const char* end = value.data() + value.size();
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) {
     return false;
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseInt64(const std::string& value, int64_t* out) {
-  if (value.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<int64_t>(parsed);
-  return true;
-}
-
-bool ParseUint64(const std::string& value, uint64_t* out) {
-  if (value.empty() || value[0] == '-') {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<uint64_t>(parsed);
+  *out = parsed;
   return true;
 }
 
@@ -83,23 +59,23 @@ bool ServiceConfig::ApplyFlag(const std::string& flag, const std::string& value,
   } else if (flag == "--instability") {
     instability = value;
   } else if (flag == "--seed") {
-    if (!ParseUint64(value, &seed)) {
+    if (!ParseNumber(value, &seed)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--repeats") {
-    if (!ParseInt(value, &repeats)) {
+    if (!ParseNumber(value, &repeats)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--step-cap") {
-    if (!ParseInt(value, &step_cap)) {
+    if (!ParseNumber(value, &step_cap)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--workers") {
-    if (!ParseInt(value, &workers)) {
+    if (!ParseNumber(value, &workers)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--batch") {
-    if (!ParseInt(value, &batch_size)) {
+    if (!ParseNumber(value, &batch_size)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--pool-apps") {
@@ -111,23 +87,23 @@ bool ServiceConfig::ApplyFlag(const std::string& flag, const std::string& value,
   } else if (flag == "--app-version") {
     app_version = value;
   } else if (flag == "--flight-recorder") {
-    if (!ParseInt(value, &flight_recorder_events)) {
+    if (!ParseNumber(value, &flight_recorder_events)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--max-in-flight") {
-    if (!ParseInt(value, &max_in_flight)) {
+    if (!ParseNumber(value, &max_in_flight)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--queue") {
-    if (!ParseInt(value, &queue_capacity)) {
+    if (!ParseNumber(value, &queue_capacity)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--tenant-concurrent") {
-    if (!ParseInt(value, &tenant_max_concurrent)) {
+    if (!ParseNumber(value, &tenant_max_concurrent)) {
       *error = BadValue(flag, value);
     }
   } else if (flag == "--tenant-tokens") {
-    if (!ParseInt64(value, &tenant_token_budget)) {
+    if (!ParseNumber(value, &tenant_token_budget)) {
       *error = BadValue(flag, value);
     }
   } else {

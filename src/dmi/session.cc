@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/json/json.h"
-#include "src/support/binio.h"
 #include "src/support/metrics.h"
-#include "src/support/strings.h"
-#include "src/support/trace.h"
 #include "src/text/tokens.h"
 
 namespace dmi {
@@ -41,31 +37,18 @@ std::string PromptView::Assemble() const {
   return out;
 }
 
-std::unique_ptr<DmiSession> DmiSession::Model(gsim::Application& app,
-                                              const ModelingOptions& options) {
-  support::TraceSpan span("model.rip", "model");
-  ripper::GuiRipper rip(app, options.ripper_config);
-  topo::NavGraph graph = rip.Rip(options.contexts);
-  span.AddArg("ripped_nodes", static_cast<int64_t>(graph.node_count()));
-  auto session = std::make_unique<DmiSession>(app, graph, options);
-  session->stats_.rip = rip.stats();
-  return session;
-}
-
 DmiSession::DmiSession(gsim::Application& app, const topo::NavGraph& graph,
                        const ModelingOptions& options)
     : DmiSession(app, CompiledModel::Compile(graph, options),
-                 SessionOptions{options.visit, options.interaction}) {}
+                 SessionOptions{VisitConfig{}, options.interaction}) {}
 
 DmiSession::DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model)
-    : DmiSession(app, model,
-                 SessionOptions{model->options().visit, model->options().interaction}) {}
+    : DmiSession(app, model, SessionOptions{VisitConfig{}, model->options().interaction}) {}
 
 DmiSession::DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model,
                        const SessionOptions& options)
     : app_(&app),
       model_(std::move(model)),
-      stats_(model_->stats()),
       screen_(app),
       executor_(std::make_unique<VisitExecutor>(app, model_->catalog(), options.visit)),
       interaction_(app, screen_, options.interaction) {
@@ -157,25 +140,6 @@ size_t DmiSession::PromptTokens() {
   prompt_cache_.tokens_valid = true;
   prompt_cache_.text_valid = false;
   return model_->static_prompt_tokens() + tokens;
-}
-
-support::Status DmiSession::SaveModel(const topo::NavGraph& graph, const std::string& path) {
-  return support::WriteFileBytes(path, graph.ToJson().Dump());
-}
-
-support::Result<topo::NavGraph> DmiSession::LoadModel(const std::string& path) {
-  // ReadFileBytes surfaces every stdio failure mode (open, ferror mid-read,
-  // short read) as a typed status naming the path; the old hand-rolled loop
-  // treated a mid-file I/O error as EOF and parsed the truncated prefix.
-  support::Result<std::string> json = support::ReadFileBytes(path);
-  if (!json.ok()) {
-    return json.status();
-  }
-  auto doc = jsonv::Parse(*json);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return topo::NavGraph::FromJson(*doc);
 }
 
 support::Result<ResolvedTarget> DmiSession::ResolveTargetByNames(

@@ -52,26 +52,21 @@ struct PromptView {
 
 class DmiSession {
  public:
-  // Offline modeling: rips `app` (instability should be disabled during
-  // modeling — the offline phase is a controlled environment) and builds the
-  // full pipeline.
-  static std::unique_ptr<DmiSession> Model(gsim::Application& app,
-                                           const ModelingOptions& options);
-
-  // Cold path: compiles a private model from a pre-ripped graph (models are
-  // reusable across machines for the same app build, §5.2). The graph is
-  // read-only; no by-value copy is taken.
+  // Cold path: compiles a private model from a pre-ripped graph. The graph is
+  // read-only; no by-value copy is taken. Models that outlive the process
+  // persist as `.dmim` artifacts (model_artifact.h, DESIGN.md §14).
   DmiSession(gsim::Application& app, const topo::NavGraph& graph,
              const ModelingOptions& options);
 
   // Warm path: attaches a live application to a shared pre-compiled model.
-  // Visit/interaction configs default to the ones the model was compiled
-  // with; the second overload overrides them per run.
+  // The visit config defaults to VisitConfig{} and the interaction config to
+  // the one the model was compiled with; the second overload sets both per
+  // run.
   DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model);
   DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model,
              const SessionOptions& options);
 
-  const ModelingStats& stats() const { return stats_; }
+  const ModelingStats& stats() const { return model_->stats(); }
   const desc::TopologyCatalog& catalog() const { return model_->catalog(); }
   const CompiledModel& model() const { return *model_; }
   std::shared_ptr<const CompiledModel> shared_model() const { return model_; }
@@ -125,13 +120,6 @@ class DmiSession {
   // (model().static_prompt().size()).
   size_t PromptCacheBytes() const { return prompt_cache_.dynamic.size(); }
 
-  // ----- model persistence ------------------------------------------------------
-  // Ripped models are version-specific but reusable across machines for the
-  // same application build (§5.2). SaveModel writes the raw UNG as JSON;
-  // LoadModel reads it back (the session re-derives DAG/forest/catalog).
-  static support::Status SaveModel(const topo::NavGraph& graph, const std::string& path);
-  static support::Result<topo::NavGraph> LoadModel(const std::string& path);
-
   // ----- name-based resolution (used by task ground truth and examples) --------
   // Forwards to the compiled model (pure query on the immutable forest/DAG).
   support::Result<ResolvedTarget> ResolveTargetByNames(const std::vector<std::string>& names);
@@ -152,9 +140,6 @@ class DmiSession {
 
   gsim::Application* app_;
   std::shared_ptr<const CompiledModel> model_;
-  // Per-session copy of the model's stats so Model() can fold the rip stats
-  // in without mutating the shared (immutable) model.
-  ModelingStats stats_;
   gsim::ScreenView screen_;
   std::unique_ptr<VisitExecutor> executor_;
   InteractionInterfaces interaction_;

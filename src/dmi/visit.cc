@@ -8,6 +8,7 @@
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "src/support/trace.h"
+#include "src/support/trace_export.h"
 #include "src/text/similarity.h"
 #include "src/uia/tree.h"
 
@@ -32,24 +33,6 @@ const char* CommandKindName(VisitCommand::Kind kind) {
       return "further_query";
   }
   return "unknown";
-}
-
-jsonv::Value StatusToJson(const support::Status& status) {
-  jsonv::Object obj;
-  obj["code"] = support::StatusCodeName(status.code());
-  obj["message"] = status.message();
-  if (status.has_detail()) {
-    const support::ErrorDetail& d = status.detail();
-    jsonv::Object detail;
-    detail["control_id"] = d.control_id;
-    detail["control_name"] = d.control_name;
-    detail["required_pattern"] = d.required_pattern;
-    detail["retryable"] = d.retryable;
-    detail["attempts"] = d.attempts;
-    detail["backoff_ticks"] = static_cast<int64_t>(d.backoff_ticks);
-    obj["error_detail"] = std::move(detail);
-  }
-  return jsonv::Value(std::move(obj));
 }
 
 // Rebuilds a Status (code, message, fresh detail) so detail fields can be
@@ -87,7 +70,7 @@ std::string VisitReport::RenderJson() const {
   if (was_further_query) {
     root["further_query_text"] = further_query_text;
   }
-  root["overall"] = StatusToJson(overall);
+  root["overall"] = support::StatusJson(overall);
   root["filtered_count"] = static_cast<int64_t>(filtered_count);
   root["ui_actions"] = static_cast<int64_t>(ui_actions);
   jsonv::Array cmds;
@@ -96,7 +79,7 @@ std::string VisitReport::RenderJson() const {
     c["command"] = cr.command.ToString();
     c["kind"] = CommandKindName(cr.command.kind);
     c["filtered"] = cr.filtered;
-    c["status"] = StatusToJson(cr.status);
+    c["status"] = support::StatusJson(cr.status);
     if (!cr.detail.empty()) {
       c["detail"] = cr.detail;
     }
@@ -132,21 +115,18 @@ gsim::Control* VisitExecutor::LocateControl(const topo::NodeInfo& info) {
       support::MetricsRegistry::Global().GetCounter("visit.locate_fast_path");
   static support::Counter& fallback_walks =
       support::MetricsRegistry::Global().GetCounter("visit.locate_fallback_walks");
-  if (config_.enable_visible_index) {
-    // O(1) exact-id fast path; the window filter reproduces the legacy
-    // "search only the topmost valid window" scope (controls carry their
-    // containing window, including adopted popups).
-    gsim::Control* exact = index_.FindByIdInWindow(info.control_id, top);
-    if (exact != nullptr) {
-      fast_path_hits.Increment();
-      return exact;
-    }
-    if (!config_.enable_fuzzy_match) {
-      return nullptr;  // no exact match and no fuzzy fallback: nothing to find
-    }
-    // Fall through to the walk below for fuzzy scoring (its exact check is
-    // now guaranteed not to fire, so behaviour matches the legacy path).
+  // O(1) exact-id fast path from the generation-stamped VisibleIndex; the
+  // window filter keeps the "search only the topmost valid window" scope
+  // (controls carry their containing window, including adopted popups).
+  if (gsim::Control* exact = index_.FindByIdInWindow(info.control_id, top); exact != nullptr) {
+    fast_path_hits.Increment();
+    return exact;
   }
+  if (!config_.enable_fuzzy_match) {
+    return nullptr;  // no exact match and no fuzzy fallback: nothing to find
+  }
+  // The walk below scores fuzzy candidates (its exact check cannot fire
+  // after the index missed).
   fallback_walks.Increment();
   // Exact identifier match first, best fuzzy candidate as fallback.
   gsim::Control* exact = nullptr;
@@ -191,9 +171,9 @@ support::RetryPolicy VisitExecutor::EffectiveRetryPolicy() const {
   if (!config_.retry.unset()) {
     return config_.retry;
   }
-  // Legacy knobs: `max_retries` extra attempts, one tick apart — reproduces
-  // the exact Tick/Locate/Click sequence of the pre-RetryPolicy loop.
-  return support::RetryPolicy::FixedTicks(config_.enable_retry ? config_.max_retries : 0);
+  // No typed schedule: three extra attempts, one tick apart.
+  constexpr int kDefaultRetries = 3;
+  return support::RetryPolicy::FixedTicks(config_.enable_retry ? kDefaultRetries : 0);
 }
 
 gsim::Control* VisitExecutor::LocateControlWithRetry(const topo::NodeInfo& info,

@@ -38,17 +38,12 @@ struct VisitConfig {
   bool enable_nonleaf_filter = true;
   bool enable_fuzzy_match = true;
   bool enable_retry = true;
-  int max_retries = 3;
   double fuzzy_threshold = 0.72;
   // How many windows the executor may close while searching for the path.
   int max_window_closes = 4;
-  // Serve exact-id control location from the generation-stamped VisibleIndex
-  // (O(1) per step on an unchanged UI). Fuzzy fallback still walks the tree.
-  bool enable_visible_index = true;
   // Typed retry schedule (DESIGN.md §11). Left unset (the default), the
-  // executor derives the legacy fixed loop from enable_retry/max_retries —
-  // byte-identical Tick/Locate/Click sequences; set it (e.g. via
-  // dmi::Policy) for exponential backoff with jitter.
+  // executor retries 3 times, one tick apart (none when enable_retry is
+  // off); set it (e.g. via dmi::Policy) for exponential backoff with jitter.
   support::RetryPolicy retry;
 };
 
@@ -115,7 +110,7 @@ class VisitExecutor {
   gsim::Control* LocateControlWithRetry(const topo::NodeInfo& info, std::string& detail);
 
   // The typed schedule actually used: config_.retry when set, else the
-  // legacy fixed loop derived from enable_retry/max_retries.
+  // fixed 3-retry loop (no retries when enable_retry is off).
   support::RetryPolicy EffectiveRetryPolicy() const;
 
   bool DeadlineExpired() const { return deadline_.Expired(app_->current_tick()); }

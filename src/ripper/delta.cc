@@ -353,7 +353,7 @@ support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
     return std::move(out);
   };
 
-  // No baseline table (pre-v2 artifact, or never saved): nothing to diff
+  // No baseline table (no checksum table was saved): nothing to diff
   // against — degrade to a full rip rather than erroring.
   if (baseline_checksums.empty()) {
     return full_rip();

@@ -93,8 +93,8 @@ struct DeltaRipResult {
 // Incrementally re-rips the updated application described by
 // `options.app_factory` against `baseline` (the previous version's graph) and
 // `baseline_checksums` (from the previous version's artifact). An empty
-// baseline table triggers the full-rip fallback rather than an error, so v1
-// artifacts written before the checksum section degrade gracefully.
+// baseline table triggers the full-rip fallback rather than an error, so a
+// model saved with no checksum table degrades gracefully.
 support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
                                          const topo::NavGraph& baseline,
                                          const ChecksumTable& baseline_checksums);

@@ -39,24 +39,6 @@ support::Result<Request> ParseRequest(const std::string& text) {
   return request;
 }
 
-jsonv::Value StatusJson(const support::Status& status) {
-  jsonv::Object obj;
-  obj["code"] = support::StatusCodeName(status.code());
-  obj["message"] = status.message();
-  if (status.has_detail()) {
-    const support::ErrorDetail& d = status.detail();
-    jsonv::Object detail;
-    detail["control_id"] = d.control_id;
-    detail["control_name"] = d.control_name;
-    detail["required_pattern"] = d.required_pattern;
-    detail["retryable"] = d.retryable;
-    detail["attempts"] = d.attempts;
-    detail["backoff_ticks"] = static_cast<int64_t>(d.backoff_ticks);
-    obj["error_detail"] = jsonv::Value(std::move(detail));
-  }
-  return jsonv::Value(std::move(obj));
-}
-
 jsonv::Value RunJson(const agentsim::RunResult& run) {
   jsonv::Object r;
   r["success"] = run.success;
@@ -68,7 +50,7 @@ jsonv::Value RunJson(const agentsim::RunResult& run) {
   r["ui_actions"] = static_cast<int64_t>(run.ui_actions);
   r["run_id"] = static_cast<int64_t>(run.run_id);
   r["cause"] = std::string(agentsim::FailureCauseName(run.cause));
-  r["final_status"] = StatusJson(run.final_status);
+  r["final_status"] = support::StatusJson(run.final_status);
   if (!run.success && run.flight != nullptr) {
     // Failed run: render the flight recorder — the failing command with its
     // ErrorDetail, retry/backoff spending, prompt tokens, and batch
@@ -90,7 +72,7 @@ jsonv::Value ResponseJson(const Response& response) {
   root["request_id"] = static_cast<int64_t>(response.request_id);
   root["tenant"] = response.tenant;
   root["task"] = response.task_id;
-  root["status"] = StatusJson(response.status);
+  root["status"] = support::StatusJson(response.status);
   root["queue_ms"] = response.queue_ms;
   root["total_ms"] = response.total_ms;
   if (response.status.ok()) {

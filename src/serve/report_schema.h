@@ -5,8 +5,8 @@
 // service responses were two divergent shapes. Now both compose from the
 // same building blocks, all stamped `schema_version: 1`:
 //
-//   StatusJson     — {code, message, error_detail?}; the canonical encoding
-//                    of support::Status + ErrorDetail everywhere.
+//   support::StatusJson (trace_export.h) — {code, message, error_detail?};
+//                    the one encoding of support::Status + ErrorDetail.
 //   RunJson        — one run: success, llm_calls, core_calls, sim_time_s,
 //                    prompt/output tokens, ui_actions, run_id, cause,
 //                    final_status, flight_recorder (failed runs only),
@@ -77,7 +77,6 @@ jsonv::Value ResponseJson(const Response& response);
 
 // ----- shared fragments -----------------------------------------------------------
 
-jsonv::Value StatusJson(const support::Status& status);
 jsonv::Value RunJson(const agentsim::RunResult& run);
 
 // The machine-readable suite report (dmi_run --report-json). `batch_stats`

@@ -34,8 +34,8 @@ struct RetryPolicy {
 
   // No retries at all: fail on the first error.
   static RetryPolicy None();
-  // The legacy fixed loop: `retries` extra attempts, one tick between each —
-  // byte-compatible with the old VisitConfig::max_retries behaviour.
+  // The fixed loop: `retries` extra attempts, one tick between each (the
+  // visit executor's default when VisitConfig::retry is unset).
   static RetryPolicy FixedTicks(int retries);
   // Exponential backoff with a jitter fraction; the aggressive preset used by
   // dmi::Policy::Hostile().

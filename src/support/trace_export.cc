@@ -1,7 +1,8 @@
 #include "src/support/trace_export.h"
 
-#include <fstream>
 #include <unordered_map>
+
+#include "src/support/binio.h"
 
 namespace support {
 namespace {
@@ -68,17 +69,15 @@ void AppendFlowEdge(jsonv::Array& out, int64_t flow_id, const char* name,
   out.push_back(jsonv::Value(std::move(f)));
 }
 
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    return InvalidArgumentError("cannot open '" + path + "' for writing");
-  }
-  out << content;
-  out.close();
-  if (!out.good()) {
-    return InternalError("short write to '" + path + "'");
-  }
-  return Status::Ok();
+jsonv::Value ErrorDetailJson(const ErrorDetail& detail) {
+  jsonv::Object obj;
+  obj["control_id"] = detail.control_id;
+  obj["control_name"] = detail.control_name;
+  obj["required_pattern"] = detail.required_pattern;
+  obj["retryable"] = detail.retryable;
+  obj["attempts"] = detail.attempts;
+  obj["backoff_ticks"] = static_cast<int64_t>(detail.backoff_ticks);
+  return jsonv::Value(std::move(obj));
 }
 
 // Adds derived["name"] = num / (num + denom_rest) when the inputs exist.
@@ -137,7 +136,7 @@ jsonv::Value ChromeTraceJson(const std::vector<TraceEvent>& events) {
 }
 
 Status WriteChromeTrace(const std::string& path, const std::vector<TraceEvent>& events) {
-  return WriteFile(path, ChromeTraceJson(events).DumpPretty() + "\n");
+  return WriteFileBytes(path, ChromeTraceJson(events).DumpPretty() + "\n");
 }
 
 std::string TraceJsonl(const std::vector<TraceEvent>& events) {
@@ -150,7 +149,7 @@ std::string TraceJsonl(const std::vector<TraceEvent>& events) {
 }
 
 Status WriteTraceJsonl(const std::string& path, const std::vector<TraceEvent>& events) {
-  return WriteFile(path, TraceJsonl(events));
+  return WriteFileBytes(path, TraceJsonl(events));
 }
 
 jsonv::Value MetricsJson(const MetricsSnapshot& snapshot) {
@@ -208,7 +207,17 @@ jsonv::Value MetricsJson(const MetricsSnapshot& snapshot) {
 }
 
 Status WriteMetricsJson(const std::string& path, const MetricsSnapshot& snapshot) {
-  return WriteFile(path, MetricsJson(snapshot).DumpPretty() + "\n");
+  return WriteFileBytes(path, MetricsJson(snapshot).DumpPretty() + "\n");
+}
+
+jsonv::Value StatusJson(const Status& status) {
+  jsonv::Object obj;
+  obj["code"] = StatusCodeName(status.code());
+  obj["message"] = status.message();
+  if (status.has_detail()) {
+    obj["error_detail"] = ErrorDetailJson(status.detail());
+  }
+  return jsonv::Value(std::move(obj));
 }
 
 jsonv::Value FlightRecorderJson(const FlightRecorder& recorder) {
@@ -230,15 +239,7 @@ jsonv::Value FlightRecorderJson(const FlightRecorder& recorder) {
       o["status"] = jsonv::Value(event.status);
     }
     if (event.detail != nullptr) {
-      // Same shape as the report's final_status error_detail.
-      jsonv::Object detail;
-      detail["control_id"] = jsonv::Value(event.detail->control_id);
-      detail["control_name"] = jsonv::Value(event.detail->control_name);
-      detail["required_pattern"] = jsonv::Value(event.detail->required_pattern);
-      detail["retryable"] = jsonv::Value(event.detail->retryable);
-      detail["attempts"] = jsonv::Value(static_cast<int64_t>(event.detail->attempts));
-      detail["backoff_ticks"] = jsonv::Value(static_cast<int64_t>(event.detail->backoff_ticks));
-      o["error_detail"] = jsonv::Value(std::move(detail));
+      o["error_detail"] = ErrorDetailJson(*event.detail);
     }
     if (event.attempts != 0) {
       o["attempts"] = jsonv::Value(static_cast<int64_t>(event.attempts));

@@ -1,4 +1,5 @@
-// Exporters for the tracing/metrics subsystem (DESIGN.md §8).
+// Exporters for the tracing/metrics subsystem (DESIGN.md §8), plus the
+// shared JSON encoding of support::Status.
 //
 // Lives in its own library (dmi_telemetry) because it renders through
 // src/json, which itself depends on dmi_support — the instruments in
@@ -50,12 +51,18 @@ Status WriteTraceJsonl(const std::string& path, const std::vector<TraceEvent>& e
 jsonv::Value MetricsJson(const MetricsSnapshot& snapshot);
 Status WriteMetricsJson(const std::string& path, const MetricsSnapshot& snapshot);
 
+// ----- status ----------------------------------------------------------------
+
+// {code, message, error_detail?}: the one JSON encoding of a Status and its
+// ErrorDetail, shared by visit reports, run reports and serving responses.
+jsonv::Value StatusJson(const Status& status);
+
 // ----- flight recorder -------------------------------------------------------
 
 // The per-run postmortem document embedded in --report-json (DESIGN.md §13):
 // {run_id, capacity, total_recorded, dropped, events:[...]} where each event
-// renders its non-zero fields only and error_detail matches the report's
-// final_status shape. Deterministic for a given recorder state.
+// renders its non-zero fields only and error_detail matches StatusJson's.
+// Deterministic for a given recorder state.
 jsonv::Value FlightRecorderJson(const FlightRecorder& recorder);
 
 }  // namespace support

@@ -275,45 +275,4 @@ jsonv::Value NavGraph::ToJson() const {
   return jsonv::Value(std::move(doc));
 }
 
-support::Result<NavGraph> NavGraph::FromJson(const jsonv::Value& value) {
-  const jsonv::Value* nodes = value.Find("nodes");
-  const jsonv::Value* edges = value.Find("edges");
-  if (nodes == nullptr || !nodes->is_array() || edges == nullptr || !edges->is_array()) {
-    return support::InvalidArgumentError("UNG JSON must have 'nodes' and 'edges' arrays");
-  }
-  NavGraph graph;
-  // Node 0 in the serialized form is the root; skip re-adding it.
-  for (size_t i = 1; i < nodes->as_array().size(); ++i) {
-    const jsonv::Value& n = nodes->as_array()[i];
-    NodeInfo info;
-    info.control_id = n.GetString("id");
-    info.name = n.GetString("name");
-    auto type = uia::ControlTypeFromName(n.GetString("type"));
-    if (info.control_id.empty() || !type.has_value()) {
-      return support::InvalidArgumentError("malformed UNG node at index " + std::to_string(i));
-    }
-    info.type = *type;
-    info.description = n.GetString("desc");
-    info.automation_id = n.GetString("aid");
-    int index = graph.AddNode(info);
-    if (index != static_cast<int>(i)) {
-      return support::InvalidArgumentError("duplicate control id in UNG JSON: " +
-                                           info.control_id);
-    }
-  }
-  for (const jsonv::Value& e : edges->as_array()) {
-    if (!e.is_array() || e.as_array().size() != 2) {
-      return support::InvalidArgumentError("malformed UNG edge");
-    }
-    const int from = static_cast<int>(e.as_array()[0].as_int());
-    const int to = static_cast<int>(e.as_array()[1].as_int());
-    if (from < 0 || to < 0 || from >= static_cast<int>(graph.node_count()) ||
-        to >= static_cast<int>(graph.node_count())) {
-      return support::InvalidArgumentError("UNG edge index out of range");
-    }
-    graph.AddEdge(from, to);
-  }
-  return graph;
-}
-
 }  // namespace topo

@@ -90,9 +90,9 @@ class NavGraph {
   // parallel multi-context rips comparable bit-for-bit.
   NavGraph Canonicalized() const;
 
-  // Serialization (ripped models are version-specific but reusable, §5.2).
+  // Debug/test dump of the raw graph (the ripper tests compare it byte for
+  // byte). Models persist as `.dmim` artifacts, never as this JSON.
   jsonv::Value ToJson() const;
-  static support::Result<NavGraph> FromJson(const jsonv::Value& value);
 
   // Bulk reconstruction from parallel node/adjacency arrays (the binary
   // model-artifact load path, DESIGN.md §14): nodes[0] must be the virtual

@@ -1,7 +1,6 @@
 // Binary model artifacts + registry (DESIGN.md §14): byte-identity of the
 // cold-load path, typed rejection of every corruption mode, registry
-// memoization / save-through / concurrent acquire, and the legacy-JSON
-// conversion path.
+// memoization / save-through / concurrent acquire, and checked writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,11 +205,15 @@ TEST(ArtifactCorruption, ForeignEndiannessIsFailedPrecondition) {
 }
 
 TEST(ArtifactCorruption, UnsupportedVersionIsUnimplemented) {
-  std::string bytes = WordArtifactBytes();
-  bytes[12] = 99;  // format version lives right after the endian tag
-  support::Status st = LoadBytesAs(bytes, "word_version.dmim");
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), support::StatusCode::kUnimplemented);
+  // A future version and the retired version 1 (no checksums section) are
+  // both rejected; the reader accepts exactly kArtifactFormatVersion.
+  for (const char version : {char{99}, char{1}}) {
+    std::string bytes = WordArtifactBytes();
+    bytes[12] = version;  // format version lives right after the endian tag
+    support::Status st = LoadBytesAs(bytes, "word_version.dmim");
+    ASSERT_FALSE(st.ok()) << "version " << int{version};
+    EXPECT_EQ(st.code(), support::StatusCode::kUnimplemented) << st.ToString();
+  }
 }
 
 TEST(ArtifactCorruption, FlippedPayloadByteIsChecksumMismatch) {
@@ -285,26 +288,34 @@ TEST(RegistryTest, CompileSaveThroughThenColdLoad) {
 }
 
 TEST(RegistryTest, CorruptArtifactFallsBackAndHeals) {
-  const std::string dir = TempPath("registry_store_b");
-  std::filesystem::create_directories(dir);
-  std::string bytes = WordArtifactBytes();
-  bytes[bytes.size() / 3] ^= 0x10;
-  ASSERT_TRUE(support::WriteFileBytes(dir + "/WordSim-1.dmim", bytes).ok());
+  // A flipped payload bit, and a version-1 file from before the checksums
+  // section became required: old stores need no migration code, because
+  // any rejected artifact costs one recompile and is then overwritten.
+  std::string flipped = WordArtifactBytes();
+  flipped[flipped.size() / 3] ^= 0x10;
+  std::string version_one = WordArtifactBytes();
+  version_one[12] = 1;  // format version lives right after the endian tag
+  int store = 0;
+  for (const std::string& bytes : {flipped, version_one}) {
+    const std::string dir = TempPath("registry_store_b" + std::to_string(store++));
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(support::WriteFileBytes(dir + "/WordSim-1.dmim", bytes).ok());
 
-  dmi::ModelRegistry registry(dir);
-  auto got = registry.Acquire(
-      "WordSim", "1", WordOptions(),
-      []() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
-        return WordModel();
-      });
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(registry.stats().load_errors, 1u);
-  EXPECT_EQ(registry.stats().compiles, 1u);
-  // The save-through replaced the corrupt artifact: the store is healthy
-  // again for the next process.
-  EXPECT_EQ(registry.stats().save_throughs, 1u);
-  auto healed = dmi::LoadModelArtifact(dir + "/WordSim-1.dmim", WordOptions());
-  EXPECT_TRUE(healed.ok()) << healed.status().ToString();
+    dmi::ModelRegistry registry(dir);
+    auto got = registry.Acquire(
+        "WordSim", "1", WordOptions(),
+        []() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
+          return WordModel();
+        });
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(registry.stats().load_errors, 1u) << dir;
+    EXPECT_EQ(registry.stats().compiles, 1u) << dir;
+    // The save-through replaced the rejected artifact: the store is healthy
+    // again for the next process.
+    EXPECT_EQ(registry.stats().save_throughs, 1u) << dir;
+    auto healed = dmi::LoadModelArtifact(dir + "/WordSim-1.dmim", WordOptions());
+    EXPECT_TRUE(healed.ok()) << healed.status().ToString();
+  }
 }
 
 TEST(RegistryTest, CorruptArtifactWarningLoggedOncePerKey) {
@@ -385,44 +396,6 @@ TEST(RegistryTest, NoStoreDegradesToMemo) {
   EXPECT_EQ(registry.stats().save_throughs, 0u);
 }
 
-// ----- legacy JSON compatibility --------------------------------------------
-
-TEST(LegacyJsonTest, ConvertedGraphCompilesToEquivalentModel) {
-  apps::WordSim app;
-  dmi::ModelingOptions options = WordOptions();
-  ripper::GuiRipper rip(app, options.ripper_config);
-  const topo::NavGraph graph = rip.Rip(options.contexts);
-
-  // Legacy path: raw-graph JSON dump, reload, recompile.
-  const std::string json_path = TempPath("word_legacy.json");
-  ASSERT_TRUE(dmi::DmiSession::SaveModel(graph, json_path).ok());
-  auto reloaded = dmi::DmiSession::LoadModel(json_path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  auto from_json = dmi::CompiledModel::Compile(*reloaded, options);
-
-  // Binary path over the same graph.
-  auto compiled = dmi::CompiledModel::Compile(graph, options);
-  const std::string bin_path = TempPath("word_legacy.dmim");
-  ASSERT_TRUE(dmi::SaveModelArtifact(*compiled, {"WordSim", "1"}, bin_path).ok());
-  auto from_artifact = dmi::LoadModelArtifact(bin_path, options);
-  ASSERT_TRUE(from_artifact.ok());
-
-  // Both loads describe the same application identically.
-  EXPECT_EQ(from_json->static_prompt(), from_artifact->model->static_prompt());
-  EXPECT_EQ(from_json->catalog().FullText(), from_artifact->model->catalog().FullText());
-  EXPECT_EQ(from_json->stats().forest_nodes, from_artifact->model->stats().forest_nodes);
-}
-
-TEST(LegacyJsonTest, LoadModelRejectsGarbageAndMissing) {
-  auto missing = dmi::DmiSession::LoadModel(TempPath("no_such_model.json"));
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), support::StatusCode::kNotFound);
-
-  const std::string path = TempPath("garbage_model.json");
-  ASSERT_TRUE(support::WriteFileBytes(path, "{not json").ok());
-  EXPECT_FALSE(dmi::DmiSession::LoadModel(path).ok());
-}
-
 // ----- part-level validation ------------------------------------------------
 
 TEST(FromPartsTest, NavGraphRejectsMisalignedParts) {
@@ -472,6 +445,49 @@ TEST(BinioTest, TypedErrorsNamePath) {
   auto read = support::ReadFileBytes(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, payload);
+}
+
+// ----- model persistence (§5.2: reusable across machines) --------------------
+
+TEST(PersistenceTest, SessionFromLoadedModelDrivesTheApp) {
+  // Save to a .dmim file, cold-load it, and drive a fresh app through a
+  // session attached to the loaded model: the resolved Bold target clicks.
+  const std::string path = TempPath("word_drive.dmim");
+  ASSERT_TRUE(dmi::SaveModelArtifact(*WordModel(), {"WordSim", "1"}, path).ok());
+  auto loaded = dmi::LoadModelArtifact(path, WordOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  apps::WordSim app;
+  dmi::DmiSession session(app, loaded->model);
+  app.SetSelection(0, 0);
+  auto bold = session.ResolveTargetByNames({"Font", "Bold"});
+  ASSERT_TRUE(bold.ok());
+  dmi::VisitCommand cmd;
+  cmd.target_id = bold->id;
+  cmd.entry_ref_ids = bold->entry_ref_ids;
+  const dmi::VisitReport report = session.VisitParsed({cmd});
+  ASSERT_TRUE(report.overall.ok()) << report.Render();
+  EXPECT_TRUE(app.paragraphs()[0].fmt.bold);
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, SaveSurfacesFlushFailure) {
+  // /dev/full accepts the open and buffers the write, then fails on flush:
+  // a small payload fits in the stdio buffer, so the error can only surface
+  // at fclose — the exact path a silently-ignored fclose return would lose.
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  (void)std::fclose(probe);
+  const support::Status s = support::WriteFileBytes("/dev/full", "tiny");
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), support::StatusCode::kInternal) << s.ToString();
+  // A whole model artifact takes the short-write path instead; both must fail.
+  const support::Status saved =
+      dmi::SaveModelArtifact(*WordModel(), {"WordSim", "1"}, "/dev/full");
+  EXPECT_FALSE(saved.ok());
+  EXPECT_EQ(saved.code(), support::StatusCode::kInternal) << saved.ToString();
 }
 
 }  // namespace

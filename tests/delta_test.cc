@@ -273,8 +273,8 @@ TEST(DeltaRip, EmptyBaselineTableFallsBackToFullRip) {
   delta_options.config = options.ripper_config;
   delta_options.extra_contexts = options.contexts;
   delta_options.app_factory = FactoryFor(RenameMenuEntry);
-  // A v1 artifact loads with an empty checksum table: no baseline to diff
-  // against, so the delta path degrades to a full rip instead of erroring.
+  // A model saved with no checksum table has no baseline to diff against,
+  // so the delta path degrades to a full rip instead of erroring.
   support::Result<ripper::DeltaRipResult> delta =
       ripper::DeltaRip(delta_options, *baseline.graph, ripper::ChecksumTable{});
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "src/agent/dmi_agent.h"
 #include "src/agent/task_runner.h"
 #include "src/apps/word_sim.h"
@@ -26,65 +24,6 @@ const topo::NavGraph& WordGraph() {
     return new topo::NavGraph(rip.Rip());
   }();
   return *graph;
-}
-
-// ----- model persistence (§5.2: reusable across machines) ------------------------
-
-TEST(PersistenceTest, SaveLoadRoundTripPreservesTopology) {
-  const std::string path = ::testing::TempDir() + "/wordsim_model.json";
-  ASSERT_TRUE(dmi::DmiSession::SaveModel(WordGraph(), path).ok());
-  auto loaded = dmi::DmiSession::LoadModel(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->node_count(), WordGraph().node_count());
-  EXPECT_EQ(loaded->edge_count(), WordGraph().edge_count());
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, SessionFromLoadedModelDrivesTheApp) {
-  const std::string path = ::testing::TempDir() + "/wordsim_model2.json";
-  ASSERT_TRUE(dmi::DmiSession::SaveModel(WordGraph(), path).ok());
-  auto loaded = dmi::DmiSession::LoadModel(path);
-  ASSERT_TRUE(loaded.ok());
-
-  apps::WordSim app;
-  dmi::DmiSession session(app, std::move(*loaded), WordOptions());
-  app.SetSelection(0, 0);
-  auto bold = session.ResolveTargetByNames({"Font", "Bold"});
-  ASSERT_TRUE(bold.ok());
-  dmi::VisitCommand cmd;
-  cmd.target_id = bold->id;
-  cmd.entry_ref_ids = bold->entry_ref_ids;
-  ASSERT_TRUE(session.VisitParsed({cmd}).overall.ok());
-  EXPECT_TRUE(app.paragraphs()[0].fmt.bold);
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, SaveSurfacesFlushFailure) {
-  // /dev/full accepts the open and buffers the write, then fails on flush:
-  // a small graph fits in the stdio buffer, so the error can only surface at
-  // fclose — the exact path a silently-ignored fclose return would lose.
-  std::FILE* probe = std::fopen("/dev/full", "wb");
-  if (probe == nullptr) {
-    GTEST_SKIP() << "/dev/full not available";
-  }
-  (void)std::fclose(probe);
-  const topo::NavGraph tiny;  // root-only: serializes well under BUFSIZ
-  const support::Status s = dmi::DmiSession::SaveModel(tiny, "/dev/full");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), support::StatusCode::kInternal) << s.ToString();
-  // A large graph takes the short-write path instead; both must fail.
-  EXPECT_FALSE(dmi::DmiSession::SaveModel(WordGraph(), "/dev/full").ok());
-}
-
-TEST(PersistenceTest, LoadErrorsAreStructured) {
-  EXPECT_EQ(dmi::DmiSession::LoadModel("/nonexistent/m.json").status().code(),
-            support::StatusCode::kNotFound);
-  const std::string path = ::testing::TempDir() + "/garbage.json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("{not json", f);
-  std::fclose(f);
-  EXPECT_FALSE(dmi::DmiSession::LoadModel(path).ok());
-  std::remove(path.c_str());
 }
 
 // ----- §6 dynamic rename: the topology hazard no offline model captures ----------

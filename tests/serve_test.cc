@@ -249,6 +249,28 @@ TEST(ServiceConfigTest, DefaultsValidateAndFlagsApply) {
   // Recognized flag, malformed value: typed error, no exit.
   EXPECT_TRUE(config.ApplyFlag("--seed", "banana", &error));
   EXPECT_EQ(error.code(), support::StatusCode::kInvalidArgument);
+
+  // Out-of-range integers are bad values naming the flag, never a wrapped
+  // or saturated setting that Validate() would then accept.
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"--max-in-flight", "4294967297"},          // would wrap to 1
+      {"--workers", "4294967296"},                // would wrap to 0 (= one per hardware thread)
+      {"--queue", "-4294967295"},                 // would wrap to 1
+      {"--seed", "18446744073709551616"},         // 2^64
+      {"--seed", "-1"},                           // unsigned
+      {"--tenant-tokens", "9223372036854775808"},  // 2^63
+  };
+  for (const auto& [flag, value] : out_of_range) {
+    EXPECT_TRUE(config.ApplyFlag(flag, value, &error)) << flag;
+    EXPECT_EQ(error.code(), support::StatusCode::kInvalidArgument) << flag << " " << value;
+    EXPECT_NE(error.message().find(flag), std::string::npos) << error.ToString();
+  }
+  // A rejected value leaves the setting untouched.
+  const dmi::ServiceConfig defaults;
+  EXPECT_EQ(config.max_in_flight, defaults.max_in_flight);
+  EXPECT_EQ(config.workers, defaults.workers);
+  EXPECT_EQ(config.queue_capacity, defaults.queue_capacity);
+  EXPECT_EQ(config.seed, defaults.seed);
 }
 
 TEST(ServiceConfigTest, ValidateNamesOffendingField) {

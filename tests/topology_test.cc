@@ -89,22 +89,6 @@ TEST(NavGraphTest, StatsOnDiamond) {
   EXPECT_EQ(stats.max_depth, 3);
 }
 
-TEST(NavGraphTest, JsonRoundTrip) {
-  NavGraph g = DiamondGraph();
-  auto parsed = NavGraph::FromJson(g.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->node_count(), g.node_count());
-  EXPECT_EQ(parsed->edge_count(), g.edge_count());
-  EXPECT_EQ(parsed->node(3).name, g.node(3).name);
-}
-
-TEST(NavGraphTest, FromJsonRejectsMalformed) {
-  EXPECT_FALSE(NavGraph::FromJson(jsonv::Value(3)).ok());
-  auto bad = jsonv::Parse(R"({"nodes": [], "edges": [[0, 99]]})");
-  ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(NavGraph::FromJson(*bad).ok());
-}
-
 // ----- Decycle -----------------------------------------------------------------
 
 TEST(DecycleTest, AcyclicGraphUnchanged) {

@@ -56,7 +56,7 @@ CHECKS = [
     ("micro_batch", "batching", "batch_size", "amortized_speedup"),
     ("micro_batch", "batching", "batch_size", "tokens_per_sec"),
     ("micro_batch", "residency", "app", "resident_reduction"),
-    ("micro_artifact", "artifact", "app", "cold_load_speedup"),
+    ("micro_artifact", "artifact", "app", "vs_recompile_speedup"),
     ("micro_delta", "delta", "mutations", "delta_speedup"),
     ("micro_telemetry", "tracing", "case", "disabled_span_mops"),
     ("micro_telemetry", "tracing", "case", "traced_speedup"),

@@ -3,21 +3,16 @@
 // Rips one of the bundled applications into a UI Navigation Graph, runs the
 // decycle/externalize pipeline, prints the modeling statistics, and saves
 // the compiled model as a binary artifact (compile once, cold-load
-// everywhere, DESIGN.md §14). The legacy portable-JSON graph dump survives
-// behind --legacy-json, and --from-json converts an existing JSON graph to
-// an artifact without re-ripping.
+// everywhere, DESIGN.md §14).
 //
 // Usage:
 //   dmi_modeler --app word|excel|ppoint [--out model.dmim] [--app-version V]
 //               [--threshold N] [--depth N] [--print-core]
-//   dmi_modeler --app word --legacy-json --out model.json
-//   dmi_modeler --app word --from-json model.json --out model.dmim
 //   dmi_modeler --inspect model.dmim
 //   dmi_modeler --diff old.dmim new.dmim   (exit 1 when the models differ)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -27,7 +22,6 @@
 #include "src/apps/word_sim.h"
 #include "src/dmi/compiled_model.h"
 #include "src/dmi/model_artifact.h"
-#include "src/dmi/session.h"
 #include "src/ripper/ripper.h"
 
 namespace {
@@ -36,7 +30,6 @@ void Usage() {
   std::printf(
       "usage: dmi_modeler --app word|excel|ppoint [--out model.dmim]\n"
       "                   [--app-version V] [--threshold N] [--depth N] [--print-core]\n"
-      "                   [--legacy-json] [--from-json model.json]\n"
       "       dmi_modeler --inspect model.dmim\n"
       "       dmi_modeler --diff old.dmim new.dmim\n");
 }
@@ -107,7 +100,7 @@ int Diff(const std::string& old_path, const std::string& new_path) {
   const bool have_tables = !old_table.empty() && !new_table.empty();
   bool differ = false;
   if (!have_tables) {
-    std::printf("(pre-v2 artifact without a checksum table — partition diff unavailable, "
+    std::printf("(no checksum table — partition diff unavailable, "
                 "comparing serialized topologies)\n");
     differ = old_model.catalog().FullText() != new_model.catalog().FullText();
   } else {
@@ -164,11 +157,9 @@ int main(int argc, char** argv) {
   std::string inspect_path;
   std::string diff_old;
   std::string diff_new;
-  std::string from_json;
   uint64_t threshold = topo::kDefaultExternalizeThreshold;
   int depth = desc::PruneOptions{}.max_depth;
   bool print_core = false;
-  bool legacy_json = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -190,10 +181,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--diff") {
       diff_old = next("--diff");
       diff_new = next("--diff");
-    } else if (arg == "--from-json") {
-      from_json = next("--from-json");
-    } else if (arg == "--legacy-json") {
-      legacy_json = true;
     } else if (arg == "--threshold") {
       threshold = static_cast<uint64_t>(std::strtoull(next("--threshold"), nullptr, 10));
     } else if (arg == "--depth") {
@@ -228,40 +215,25 @@ int main(int argc, char** argv) {
   options.externalize_threshold = threshold;
   options.prune.max_depth = depth;
 
-  topo::NavGraph graph;
-  ripper::RipStats rip_stats;
-  ripper::ChecksumTable checksums;  // empty on the JSON-conversion path
-  if (!from_json.empty()) {
-    // Conversion path: adopt a legacy JSON graph dump instead of re-ripping
-    // (rip counters are unknown and stay zero in the converted artifact).
-    std::printf("loading JSON graph %s ...\n", from_json.c_str());
-    support::Result<topo::NavGraph> loaded = dmi::DmiSession::LoadModel(from_json);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "load failed: %s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    graph = std::move(*loaded);
-  } else {
-    std::printf("ripping %s ...\n", app_name.c_str());
-    // Taken on the pristine instance: the saved artifact doubles as a
-    // delta-rip baseline (DESIGN.md §15).
-    checksums = ripper::ComputeSubtreeChecksums(*scratch);
-    ripper::GuiRipper rip(*scratch, options.ripper_config);
-    // Canonical layout, like the runner's pipeline: artifacts written here
-    // must line up node-for-node as delta-rip baselines.
-    graph = rip.Rip(options.contexts).Canonicalized();
-    rip_stats = rip.stats();
-    std::printf("  %zu controls, %zu edges | %llu clicks, %llu captures, %llu explored, "
-                "%.1f min simulated UIA time\n",
-                graph.node_count(), graph.edge_count(),
-                static_cast<unsigned long long>(rip_stats.clicks),
-                static_cast<unsigned long long>(rip_stats.captures),
-                static_cast<unsigned long long>(rip_stats.explored),
-                rip_stats.simulated_ms / 60000.0);
-  }
+  std::printf("ripping %s ...\n", app_name.c_str());
+  // Taken on the pristine instance: the saved artifact doubles as a
+  // delta-rip baseline (DESIGN.md §15).
+  const ripper::ChecksumTable checksums = ripper::ComputeSubtreeChecksums(*scratch);
+  ripper::GuiRipper rip(*scratch, options.ripper_config);
+  // Canonical layout, like the runner's pipeline: artifacts written here
+  // must line up node-for-node as delta-rip baselines.
+  const topo::NavGraph graph = rip.Rip(options.contexts).Canonicalized();
+  const ripper::RipStats& rip_stats = rip.stats();
+  std::printf("  %zu controls, %zu edges | %llu clicks, %llu captures, %llu explored, "
+              "%.1f min simulated UIA time\n",
+              graph.node_count(), graph.edge_count(),
+              static_cast<unsigned long long>(rip_stats.clicks),
+              static_cast<unsigned long long>(rip_stats.captures),
+              static_cast<unsigned long long>(rip_stats.explored),
+              rip_stats.simulated_ms / 60000.0);
 
-  std::shared_ptr<const dmi::CompiledModel> model = dmi::CompiledModel::Compile(
-      graph, options, &rip_stats, checksums.empty() ? nullptr : &checksums);
+  std::shared_ptr<const dmi::CompiledModel> model =
+      dmi::CompiledModel::Compile(graph, options, &rip_stats, &checksums);
   const dmi::ModelingStats& s = model->stats();
   std::printf("pipeline: %zu back-edges removed | forest %zu nodes, %zu shared subtrees, "
               "%zu refs | core %zu nodes / %zu tokens (full %zu tokens)\n",
@@ -272,32 +244,15 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n", model->catalog().CoreText().c_str());
   }
   if (!out_path.empty()) {
-    // SaveModelArtifact creates its own store directory; the legacy JSON dump
-    // goes through WriteFileBytes directly, so mirror that here.
-    std::error_code ec;
-    const std::filesystem::path parent = std::filesystem::path(out_path).parent_path();
-    if (!parent.empty()) {
-      std::filesystem::create_directories(parent, ec);
+    // SaveModelArtifact creates the store directory if it is missing.
+    dmi::ArtifactMeta meta{workload::AppKindName(kind), app_version};
+    support::Status st = dmi::SaveModelArtifact(*model, meta, out_path);
+    if (!st.ok()) {
+      std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
+      return 1;
     }
-    if (legacy_json) {
-      // Compatibility: the raw-graph JSON dump (re-runs the whole pipeline
-      // on load; kept for cross-version escape hatches).
-      support::Status st = dmi::DmiSession::SaveModel(graph, out_path);
-      if (!st.ok()) {
-        std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("legacy JSON graph saved to %s\n", out_path.c_str());
-    } else {
-      dmi::ArtifactMeta meta{workload::AppKindName(kind), app_version};
-      support::Status st = dmi::SaveModelArtifact(*model, meta, out_path);
-      if (!st.ok()) {
-        std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("model artifact saved to %s (%s-%s)\n", out_path.c_str(),
-                  meta.app_kind.c_str(), meta.app_version.c_str());
-    }
+    std::printf("model artifact saved to %s (%s-%s)\n", out_path.c_str(),
+                meta.app_kind.c_str(), meta.app_version.c_str());
   }
   return 0;
 }

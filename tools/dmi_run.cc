@@ -45,6 +45,7 @@
 #include "src/dmi/service_config.h"
 #include "src/json/json.h"
 #include "src/serve/report_schema.h"
+#include "src/support/binio.h"
 #include "src/support/trace.h"
 #include "src/support/trace_export.h"
 
@@ -207,15 +208,13 @@ int main(int argc, char** argv) {
     const std::string doc =
         serve::SuiteReportJson(config, result,
                                config.batch.enabled ? &batch_stats : nullptr)
-            .DumpPretty();
-    std::FILE* f = std::fopen(report_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", report_path.c_str());
+            .DumpPretty() +
+        "\n";
+    const support::Status s = support::WriteFileBytes(report_path, doc);
+    if (!s.ok()) {
+      std::fprintf(stderr, "report export failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
     std::printf("wrote run report to %s\n", report_path.c_str());
   }
   if (!metrics_path.empty()) {
