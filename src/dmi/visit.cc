@@ -10,16 +10,10 @@
 #include "src/support/trace.h"
 #include "src/support/trace_export.h"
 #include "src/text/similarity.h"
-#include "src/uia/tree.h"
+#include "src/uia/control_type.h"
 
 namespace dmi {
 namespace {
-
-// Ancestor-path token overlap in [0,1], a weak structural signal that
-// complements name similarity during fuzzy matching.
-double AncestorOverlap(const std::string& a, const std::string& b) {
-  return textutil::TokenSetRatio(a, b);
-}
 
 const char* CommandKindName(VisitCommand::Kind kind) {
   switch (kind) {
@@ -125,41 +119,30 @@ gsim::Control* VisitExecutor::LocateControl(const topo::NodeInfo& info) {
   if (!config_.enable_fuzzy_match) {
     return nullptr;  // no exact match and no fuzzy fallback: nothing to find
   }
-  // The walk below scores fuzzy candidates (its exact check cannot fire
-  // after the index missed).
+  // Fuzzy fallback over the top window's slice of the same capture: the
+  // entries a walk of the top window's tree would visit, with their ids and
+  // ancestor paths already synthesized. The probe above keys on each control's
+  // window(), the slice on subtree membership, so an exact id still wins
+  // here first (in pre-order); otherwise the best same-type candidate by
+  // name similarity (dominant) and ancestor-path token overlap.
   fallback_walks.Increment();
-  // Exact identifier match first, best fuzzy candidate as fallback.
-  gsim::Control* exact = nullptr;
+  const std::string query_path = ripper::ParseControlId(info.control_id).ancestor_path;
   gsim::Control* best_fuzzy = nullptr;
   double best_score = 0.0;
-  uia::Walk(top->root(), [&](uia::Element& e, int) {
-    if (exact != nullptr) {
-      return false;
+  for (const ripper::VisibleEntry& entry : index_.TopWindowEntries()) {
+    if (entry.control_id == info.control_id) {
+      return entry.control;
     }
-    if (e.IsOffscreen()) {
-      return false;
+    if (entry.control->Type() != info.type) {
+      continue;
     }
-    if (e.RuntimeId() == 0) {
-      return true;
+    const double score =
+        0.8 * textutil::DecorationAwareScore(info.name, entry.control->Name()) +
+        0.2 * textutil::TokenSetRatio(entry.ancestor_path(), query_path);
+    if (score > best_score) {
+      best_score = score;
+      best_fuzzy = entry.control;
     }
-    if (ripper::SynthesizeControlId(e) == info.control_id) {
-      exact = static_cast<gsim::Control*>(&e);
-      return false;
-    }
-    if (config_.enable_fuzzy_match && e.Type() == info.type) {
-      // Combine name similarity (dominant) and ancestor-path overlap.
-      const ripper::ParsedControlId parsed = ripper::ParseControlId(info.control_id);
-      double score = 0.8 * textutil::DecorationAwareScore(info.name, e.Name()) +
-                     0.2 * AncestorOverlap(uia::AncestorPath(e), parsed.ancestor_path);
-      if (score > best_score) {
-        best_score = score;
-        best_fuzzy = static_cast<gsim::Control*>(&e);
-      }
-    }
-    return true;
-  });
-  if (exact != nullptr) {
-    return exact;
   }
   if (best_fuzzy != nullptr && best_score >= config_.fuzzy_threshold) {
     return best_fuzzy;

@@ -378,7 +378,7 @@ support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
     // canonicalized graphs).
     out.graph = baseline;
     out.nodes_reused = baseline.node_count() > 0 ? baseline.node_count() - 1 : 0;
-    return std::move(out);
+    return out;
   }
 
   const RegionScheme scheme = BuildScheme(baseline_checksums, out.checksums);
@@ -468,7 +468,7 @@ support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
   out.nodes_reripped = scoped.graph.node_count() > 0 ? scoped.graph.node_count() - 1 : 0;
   spliced.MergeFrom(scoped.graph);
   out.graph = spliced.Canonicalized();
-  return std::move(out);
+  return out;
 }
 
 }  // namespace ripper

@@ -66,6 +66,7 @@ bool VisibleIndex::Refresh() {
                              std::string(uia::ControlTypeName(e.Type())) + "|" +
                              ancestor_path;
           entry.control = static_cast<gsim::Control*>(&e);
+          entry.path_offset = entry.control_id.size() - ancestor_path.size();
           entries_.push_back(std::move(entry));
         }
         // A child whose public Parent() is null (window roots, floating
@@ -89,9 +90,15 @@ bool VisibleIndex::Refresh() {
           descend(*child, *path);
         }
       };
-  // The desktop root itself has a null Parent(), so its windows' paths start
-  // empty; the root's own path argument is unused.
-  descend(app_->AccessibilityRoot(), "");
+  // The desktop root's children are the open windows' roots, topmost last,
+  // and each root's public Parent() is null, so every window's paths start
+  // empty. Descending the windows directly skips the root and marks where
+  // the top window's entries begin.
+  top_begin_ = 0;
+  for (gsim::Window* window : app_->OpenWindows()) {
+    top_begin_ = entries_.size();
+    descend(window->root(), "");
+  }
 
   // Second pass: entries_ no longer reallocates, so views into its id
   // strings are stable for the lifetime of this generation.
@@ -188,6 +195,11 @@ gsim::Control* VisibleIndex::FindByIdEnsureFresh(const std::string& control_id,
     return nullptr;
   }
   return it->second.front();
+}
+
+std::span<const VisibleEntry> VisibleIndex::TopWindowEntries() {
+  Refresh();
+  return std::span<const VisibleEntry>(entries_).subspan(top_begin_);
 }
 
 gsim::Control* VisibleIndex::FindByIdInWindow(const std::string& control_id,

@@ -11,6 +11,9 @@
 // The capture walk itself is also cheaper than the legacy one: ancestor paths
 // are synthesized incrementally during the descent (O(1) amortized per
 // element) instead of re-walking the parent chain per element (O(depth)).
+// The walk also records where each id's ancestor path starts and where the
+// top window's entries begin, so the visit executor's fuzzy fallback scores
+// the top window's entries without walking it again.
 //
 // Invalidation: any mutation that can change the visible tree or an id bumps
 // the application generation (clicks, popups, window open/close, renames,
@@ -19,7 +22,9 @@
 #ifndef SRC_RIPPER_VISIBLE_INDEX_H_
 #define SRC_RIPPER_VISIBLE_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,6 +38,16 @@ namespace ripper {
 struct VisibleEntry {
   std::string control_id;
   gsim::Control* control = nullptr;
+  // Where the ancestor-path field starts inside control_id, recorded by the
+  // VisibleIndex walk. An offset, not a view: entries_ reallocates during
+  // that walk, and moving a short (inline-buffer) string moves its bytes.
+  size_t path_offset = 0;
+
+  // The control's uia::AncestorPath, read out of control_id (entries that
+  // VisibleIndex captured).
+  std::string_view ancestor_path() const {
+    return std::string_view(control_id).substr(path_offset);
+  }
 };
 
 class VisibleIndex {
@@ -69,6 +84,14 @@ class VisibleIndex {
   gsim::Control* FindByIdInWindow(const std::string& control_id,
                                   const gsim::Window* window);
 
+  // The entries of the top window's (Application::TopWindow()) root subtree:
+  // the tail of Visible(), because the walk descends the open windows in
+  // stacking order. Lists what uia::Walk(top->root()) visits, with offscreen
+  // subtrees pruned — the visit executor's fuzzy fallback scores these
+  // instead of re-walking the tree. Rebuilds if stale but counts neither a
+  // lookup nor a capture hit; the span is valid until the next rebuild.
+  std::span<const VisibleEntry> TopWindowEntries();
+
   // Drops the cache; the next access rebuilds regardless of generation.
   void Invalidate() { valid_ = false; }
 
@@ -80,6 +103,8 @@ class VisibleIndex {
   bool valid_ = false;
   uint64_t cached_generation_ = 0;
   std::vector<VisibleEntry> entries_;
+  // entries_[top_begin_, end) is the top window's root subtree.
+  size_t top_begin_ = 0;
   // id -> visible controls carrying it, in pre-order (ids are not guaranteed
   // globally unique: non-unique AutomationIds, paper §5.7). Keys are views
   // into entries_' id strings, built in a second pass once entries_ is

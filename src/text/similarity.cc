@@ -2,37 +2,45 @@
 
 #include <algorithm>
 #include <cctype>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace textutil {
 namespace {
 
-std::string ToLowerCopy(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
+char ToLower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
-std::set<std::string> WordSet(std::string_view text) {
-  std::set<std::string> words;
-  std::string current;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!current.empty()) {
-      words.insert(current);
-      current.clear();
+// The distinct lowercase alphanumeric words of a text, sorted: views into one
+// lowercased copy of the text. The visit executor scores candidates from
+// concurrent sessions, so each thread reuses its own buffers.
+struct WordSet {
+  std::string lower;
+  std::vector<std::string_view> words;
+
+  void Assign(std::string_view text) {
+    lower.assign(text);
+    words.clear();
+    size_t start = 0;
+    bool in_word = false;
+    for (size_t i = 0; i < text.size(); ++i) {
+      lower[i] = ToLower(text[i]);
+      const bool alnum = std::isalnum(static_cast<unsigned char>(text[i])) != 0;
+      if (alnum && !in_word) {
+        start = i;
+      } else if (!alnum && in_word) {
+        words.emplace_back(lower.data() + start, i - start);
+      }
+      in_word = alnum;
     }
+    if (in_word) {
+      words.emplace_back(lower.data() + start, text.size() - start);
+    }
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
   }
-  if (!current.empty()) {
-    words.insert(current);
-  }
-  return words;
-}
+};
 
 }  // namespace
 
@@ -41,8 +49,15 @@ size_t EditDistance(std::string_view a, std::string_view b) {
     std::swap(a, b);
   }
   const size_t m = b.size();
-  std::vector<size_t> prev(m + 1);
-  std::vector<size_t> cur(m + 1);
+  // Two rows over the shorter string in one per-thread buffer (concurrent
+  // sessions score at the same time); every cell is written before it is
+  // read, so the buffer only grows and is never cleared.
+  thread_local std::vector<size_t> rows;
+  if (rows.size() < 2 * (m + 1)) {
+    rows.resize(2 * (m + 1));
+  }
+  size_t* prev = rows.data();
+  size_t* cur = prev + m + 1;
   for (size_t j = 0; j <= m; ++j) {
     prev[j] = j;
   }
@@ -67,21 +82,31 @@ double NameSimilarity(std::string_view a, std::string_view b) {
 }
 
 double TokenSetRatio(std::string_view a, std::string_view b) {
-  const auto wa = WordSet(a);
-  const auto wb = WordSet(b);
-  if (wa.empty() && wb.empty()) {
+  thread_local WordSet wa;
+  thread_local WordSet wb;
+  wa.Assign(a);
+  wb.Assign(b);
+  if (wa.words.empty() && wb.words.empty()) {
     return 1.0;
   }
-  if (wa.empty() || wb.empty()) {
+  if (wa.words.empty() || wb.words.empty()) {
     return 0.0;
   }
+  // Both lists are sorted and distinct: one merge pass counts the overlap.
   size_t inter = 0;
-  for (const auto& w : wa) {
-    if (wb.count(w) > 0) {
+  for (size_t i = 0, j = 0; i < wa.words.size() && j < wb.words.size();) {
+    const int order = wa.words[i].compare(wb.words[j]);
+    if (order < 0) {
+      ++i;
+    } else if (order > 0) {
+      ++j;
+    } else {
       ++inter;
+      ++i;
+      ++j;
     }
   }
-  const size_t uni = wa.size() + wb.size() - inter;
+  const size_t uni = wa.words.size() + wb.words.size() - inter;
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
@@ -89,12 +114,15 @@ namespace {
 
 // True if `prefix` is a whole-word prefix of `full` (case-insensitive).
 bool IsWholeWordPrefix(std::string_view prefix, std::string_view full) {
-  const std::string lo = ToLowerCopy(prefix);
-  const std::string hi = ToLowerCopy(full);
-  if (lo.empty() || hi.size() <= lo.size() || hi.compare(0, lo.size(), lo) != 0) {
+  if (prefix.empty() || full.size() <= prefix.size()) {
     return false;
   }
-  return std::isalnum(static_cast<unsigned char>(hi[lo.size()])) == 0;
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    if (ToLower(prefix[i]) != ToLower(full[i])) {
+      return false;
+    }
+  }
+  return std::isalnum(static_cast<unsigned char>(ToLower(full[prefix.size()]))) == 0;
 }
 
 }  // namespace

@@ -10,25 +10,9 @@
 
 namespace {
 
-// Counts all controls in the app: static window trees (popups included even
-// when closed) plus registered shared subtrees — i.e. the modeled node
-// universe the paper reports (>4K per app, §5.2).
-size_t TotalControlCount(gsim::Application& app, const std::vector<gsim::Window*>& dialogs,
-                         const std::vector<gsim::Control*>& shared) {
-  size_t n = 0;
-  auto count_static = [&n](gsim::Control& root) {
-    root.WalkStatic([&n](gsim::Control&) { ++n; });
-  };
-  count_static(app.main_window().root());
-  for (gsim::Window* d : dialogs) {
-    count_static(d->root());
-  }
-  for (gsim::Control* s : shared) {
-    count_static(*s);
-  }
-  return n;
-}
-
+// Counts the controls of the main window's and the named dialogs' static trees
+// (popups included even when closed) — the modeled node universe the paper
+// reports (>4K per app, §5.2).
 template <typename App>
 size_t AppControlCount(App& app, const std::vector<std::string>& dialog_ids) {
   std::vector<gsim::Window*> dialogs;

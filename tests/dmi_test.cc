@@ -8,6 +8,7 @@
 #include "src/dmi/command.h"
 #include "src/dmi/session.h"
 #include "src/gui/instability.h"
+#include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "src/text/tokens.h"
 #include "src/uia/tree.h"
@@ -612,11 +613,20 @@ TEST_F(WordSession, FuzzyMatcherSurvivesNameVariations) {
   app_->SetSelection(0, 0);
   auto bold = session_->ResolveTargetByNames({"Font", "Bold"});
   ASSERT_TRUE(bold.ok());
+  // The suite shares one app, and ResetUiState keeps document formatting.
+  const bool was_bold = app_->paragraphs()[0].fmt.bold;
+  const uint64_t fallbacks_before =
+      support::MetricsRegistry::Global().Snapshot().CounterValue("visit.locate_fallback_walks");
   dmi::VisitReport report =
       session_->Visit(support::Format(R"([{"id":"%d"}])", bold->id));
+  const uint64_t fallbacks_after =
+      support::MetricsRegistry::Global().Snapshot().CounterValue("visit.locate_fallback_walks");
   app_->SetInstability(nullptr);
   ASSERT_TRUE(report.overall.ok()) << report.Render();
-  EXPECT_TRUE(app_->paragraphs()[0].fmt.bold);
+  EXPECT_NE(app_->paragraphs()[0].fmt.bold, was_bold);  // Bold was clicked
+  // Decoration changes every on-screen id, so the exact probe misses and the
+  // fuzzy fallback is what located Bold.
+  EXPECT_GT(fallbacks_after, fallbacks_before);
 }
 
 TEST_F(WordSession, RetryHandlesSlowLoadingPopups) {

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/apps/excel_sim.h"
 #include "src/apps/ppoint_sim.h"
 #include "src/apps/word_sim.h"
 #include "src/gui/application.h"
+#include "src/gui/instability.h"
 #include "src/ripper/identifier.h"
 #include "src/ripper/ripper.h"
+#include "src/ripper/visible_index.h"
 #include "src/topology/transform.h"
 #include "src/topology/validate.h"
 #include "src/uia/tree.h"
@@ -326,6 +332,180 @@ TEST(RipperDeterminismTest, SingleContextParallelMatchesClassicRipCanonicalized)
   ripper::RipResult independent = ripper::RipAppContexts(config, {}, options);
 
   EXPECT_EQ(classic_json, independent.graph.ToJson().Dump());
+}
+
+// ----- visible-index window slices ------------------------------------------------
+
+namespace slices {
+
+// The controls uia::Walk visits under `root`, in order: offscreen subtrees
+// pruned, the desktop root (runtime id 0) skipped.
+std::vector<gsim::Control*> WalkVisible(uia::Element& root) {
+  std::vector<gsim::Control*> out;
+  uia::Walk(root, [&out](uia::Element& e, int) {
+    if (e.IsOffscreen()) {
+      return false;
+    }
+    if (e.RuntimeId() != 0) {
+      out.push_back(static_cast<gsim::Control*>(&e));
+    }
+    return true;
+  });
+  return out;
+}
+
+// First control on the top window's visible tree matching `pred`, or nullptr.
+gsim::Control* FindVisible(gsim::Application& app,
+                           const std::function<bool(const gsim::Control&)>& pred) {
+  for (gsim::Control* c : WalkVisible(app.TopWindow()->root())) {
+    if (pred(*c)) {
+      return c;
+    }
+  }
+  return nullptr;
+}
+
+bool IsMenuHost(const gsim::Control& c) {
+  return c.IsEnabled() && c.click_effect() == gsim::ClickEffect::kRevealPopup &&
+         c.popup() != nullptr && !c.popup()->floating();
+}
+
+bool IsPaletteHost(const gsim::Control& c) {
+  return c.IsEnabled() && c.click_effect() == gsim::ClickEffect::kRevealPopup &&
+         c.popup() != nullptr && c.popup()->floating();
+}
+
+// A visible control that opens a dialog: on the main window, or inside the
+// first popup that holds one (the popup is left open).
+gsim::Control* RevealDialogOpener(gsim::Application& app) {
+  auto opens_dialog = [](const gsim::Control& c) {
+    return c.IsEnabled() && c.click_effect() == gsim::ClickEffect::kOpenDialog;
+  };
+  if (gsim::Control* opener = FindVisible(app, opens_dialog)) {
+    return opener;
+  }
+  for (gsim::Control* host : WalkVisible(app.main_window().root())) {
+    if (!IsMenuHost(*host) && !IsPaletteHost(*host)) {
+      continue;
+    }
+    if (!app.Click(*host).ok()) {
+      continue;
+    }
+    if (gsim::Control* opener = FindVisible(app, opens_dialog)) {
+      return opener;
+    }
+    (void)app.PressKey("ESC");
+  }
+  return nullptr;
+}
+
+// The visit executor's fuzzy fallback scores the top window's slice of the
+// capture in place of walking that window: the slice must list exactly what
+// the walk visits, in order, with the ids and ancestor paths the live tree
+// synthesizes, and end the capture.
+void ExpectTopSliceMatchesWalk(gsim::Application& app, const std::string& state) {
+  SCOPED_TRACE(app.name() + ": " + state);
+  ripper::VisibleIndex index(app);
+  gsim::Window* top = app.TopWindow();
+  ASSERT_NE(top, nullptr);
+  const std::span<const ripper::VisibleEntry> slice = index.TopWindowEntries();
+  const std::vector<gsim::Control*> walked = WalkVisible(top->root());
+  ASSERT_FALSE(walked.empty());
+  ASSERT_EQ(slice.size(), walked.size());
+  for (size_t i = 0; i < walked.size(); ++i) {
+    ASSERT_EQ(slice[i].control, walked[i]) << "entry " << i;
+    EXPECT_EQ(slice[i].control_id, ripper::SynthesizeControlId(*walked[i])) << "entry " << i;
+    EXPECT_EQ(slice[i].ancestor_path(), uia::AncestorPath(*walked[i])) << "entry " << i;
+  }
+  const std::vector<ripper::VisibleEntry>& all = index.Visible();
+  EXPECT_EQ(slice.data() + slice.size(), all.data() + all.size());
+}
+
+template <typename App>
+void ExpectSlicesMatchWalkAcrossStates() {
+  {
+    App app;
+    ExpectTopSliceMatchesWalk(app, "fresh");
+  }
+  {
+    App app;
+    gsim::Control* host = FindVisible(app, IsMenuHost);
+    ASSERT_NE(host, nullptr);
+    ASSERT_TRUE(app.Click(*host).ok());
+    ASSERT_TRUE(host->popup_open());
+    ExpectTopSliceMatchesWalk(app, "menu '" + host->TrueName() + "' open");
+  }
+  {
+    App app;
+    gsim::Control* host = FindVisible(app, IsPaletteHost);
+    ASSERT_NE(host, nullptr);
+    ASSERT_TRUE(app.Click(*host).ok());
+    ASSERT_TRUE(host->popup_open());
+    ExpectTopSliceMatchesWalk(app, "shared palette open from '" + host->TrueName() + "'");
+  }
+  {
+    App app;
+    gsim::Control* opener = RevealDialogOpener(app);
+    ASSERT_NE(opener, nullptr);
+    ASSERT_TRUE(app.Click(*opener).ok());
+    ASSERT_NE(app.TopWindow(), &app.main_window());
+    ASSERT_TRUE(app.TopWindow()->modal());
+    ExpectTopSliceMatchesWalk(app, "dialog '" + app.TopWindow()->title() + "' on top");
+  }
+  {
+    App app;
+    gsim::Control* pane = FindVisible(app, [](const gsim::Control& c) {
+      return c.Type() == uia::ControlType::kPane && c.parent_control() != nullptr &&
+             !c.StaticChildren().empty();
+    });
+    ASSERT_NE(pane, nullptr);
+    const size_t shown = WalkVisible(app.main_window().root()).size();
+    pane->SetForcedOffscreen(true);
+    ASSERT_LT(WalkVisible(app.main_window().root()).size(), shown);
+    ExpectTopSliceMatchesWalk(app, "pane '" + pane->TrueName() + "' forced offscreen");
+  }
+  {
+    App app;
+    gsim::InstabilityConfig slow;
+    slow.slow_load_rate = 1.0;
+    slow.slow_load_ticks = 2;
+    gsim::InstabilityInjector injector(slow, 7);
+    app.SetInstability(&injector);
+    gsim::Control* host = FindVisible(app, IsMenuHost);
+    ASSERT_NE(host, nullptr);
+    ASSERT_TRUE(app.Click(*host).ok());
+    ASSERT_TRUE(host->popup_open());
+    ASSERT_TRUE(host->popup()->IsOffscreen());  // waiting for its reveal tick
+    ExpectTopSliceMatchesWalk(app, "popup of '" + host->TrueName() + "' pending reveal");
+    app.SetInstability(nullptr);
+  }
+  {
+    App app;
+    gsim::InstabilityConfig renames;
+    renames.name_variation_rate = 1.0;
+    gsim::InstabilityInjector injector(renames, 99);
+    app.SetInstability(&injector);
+    ExpectTopSliceMatchesWalk(app, "every name decorated");
+    gsim::Control* host = FindVisible(app, IsMenuHost);
+    ASSERT_NE(host, nullptr);
+    ASSERT_TRUE(app.Click(*host).ok());
+    ExpectTopSliceMatchesWalk(app, "every name decorated, menu open");
+    app.SetInstability(nullptr);
+  }
+}
+
+}  // namespace slices
+
+TEST(VisibleIndexTest, WindowSliceMatchesWalkWord) {
+  slices::ExpectSlicesMatchWalkAcrossStates<apps::WordSim>();
+}
+
+TEST(VisibleIndexTest, WindowSliceMatchesWalkExcel) {
+  slices::ExpectSlicesMatchWalkAcrossStates<apps::ExcelSim>();
+}
+
+TEST(VisibleIndexTest, WindowSliceMatchesWalkPpoint) {
+  slices::ExpectSlicesMatchWalkAcrossStates<apps::PpointSim>();
 }
 
 // ----- full-app rip (Word) -----------------------------------------------------------
