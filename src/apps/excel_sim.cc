@@ -841,9 +841,7 @@ void ExcelSim::OnFactoryReset() {
     h_scroll_ = 0.0;
     v_scroll_ = 0.0;
   }
-  // Same order as the constructor: seed the sales table, then lay out.
   SeedData();
-  UpdateViewport();
 }
 
 void ExcelSim::AppStateDigest(gsim::StateHash& hash) const {

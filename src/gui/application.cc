@@ -197,11 +197,10 @@ void Application::CloseWindow(Window& window, bool commit) {
 void Application::ResetUiState() {
   CloseAllPopups();
   // Persistent panes are not on the transient stack; close them explicitly.
-  main_window_->root().WalkStatic([](Control& c) {
-    if (c.popup_persistent() && c.popup_open()) {
-      c.SetPopupOpen(false);
-    }
-  });
+  // Each close removes the pane from the list (TrackPersistentPane).
+  while (!open_persistent_panes_.empty()) {
+    open_persistent_panes_.back()->SetPopupOpen(false);
+  }
   while (open_window_stack_.size() > 1) {
     Window* top = open_window_stack_.back();
     top->SetOpen(false);
@@ -211,6 +210,14 @@ void Application::ResetUiState() {
   external_state_ = false;
   BumpUiGeneration();
   OnUiReset();
+}
+
+void Application::TrackPersistentPane(Control& pane, bool open) {
+  if (open) {
+    open_persistent_panes_.push_back(&pane);
+  } else {
+    std::erase(open_persistent_panes_, &pane);
+  }
 }
 
 void Application::WalkAllControls(const std::function<void(Control&)>& fn) {
@@ -228,8 +235,10 @@ void Application::CaptureFreshState() {
   if (fresh_captured_) {
     return;
   }
-  WalkAllControls(
-      [this](Control& c) { fresh_controls_.emplace_back(&c, c.CaptureFreshState()); });
+  WalkAllControls([this](Control& c) {
+    c.fresh_index_ = static_cast<uint32_t>(fresh_states_.size());
+    fresh_states_.push_back(c.CaptureFreshState());
+  });
   fresh_listener_count_ = window_listeners_.size();
   fresh_captured_ = true;
 }
@@ -238,11 +247,12 @@ void Application::ResetToFreshState() {
   assert(fresh_captured_ && "CaptureFreshState() must run before ResetToFreshState()");
   SetInstability(nullptr);
   ResetUiState();
-  for (auto& [control, state] : fresh_controls_) {
-    control->RestoreFreshState(state);
+  // Only the touched controls can differ from their snapshots. A restore
+  // destroys the control's run-time children, which never queue themselves.
+  for (Control* control : touched_) {
+    control->RestoreFreshState(fresh_states_[control->fresh_index_]);
   }
-  // Restoring popup_open_ = false wholesale makes the transient stack stale.
-  open_popup_hosts_.clear();
+  touched_.clear();
   reveal_ticks_.clear();
   tick_ = 0;
   stats_ = ActionStats{};
@@ -256,6 +266,7 @@ void Application::ResetToFreshState() {
 }
 
 uint64_t Application::UiaStateChecksum() {
+  static const std::string kNone;
   StateHash h;
   WalkAllControls([&h](Control& c) {
     h.MixU64(0x9e3779b97f4a7c15ull);  // per-control boundary
@@ -270,6 +281,10 @@ uint64_t Application::UiaStateChecksum() {
     h.Mix(c.text_value());
     h.MixDouble(c.range_value());
     h.MixU64(c.StaticChildren().size());
+    // Wiring, by name: an opened shared popup adopts its host and window.
+    const Control* parent = c.parent_control();
+    h.Mix(parent != nullptr ? parent->TrueName() : kNone);
+    h.Mix(c.window() != nullptr ? c.window()->title() : kNone);
   });
   h.MixU64(open_window_stack_.size());
   for (Window* w : open_window_stack_) {

@@ -157,9 +157,10 @@ class Application {
   // whether OK-semantics were used.
   void CloseWindow(Window& window, bool commit);
 
-  // Restores the initial UI state: closes dialogs and popups, clears focus
-  // and the external-state flag. (The ripper uses this as its cheap
-  // "restart"; it does not reset the document model.)
+  // Restores the initial UI state: closes dialogs, transient popups and open
+  // persistent panes (from the list the app keeps as panes open and close),
+  // clears focus and the external-state flag. (The ripper uses this as its
+  // cheap "restart"; it does not reset the document model.)
   void ResetUiState();
 
   // ----- factory reset / application pooling (DESIGN.md §10) -----------------
@@ -170,7 +171,9 @@ class Application {
   bool fresh_state_captured() const { return fresh_captured_; }
 
   // Full factory reset: detaches the instability injector, runs
-  // ResetUiState(), restores every captured control snapshot, clears the
+  // ResetUiState(), restores the snapshot of every control on the touched
+  // list (the controls whose snapshot fields changed since capture or the
+  // last reset; untouched controls already equal their snapshot), clears the
   // logical clock / reveal schedule / action stats, and asks the concrete app
   // to rebuild its document model (OnFactoryReset). Requires a prior
   // CaptureFreshState(). The UI generation stays monotonic (it is bumped, not
@@ -178,11 +181,12 @@ class Application {
   void ResetToFreshState();
 
   // Checksum of everything behavior-relevant: the full static control tree
-  // (names, values, toggle/selection/popup state), open windows, focus,
-  // external flag, logical clock, action stats, and the concrete app's
-  // document model (AppStateDigest). Runtime ids and the UI generation are
-  // excluded — they differ between a fresh and a pooled-and-reset instance by
-  // construction. "reset == fresh" means equal checksums.
+  // (names, values, toggle/selection/popup state, parent and window by
+  // name), open windows, focus, external flag, logical clock, action stats,
+  // and the concrete app's document model (AppStateDigest). Runtime ids and
+  // the UI generation are excluded — they differ between a fresh and a
+  // pooled-and-reset instance by construction. "reset == fresh" means equal
+  // checksums.
   uint64_t UiaStateChecksum();
 
   // ----- state ---------------------------------------------------------------
@@ -278,6 +282,11 @@ class Application {
 
  private:
   class DesktopRoot;
+  friend class Control;  // MarkTouched and SetPopupOpen keep the lists below
+
+  // Adds `pane` to (open) or removes it from (closed) the open persistent
+  // panes that ResetUiState closes.
+  void TrackPersistentPane(Control& pane, bool open);
 
   // Visits every statically owned control: main window, all registered
   // dialogs (open or not), and all shared subtrees. Deterministic order.
@@ -296,6 +305,7 @@ class Application {
   std::vector<std::unique_ptr<Control>> shared_subtrees_;
   std::vector<Window*> open_window_stack_;  // main window first
   std::vector<Control*> open_popup_hosts_;  // transient menus, innermost last
+  std::vector<Control*> open_persistent_panes_;  // persistent popup hosts now open
 
   std::unique_ptr<DesktopRoot> desktop_root_;
   Control* focused_ = nullptr;
@@ -307,9 +317,13 @@ class Application {
   std::vector<WindowListener> window_listeners_;
   std::map<uint64_t, uint64_t> reveal_ticks_;  // runtime id -> visible-at tick
 
-  // Factory-reset snapshots (CaptureFreshState). Controls are never removed
-  // once captured, so the raw pointers stay valid for the app's lifetime.
-  std::vector<std::pair<Control*, Control::FreshState>> fresh_controls_;
+  // Factory-reset snapshots (CaptureFreshState), indexed by each control's
+  // fresh_index_, and the controls changed since the last capture or reset,
+  // each once. Controls are never removed once captured and run-time
+  // children never queue, so the raw pointers stay valid for the app's
+  // lifetime.
+  std::vector<Control::FreshState> fresh_states_;
+  std::vector<Control*> touched_;
   size_t fresh_listener_count_ = 0;
   bool fresh_captured_ = false;
 };

@@ -285,6 +285,7 @@ Control* Control::AddChild(std::unique_ptr<Control> child) {
   Control* raw = child.get();
   children_.push_back(std::move(child));
   child_ptrs_.push_back(raw);
+  MarkTouched();  // child count
   if (app_ != nullptr) {
     app_->BumpUiGeneration();  // dynamic structure growth
   }
@@ -350,6 +351,7 @@ Control* Control::SetHelpText(std::string text) {
 Control* Control::SetEnabled(bool enabled) {
   if (enabled_ != enabled) {
     enabled_ = enabled;
+    MarkTouched();
     if (app_ != nullptr) {
       app_->BumpUiGeneration();  // [disabled] markers feed the screen listing
     }
@@ -393,6 +395,12 @@ void Control::AttachPattern(std::unique_ptr<uia::Pattern> pattern) {
 }
 
 void Control::SetPopupOpen(bool open) {
+  if (popup_open_ != open) {
+    MarkTouched();
+    if (popup_persistent_ && app_ != nullptr) {
+      app_->TrackPersistentPane(*this, open);
+    }
+  }
   popup_open_ = open;
   if (app_ != nullptr) {
     app_->BumpUiGeneration();
@@ -403,13 +411,20 @@ void Control::SetPopupOpen(bool open) {
   }
   if (open) {
     // A shared subtree adopts the opening host as its parent so ancestor
-    // paths reflect the actual access path.
+    // paths reflect the actual access path. Only the root is marked: its
+    // restore puts the snapshot's window back throughout the subtree.
+    if (p->parent_ != this || p->window_ != window_) {
+      p->MarkTouched();
+    }
     p->parent_ = this;
     p->PropagateContext(window_, app_);
   }
 }
 
 void Control::SetForcedOffscreen(bool offscreen) {
+  if (forced_offscreen_ != offscreen) {
+    MarkTouched();
+  }
   forced_offscreen_ = offscreen;
   if (app_ != nullptr) {
     app_->BumpUiGeneration();
@@ -417,6 +432,9 @@ void Control::SetForcedOffscreen(bool offscreen) {
 }
 
 void Control::RenameTo(std::string new_name) {
+  if (name_ != new_name) {
+    MarkTouched();
+  }
   name_ = std::move(new_name);
   if (app_ != nullptr) {
     app_->BumpUiGeneration();  // names feed synthesized control ids
@@ -428,6 +446,7 @@ void Control::set_toggled(bool t) {
     return;
   }
   toggled_ = t;
+  MarkTouched();
   if (app_ != nullptr) {
     app_->BumpUiGeneration();  // [on] markers feed the screen listing
   }
@@ -438,6 +457,7 @@ void Control::set_selected(bool s) {
     return;
   }
   selected_ = s;
+  MarkTouched();
   if (app_ != nullptr) {
     app_->BumpUiGeneration();  // [selected] markers feed the screen listing
   }
@@ -448,6 +468,7 @@ void Control::set_text_value(std::string v) {
     return;
   }
   text_value_ = std::move(v);
+  MarkTouched();
   if (app_ != nullptr) {
     app_->BumpUiGeneration();  // edit values feed the passive data payload
   }
@@ -458,6 +479,7 @@ void Control::set_range_value(double v) {
     return;
   }
   range_value_ = v;
+  MarkTouched();
   if (app_ != nullptr) {
     app_->BumpUiGeneration();  // range values feed the passive data payload
   }
@@ -483,6 +505,9 @@ void Control::RestoreFreshState(const FreshState& s) {
   name_ = s.name;
   enabled_ = s.enabled;
   forced_offscreen_ = s.forced_offscreen;
+  if (popup_persistent_ && popup_open_ != s.popup_open) {
+    app_->TrackPersistentPane(*this, s.popup_open);
+  }
   popup_open_ = s.popup_open;
   toggled_ = s.toggled;
   selected_ = s.selected;
@@ -495,7 +520,19 @@ void Control::RestoreFreshState(const FreshState& s) {
     child_ptrs_.resize(s.child_count);
   }
   parent_ = s.parent;
-  window_ = s.window;
+  if (window_ != s.window) {
+    // A shared popup root: opening it rewrote window_ across its subtree.
+    PropagateContext(s.window, app_);
+  }
+  touched_ = false;
+}
+
+void Control::MarkTouched() {
+  if (touched_ || fresh_index_ == kNoSnapshot) {
+    return;
+  }
+  touched_ = true;
+  app_->touched_.push_back(this);
 }
 
 void Control::SetWindow(Window* window) { window_ = window; }

@@ -70,8 +70,9 @@ class Control final : public uia::Element {
 
   // Detaches and returns a static child subtree (nullptr if `child` is not a
   // direct child). Models an app update deleting a feature group. Only legal
-  // before the application captures fresh state — the pooling snapshot keeps
-  // raw pointers into the tree, so post-capture removal would dangle.
+  // before the application captures fresh state — the factory reset's touched
+  // list keeps raw pointers into the tree, so post-capture removal would
+  // dangle.
   std::unique_ptr<Control> RemoveChild(Control* child);
 
   // Attaches an owned popup subtree revealed by clicking this control.
@@ -173,9 +174,11 @@ class Control final : public uia::Element {
   // ----- factory-reset support (Application::ResetToFreshState) --------------
   // Snapshot of every field a run can mutate, including parent/window wiring
   // (a shared popup adopts its opening host as parent, see SetPopupOpen).
-  // Captured right after construction; restored wholesale when a pooled
-  // application instance is recycled. Restore writes fields directly — the
-  // application bumps the UI generation once for the whole reset.
+  // Captured right after construction. Every setter of one of these fields
+  // queues the control once on its application's touched list when the value
+  // actually changes after capture, and a factory reset restores only the
+  // queued controls. Restore writes fields directly — the application bumps
+  // the UI generation once for the whole reset.
   struct FreshState {
     std::string name;
     bool enabled = true;
@@ -204,6 +207,12 @@ class Control final : public uia::Element {
   friend class Application;
 
   static uint64_t NextRuntimeId();
+
+  // Queues this control on its application's touched list, once per reset
+  // epoch, if it has a snapshot. A control added after CaptureFreshState has
+  // none and never queues: its parent's restore destroys it.
+  void MarkTouched();
+  static constexpr uint32_t kNoSnapshot = UINT32_MAX;
 
   std::string name_;
   uia::ControlType type_;
@@ -239,6 +248,9 @@ class Control final : public uia::Element {
   Rect rect_;
   Window* window_ = nullptr;
   Application* app_ = nullptr;
+
+  uint32_t fresh_index_ = kNoSnapshot;  // this control's snapshot in its app
+  bool touched_ = false;                // queued on the app's touched list
 
   std::map<uia::PatternId, std::unique_ptr<uia::Pattern>> patterns_;
 };

@@ -5,8 +5,8 @@
 // the paper's evaluation tears one down and rebuilds one for every RunOnce.
 // The pool amortizes that: workers lease an instance per AppKind and, on
 // return, the instance is factory-reset (Application::ResetToFreshState) —
-// injector detached, document model reseeded, every control snapshot
-// restored — instead of destroyed.
+// injector detached, document model reseeded, and every control the run
+// changed restored to its snapshot — instead of destroyed.
 //
 // Reset-equivalence contract: a pooled-and-reset instance must be
 // behaviorally indistinguishable from a freshly constructed one. With

@@ -205,6 +205,7 @@ std::pair<App*, dmi::DmiSession*> ModelWithScratch(const dmi::ModelingOptions& o
   ripper::GuiRipper rip(scratch, options.ripper_config);
   topo::NavGraph graph = rip.Rip(options.contexts);
   App* live = new App();
+  live->CaptureFreshState();  // each test's SetUp factory-resets the shared app
   auto* session = new dmi::DmiSession(*live, std::move(graph), options);
   return {live, session};
 }
@@ -226,7 +227,7 @@ class PpointSession : public ::testing::Test {
   }
 
   void SetUp() override {
-    app_->ResetUiState();
+    app_->ResetToFreshState();
     session_->screen().Refresh();
   }
 
@@ -481,7 +482,7 @@ class WordSession : public ::testing::Test {
     app_ = nullptr;
   }
   void SetUp() override {
-    app_->ResetUiState();
+    app_->ResetToFreshState();
     session_->screen().Refresh();
   }
 
@@ -613,8 +614,6 @@ TEST_F(WordSession, FuzzyMatcherSurvivesNameVariations) {
   app_->SetSelection(0, 0);
   auto bold = session_->ResolveTargetByNames({"Font", "Bold"});
   ASSERT_TRUE(bold.ok());
-  // The suite shares one app, and ResetUiState keeps document formatting.
-  const bool was_bold = app_->paragraphs()[0].fmt.bold;
   const uint64_t fallbacks_before =
       support::MetricsRegistry::Global().Snapshot().CounterValue("visit.locate_fallback_walks");
   dmi::VisitReport report =
@@ -623,7 +622,7 @@ TEST_F(WordSession, FuzzyMatcherSurvivesNameVariations) {
       support::MetricsRegistry::Global().Snapshot().CounterValue("visit.locate_fallback_walks");
   app_->SetInstability(nullptr);
   ASSERT_TRUE(report.overall.ok()) << report.Render();
-  EXPECT_NE(app_->paragraphs()[0].fmt.bold, was_bold);  // Bold was clicked
+  EXPECT_TRUE(app_->paragraphs()[0].fmt.bold);  // Bold was clicked
   // Decoration changes every on-screen id, so the exact probe misses and the
   // fuzzy fallback is what located Bold.
   EXPECT_GT(fallbacks_after, fallbacks_before);
@@ -658,7 +657,7 @@ class ExcelSession : public ::testing::Test {
     app_ = nullptr;
   }
   void SetUp() override {
-    app_->ResetUiState();
+    app_->ResetToFreshState();
     session_->screen().Refresh();
   }
 

@@ -181,10 +181,17 @@ TEST(GuiClickTest, ExternalStateBlocksEverythingUntilReset) {
 
 TEST(GuiClickTest, ResetUiStateClosesEverything) {
   MiniApp app;
+  gsim::Control* pane_host = app.tab_a_->popup()->NewChild("Pane Host", uia::ControlType::kButton);
+  pane_host->SetPopupPersistent(true);
+  gsim::Control* pane =
+      pane_host->SetPopup(std::make_unique<gsim::Control>("Side Pane", uia::ControlType::kPane));
+  ASSERT_TRUE(app.Click(*pane_host).ok());
   ASSERT_TRUE(app.Click(*app.menu_host_).ok());
   ASSERT_TRUE(app.Click(*app.submenu_host_).ok());
+  ASSERT_TRUE(app.IsAttached(*pane));  // menus leave a persistent pane open
   app.ResetUiState();
   EXPECT_FALSE(app.IsAttached(*app.action_item_));
+  EXPECT_FALSE(app.IsAttached(*pane));
   EXPECT_EQ(app.OpenWindows().size(), 1u);
 }
 

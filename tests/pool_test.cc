@@ -4,16 +4,21 @@
 // CompiledModel, and the pooled == unpooled suite-result guarantee.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/agent/task_runner.h"
 #include "src/apps/excel_sim.h"
+#include "src/apps/office_common.h"
 #include "src/apps/ppoint_sim.h"
 #include "src/apps/word_sim.h"
 #include "src/dmi/compiled_model.h"
+#include "src/dmi/policy.h"
 #include "src/dmi/session.h"
 #include "src/ripper/ripper.h"
 #include "src/support/metrics.h"
@@ -35,6 +40,18 @@ gsim::Control* FindInTop(gsim::Application& app, const std::string& name) {
   auto* ctrl = static_cast<gsim::Control*>(uia::FindByName(app.TopWindow()->root(), name));
   EXPECT_NE(ctrl, nullptr) << "control not found in top window: " << name;
   return ctrl;
+}
+
+// Finds a control anywhere in `root`'s static tree, open or not.
+gsim::Control* FindStatic(gsim::Control& root, const std::string& name) {
+  gsim::Control* found = nullptr;
+  root.WalkStatic([&](gsim::Control& c) {
+    if (found == nullptr && c.TrueName() == name) {
+      found = &c;
+    }
+  });
+  EXPECT_NE(found, nullptr) << "control not found: " << name;
+  return found;
 }
 
 support::Status ClickByName(gsim::Application& app, const std::string& name) {
@@ -152,6 +169,91 @@ TEST(ResetEquivalenceTest, PpointResetMatchesFreshAfterMutations) {
   }
 }
 
+// WordSim plus a host for the shared color palette inside the Font dialog,
+// which no shipped dialog has: opening it re-parents the palette into a
+// dialog window.
+std::unique_ptr<apps::WordSim> WordWithDialogPaletteHost() {
+  auto app = std::make_unique<apps::WordSim>();
+  gsim::Control* palette = FindStatic(app->main_window().root(), "Font Color")->popup();
+  apps::AddSharedPaletteButton(app->FindDialog("font_dialog")->root(), "Dialog Font Color",
+                               palette);
+  return app;
+}
+
+// The reset restores only the controls whose snapshot fields changed, so
+// every setter of such a field must queue its control. One case per setter,
+// each mutating a freshly captured app directly and then resetting it, twice:
+// the restore must also re-arm the control for the next session.
+TEST(ResetEquivalenceTest, EverySnapshotSetterIsRestored) {
+  auto main = [](apps::WordSim& app) -> gsim::Control& { return app.main_window().root(); };
+  auto dialog = [](apps::WordSim& app, const char* id) -> gsim::Control& {
+    return app.FindDialog(id)->root();
+  };
+  const std::vector<std::pair<std::string, std::function<void(apps::WordSim&)>>> cases = {
+      {"set_toggled",
+       [&](apps::WordSim& app) { FindStatic(main(app), "Strikethrough")->set_toggled(true); }},
+      {"set_selected",
+       [&](apps::WordSim& app) {
+         FindStatic(dialog(app, "font_dialog"), "Italic Style")->set_selected(true);
+       }},
+      {"set_text_value",
+       [&](apps::WordSim& app) {
+         FindStatic(dialog(app, "find_replace_dialog"), "Find what")->set_text_value("profit");
+       }},
+      {"set_range_value",
+       [&](apps::WordSim& app) { FindStatic(main(app), "Indent Left")->set_range_value(12.0); }},
+      {"SetEnabled", [&](apps::WordSim& app) { FindStatic(main(app), "Bold")->SetEnabled(false); }},
+      {"SetForcedOffscreen",
+       [&](apps::WordSim& app) { FindStatic(main(app), "Italic")->SetForcedOffscreen(true); }},
+      {"RenameTo",
+       [&](apps::WordSim& app) {
+         FindStatic(dialog(app, "find_replace_dialog"), "Find Next")->RenameTo("Go To");
+       }},
+      {"SetPopupOpen",
+       [&](apps::WordSim& app) { FindStatic(main(app), "Underline")->SetPopupOpen(true); }},
+      {"AddChild",
+       [&](apps::WordSim& app) {
+         FindStatic(main(app), "Bold")->NewChild("Late Button", uia::ControlType::kButton);
+       }},
+      // The palette adopts the dialog host as parent and the dialog as window
+      // across its whole subtree; only the palette root is queued.
+      {"shared palette opened from a dialog host",
+       [&](apps::WordSim& app) {
+         gsim::Control& font_dialog = dialog(app, "font_dialog");
+         gsim::Control* host = FindStatic(font_dialog, "Dialog Font Color");
+         ASSERT_TRUE(app.Click(*FindStatic(main(app), "Font Settings")).ok());
+         ASSERT_TRUE(app.Click(*host).ok());
+         ASSERT_EQ(FindStatic(*host->popup(), "Blue")->window(), font_dialog.window());
+       }},
+      // A run-time child has no snapshot: its own setters must not queue it,
+      // and its parent's restore destroys it.
+      {"child added after capture",
+       [&](apps::WordSim& app) {
+         gsim::Control* late =
+             FindStatic(main(app), "Italic")->NewChild("Late Toggle", uia::ControlType::kCheckBox);
+         late->set_toggled(true);
+         late->SetEnabled(false);
+         late->NewChild("Late Label", uia::ControlType::kText)->RenameTo("Late Label 2");
+       }},
+  };
+  const uint64_t want = WordWithDialogPaletteHost()->UiaStateChecksum();
+  for (const auto& [name, mutate] : cases) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<apps::WordSim> app = WordWithDialogPaletteHost();
+    app->CaptureFreshState();
+    for (int round = 1; round <= 2; ++round) {
+      mutate(*app);
+      EXPECT_NE(app->UiaStateChecksum(), want) << "round " << round << ": mutation not visible";
+      app->ResetToFreshState();
+      const uint64_t got = app->UiaStateChecksum();
+      EXPECT_EQ(got, want) << "round " << round;
+      if (got != want) {
+        break;  // the next round would look up a control left unrestored
+      }
+    }
+  }
+}
+
 // ----- the pool itself -------------------------------------------------------------
 
 workload::Task BenchTask(workload::AppKind kind) {
@@ -249,6 +351,48 @@ TEST(AppPoolTest, AcquireVerifyDiscardsAShelvedInstanceMutatedBehindItsBack) {
           "app_pool.acquire_discards");
   EXPECT_EQ(discards_after - discards_before, 1u);
   EXPECT_EQ(pool.IdleCount(workload::AppKind::kWord), 0u);  // shelf emptied
+}
+
+// Resets after real sessions: the whole suite, in both agent modes under
+// every hazard preset. After each run the runner's pool holds the factory-reset
+// instance; leasing it back must give the checksum of a freshly built app of
+// that kind. One creation per app kind shows every lease got the same
+// instance back.
+TEST(AppPoolTest, SuiteResetsMatchFreshUnderEveryPolicy) {
+  TaskRunner runner;
+  const std::vector<workload::Task> suite = workload::BuildOsworldWSuite();
+  std::map<workload::AppKind, uint64_t> fresh;
+  for (const workload::Task& task : suite) {
+    if (!fresh.contains(task.app)) {
+      std::unique_ptr<gsim::Application> app = task.make_app();
+      app->CaptureFreshState();
+      fresh[task.app] = app->UiaStateChecksum();
+    }
+  }
+  auto creates = [] {
+    return support::MetricsRegistry::Global().Snapshot().CounterValue("app_pool.creates");
+  };
+  const uint64_t creates_before = creates();
+
+  constexpr int kRepeats = 20;
+  for (const dmi::Policy& policy :
+       {dmi::Policy::Typical(), dmi::Policy::Harsh(), dmi::Policy::Hostile()}) {
+    for (InterfaceMode mode : {InterfaceMode::kGuiOnly, InterfaceMode::kGuiPlusDmi}) {
+      RunConfig config;
+      config.mode = mode;
+      config.ApplyPolicy(policy);
+      for (const workload::Task& task : suite) {
+        for (int trial = 0; trial < kRepeats; ++trial) {
+          runner.RunOnce(task, config, 1000 + static_cast<uint64_t>(trial));
+          workload::AppPool::Lease lease = runner.app_pool().Acquire(task);
+          ASSERT_EQ(lease->UiaStateChecksum(), fresh[task.app])
+              << task.id << " trial " << trial << " mode " << InterfaceModeName(mode) << " policy "
+              << policy.name;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(creates() - creates_before, fresh.size());
 }
 
 // ----- injector clearing -----------------------------------------------------------
