@@ -4,16 +4,11 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/agent/task_runner.h"
-#include "src/json/json.h"
-#include "src/support/metrics.h"
-#include "src/support/trace_export.h"
 
 namespace bench {
 
@@ -50,85 +45,6 @@ inline std::vector<Setting> Table3Settings() {
       {"GUI+DMI", InterfaceMode::kGuiPlusDmi, LlmProfile::Gpt5MiniMedium(), "Nav.forest"},
   };
 }
-
-// Real (not simulated) wall-clock stopwatch for the perf benches.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double ElapsedMs() const {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-// Collects named perf sections and merges them into a machine-readable
-// BENCH_perf.json next to the bench binaries' working directory. Each bench
-// owns its sections; re-running a bench overwrites only its own sections, so
-// the file accumulates the whole harness's perf picture across runs.
-class PerfRecorder {
- public:
-  explicit PerfRecorder(std::string path = "BENCH_perf.json") : path_(std::move(path)) {}
-
-  void Set(const std::string& section, jsonv::Value value) {
-    sections_[section] = std::move(value);
-  }
-
-  // Convenience: record a suite-level row (wall clock + rip counters).
-  static jsonv::Value RipStatsJson(const ripper::RipStats& stats) {
-    jsonv::Object o;
-    o["clicks"] = jsonv::Value(static_cast<int64_t>(stats.clicks));
-    o["captures"] = jsonv::Value(static_cast<int64_t>(stats.captures));
-    o["capture_rebuilds"] = jsonv::Value(static_cast<int64_t>(stats.capture_rebuilds));
-    o["capture_cache_hits"] = jsonv::Value(static_cast<int64_t>(stats.capture_cache_hits));
-    o["capture_hit_rate"] = jsonv::Value(stats.CaptureHitRate());
-    o["indexed_lookups"] = jsonv::Value(static_cast<int64_t>(stats.indexed_lookups));
-    o["explored"] = jsonv::Value(static_cast<int64_t>(stats.explored));
-    o["simulated_ms"] = jsonv::Value(stats.simulated_ms);
-    return jsonv::Value(std::move(o));
-  }
-
-  // Folds the process-wide metrics registry (counters, histograms, derived
-  // rates like the capture-cache hit rate and visit fast-path rate) into the
-  // "metrics" section. Call after the workload so the registry is populated.
-  void SetMetricsSnapshot() {
-    Set("metrics", support::MetricsJson(support::MetricsRegistry::Global().Snapshot()));
-  }
-
-  // Loads the existing file (if parseable), overlays this run's sections,
-  // and writes the result back. Returns false if the file was unwritable.
-  bool Write() const {
-    jsonv::Object merged;
-    {
-      std::ifstream in(path_);
-      if (in.good()) {
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        auto existing = jsonv::Parse(buffer.str());
-        if (existing.ok() && existing->is_object()) {
-          merged = existing->as_object();
-        }
-      }
-    }
-    for (const auto& [section, value] : sections_) {
-      merged[section] = value;
-    }
-    std::ofstream out(path_);
-    if (!out.good()) {
-      return false;
-    }
-    out << jsonv::Value(std::move(merged)).DumpPretty() << "\n";
-    std::printf("\n[perf] wrote %s\n", path_.c_str());
-    return true;
-  }
-
- private:
-  std::string path_;
-  jsonv::Object sections_;
-};
 
 }  // namespace bench
 

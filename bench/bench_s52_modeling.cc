@@ -30,8 +30,6 @@ int main() {
   std::printf("  %-10s %9s %9s %9s %10s %9s %12s\n", "app", "clicks", "captures",
               "explored", "contexts", "cache-hit", "wall-time");
   bench::PrintRule();
-  bench::PerfRecorder recorder;
-  jsonv::Object rip_section;
   for (auto kind : {workload::AppKind::kWord, workload::AppKind::kExcel,
                     workload::AppKind::kPpoint}) {
     const ripper::RipStats& s = runner.rip_stats(kind);
@@ -42,10 +40,7 @@ int main() {
                 static_cast<unsigned long long>(s.explored),
                 static_cast<unsigned long long>(s.contexts), 100.0 * s.CaptureHitRate(),
                 s.simulated_ms / 60000.0);
-    rip_section[workload::AppKindName(kind)] = bench::PerfRecorder::RipStatsJson(s);
   }
-  recorder.Set("s52_modeling_rip", jsonv::Value(std::move(rip_section)));
-  recorder.Write();
   std::printf("  (paper: automated modeling < 3 hours per application)\n");
 
   // Blocklist value: rip WordSim without the blocklist and count recoveries.

@@ -38,8 +38,6 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   auto settings = bench::Table3Settings();
-  bench::WallTimer suite_timer;
-  jsonv::Array setting_rows;
   for (size_t i = 0; i < settings.size(); ++i) {
     const bench::Setting& s = settings[i];
     agentsim::RunConfig config;
@@ -47,9 +45,7 @@ int main(int argc, char** argv) {
     config.profile = s.profile;
     config.repeats = 3;
     config.workers = workers;
-    bench::WallTimer t;
     agentsim::SuiteResult r = runner.RunSuite(tasks, config);
-    const double wall_ms = t.ElapsedMs();
     std::printf("  %-10s %-11s %-10s %-9s | %6.1f %6.2f %8.0f | %6.1f %6.2f %8.0f\n",
                 s.label, s.knowledge, s.profile.model.c_str(),
                 s.profile.reasoning.c_str(), 100.0 * r.SuccessRate(),
@@ -58,34 +54,6 @@ int main(int argc, char** argv) {
     if (i == 2 || i == 4) {
       bench::PrintRule();
     }
-    jsonv::Object row;
-    row["interface"] = std::string(s.label);
-    row["model"] = s.profile.model;
-    row["reasoning"] = s.profile.reasoning;
-    row["success_rate"] = jsonv::Value(r.SuccessRate());
-    row["avg_steps"] = jsonv::Value(r.AvgStepsSuccessful());
-    row["avg_time_s"] = jsonv::Value(r.AvgTimeSuccessful());
-    row["wall_ms"] = jsonv::Value(wall_ms);
-    setting_rows.push_back(jsonv::Value(std::move(row)));
-  }
-
-  {
-    bench::PerfRecorder recorder;
-    jsonv::Object section;
-    section["workers"] = jsonv::Value(static_cast<int64_t>(workers));
-    section["pool_apps"] = jsonv::Value(agentsim::RunConfig{}.pool_apps);
-    section["total_wall_ms"] = jsonv::Value(suite_timer.ElapsedMs());
-    section["settings"] = jsonv::Value(std::move(setting_rows));
-    jsonv::Object rips;
-    for (workload::AppKind kind : {workload::AppKind::kWord, workload::AppKind::kExcel,
-                                   workload::AppKind::kPpoint}) {
-      rips[workload::AppKindName(kind)] =
-          bench::PerfRecorder::RipStatsJson(runner.rip_stats(kind));
-    }
-    section["rip"] = jsonv::Value(std::move(rips));
-    recorder.Set("table3_endtoend", jsonv::Value(std::move(section)));
-    recorder.SetMetricsSnapshot();
-    recorder.Write();
   }
 
   std::printf("\nshape check: within each model tier, GUI+DMI raises SR (paper: 1.67x for\n"

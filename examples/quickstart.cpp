@@ -102,7 +102,7 @@ int main() {
 
   // What the LLM sees: the compact serialized topology + screen + data.
   std::printf("\n--- prompt context (%zu tokens) ---\n%s\n", session.PromptTokens(),
-              session.BuildPromptContext().c_str());
+              session.Prompt().Assemble().c_str());
 
   // ----- access declaration: one visit call, three declarative targets ---------
   // Pick Blue via Accent Color, Violet via Highlight Color (same palette,

@@ -173,7 +173,7 @@ const std::string& TopologyCatalog::FullText() const {
         support::MetricsRegistry::Global().GetCounter("describe.serialize_full_builds");
     builds.Increment();
     // Compose from the memoized per-subtree serializations (shared with
-    // ExpandBranch); byte-identical to FullTextUncached(), asserted in tests.
+    // ExpandBranch); byte-identical to SerializeForest, asserted in tests.
     std::string out;
     out.reserve(forest_.total_nodes() * 28 + 64);
     out += "# Navigation topology\n## Main tree\n";
@@ -191,10 +191,6 @@ const std::string& TopologyCatalog::FullText() const {
     full_text_ = std::move(out);
   });
   return full_text_;
-}
-
-std::string TopologyCatalog::FullTextUncached() const {
-  return SerializeForest(*dag_, forest_, describe_, nullptr);
 }
 
 size_t TopologyCatalog::FullTokens() const {

@@ -93,13 +93,9 @@ class TopologyCatalog {
   size_t CoreTokens() const;
 
   // Serialized complete forest (further_query -1). Cached after the first
-  // call; byte-identical to FullTextUncached() forever.
+  // call; byte-identical to SerializeForest(dag(), forest(), describe, nullptr).
   const std::string& FullText() const;
   size_t FullTokens() const;
-
-  // The reference (cache-bypassing) serialization — benches and tests assert
-  // the cached output byte-identical against it.
-  std::string FullTextUncached() const;
 
   // Memoized serialization of one shared subtree (no pruning); shared by
   // FullText and ExpandBranch. Errors are impossible: callers index by a

@@ -98,8 +98,6 @@ PromptView DmiSession::Prompt() {
                     model_->static_prompt_tokens() + prompt_cache_.dynamic_tokens};
 }
 
-std::string DmiSession::BuildPromptContext() { return Prompt().Assemble(); }
-
 std::string DmiSession::BuildPromptContextUncached() {
   screen_.Refresh();
   std::string out = CompiledModel::UsageHint();

@@ -104,11 +104,8 @@ class DmiSession {
   // last build) re-renders nothing. Mutating the UI through any
   // generation-bumping path invalidates the dynamic cache (DESIGN.md §9, §12).
   PromptView Prompt();
-  // Compatibility assembly: Prompt().Assemble(). Materializes the full
-  // concatenation on every call — hot paths should consume Prompt() instead.
-  std::string BuildPromptContext();
-  // Reference (cache-bypassing) assembly; tests and benches assert the cached
-  // segments byte-identical against it.
+  // Reference (cache-bypassing) assembly; tests assert the cached segments
+  // byte-identical against it.
   std::string BuildPromptContextUncached();
   // Count-only path: shared static count plus the streamed dynamic segment,
   // never materializing the assembled prompt (or even the dynamic segment

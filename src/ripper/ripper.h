@@ -81,7 +81,7 @@ struct RipStats {
   // Calibrated to UIA costs: ~120 ms per click, ~80 ms per capture, 30 s per
   // external recovery (app restart). Charged per *logical* capture, so the
   // metric is comparable across cached and uncached rips (the index speeds up
-  // the real wall-clock, which the micro-bench measures separately).
+  // the real wall-clock, which perfbench measures separately).
   double simulated_ms = 0.0;
 
   // Cache hit-rate over logical captures, in [0,1].

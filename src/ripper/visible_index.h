@@ -92,9 +92,6 @@ class VisibleIndex {
   // lookup nor a capture hit; the span is valid until the next rebuild.
   std::span<const VisibleEntry> TopWindowEntries();
 
-  // Drops the cache; the next access rebuilds regardless of generation.
-  void Invalidate() { valid_ = false; }
-
  private:
   // Rebuilds if the cached generation is stale; returns true if it rebuilt.
   bool Refresh();

@@ -127,7 +127,7 @@ class SessionManager {
   // Current queued + running sessions (load generators track saturation).
   size_t Outstanding() const;
 
-  // The shared substrate, exposed for tests and the load bench (model
+  // The shared substrate, exposed for tests and perfbench (model
   // registry probes, batch stats, direct-run equivalence checks).
   agentsim::TaskRunner& runner() { return runner_; }
   const agentsim::RunConfig& run_config() const { return run_config_; }

@@ -179,7 +179,7 @@ jsonv::Value MetricsJson(const MetricsSnapshot& snapshot) {
     histograms[h.name] = jsonv::Value(std::move(o));
   }
 
-  // Pipeline health ratios the benches and BENCH_perf.json report directly.
+  // Pipeline health ratios, reported as-is by `dmi_run --metrics`.
   jsonv::Object derived;
   AddRate(derived, snapshot, "capture_cache_hit_rate", "visible_index.capture_hits",
           "visible_index.rebuilds");

@@ -1,6 +1,5 @@
 #include "src/text/tokens.h"
 
-#include <algorithm>
 #include <cctype>
 
 namespace textutil {
@@ -12,65 +11,61 @@ bool IsWordChar(char c) {
 
 bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; }
 
-// Splits a long word into ~4-character BPE-like chunks.
-void EmitWordPieces(std::string_view word, std::vector<std::string>& out) {
-  constexpr size_t kChunk = 4;
-  if (word.size() <= 6) {  // common short words: one token
-    out.emplace_back(word);
-    return;
+// One segmenter run: the offset just past its last byte, and its token cost.
+struct Run {
+  size_t end = 0;
+  size_t tokens = 0;
+};
+
+// The run starting at the non-space byte `begin`. A word run costs one token
+// up to 6 chars (common short words) and ceil(len/4) beyond (~4-char BPE
+// chunks); a digit run ceil(len/3) (o200k groups digits in threes); any other
+// byte starts a run of that one repeated separator (e.g. "----"), costing
+// ceil(len/4), so a lone symbol is one token.
+Run ScanRun(std::string_view text, size_t begin) {
+  const size_t n = text.size();
+  const char c = text[begin];
+  size_t end = begin + 1;
+  if (IsWordChar(c)) {
+    while (end < n && IsWordChar(text[end])) {
+      ++end;
+    }
+    const size_t len = end - begin;
+    return Run{end, len <= 6 ? 1 : (len + 3) / 4};
   }
-  for (size_t i = 0; i < word.size(); i += kChunk) {
-    out.emplace_back(word.substr(i, kChunk));
+  if (IsDigit(c)) {
+    while (end < n && IsDigit(text[end])) {
+      ++end;
+    }
+    return Run{end, (end - begin + 2) / 3};
   }
+  while (end < n && text[end] == c) {
+    ++end;
+  }
+  return Run{end, (end - begin + 3) / 4};
 }
 
-}  // namespace
-
-std::vector<std::string> TokenizePieces(std::string_view text) {
-  std::vector<std::string> pieces;
+// Feeds every run of `text` to `visit` in order; whitespace between runs is
+// free (it fuses into the following word in BPE). Stops at the first run
+// `visit` refuses and returns false, or returns true once every run was taken.
+template <typename Visit>
+bool ForEachRun(std::string_view text, Visit&& visit) {
   size_t i = 0;
-  const size_t n = text.size();
-  while (i < n) {
-    const char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      // Whitespace fuses into the following word in BPE; it is free here.
+  while (i < text.size()) {
+    if (std::isspace(static_cast<unsigned char>(text[i]))) {
       ++i;
       continue;
     }
-    if (IsWordChar(c)) {
-      size_t j = i;
-      while (j < n && IsWordChar(text[j])) {
-        ++j;
-      }
-      EmitWordPieces(text.substr(i, j - i), pieces);
-      i = j;
-      continue;
+    const Run run = ScanRun(text, i);
+    if (!visit(run)) {
+      return false;
     }
-    if (IsDigit(c)) {
-      // o200k groups digit runs roughly in threes.
-      size_t j = i;
-      while (j < n && IsDigit(text[j])) {
-        ++j;
-      }
-      for (size_t k = i; k < j; k += 3) {
-        pieces.emplace_back(text.substr(k, std::min<size_t>(3, j - k)));
-      }
-      i = j;
-      continue;
-    }
-    // Punctuation / symbol: one token each, but runs of identical separators
-    // (e.g. "----") compress into chunks of up to 4.
-    size_t j = i;
-    while (j < n && text[j] == c) {
-      ++j;
-    }
-    for (size_t k = i; k < j; k += 4) {
-      pieces.emplace_back(text.substr(k, std::min<size_t>(4, j - k)));
-    }
-    i = j;
+    i = run.end;
   }
-  return pieces;
+  return true;
 }
+
+}  // namespace
 
 size_t CountTokens(std::string_view text) {
   size_t total = 0;
@@ -78,38 +73,11 @@ size_t CountTokens(std::string_view text) {
 }
 
 size_t CountTokensAppend(std::string_view segment, size_t* total) {
-  // Mirrors TokenizePieces' segmentation, summing piece counts instead of
-  // materializing pieces: word runs cost 1 (<=6 chars) or ceil(len/4), digit
-  // runs ceil(len/3), same-character separator runs ceil(len/4).
   size_t count = 0;
-  size_t i = 0;
-  const size_t n = segment.size();
-  while (i < n) {
-    const char c = segment[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    if (IsWordChar(c)) {
-      while (j < n && IsWordChar(segment[j])) {
-        ++j;
-      }
-      const size_t len = j - i;
-      count += len <= 6 ? 1 : (len + 3) / 4;
-    } else if (IsDigit(c)) {
-      while (j < n && IsDigit(segment[j])) {
-        ++j;
-      }
-      count += (j - i + 2) / 3;
-    } else {
-      while (j < n && segment[j] == c) {
-        ++j;
-      }
-      count += (j - i + 3) / 4;
-    }
-    i = j;
-  }
+  ForEachRun(segment, [&count](const Run& run) {
+    count += run.tokens;
+    return true;
+  });
   *total += count;
   return count;
 }
@@ -118,53 +86,17 @@ std::string TruncateToTokens(std::string_view text, size_t max_tokens) {
   if (max_tokens == 0) {
     return "";
   }
-  std::vector<std::string> pieces;
   size_t used = 0;
   size_t end_offset = 0;
-  size_t i = 0;
-  const size_t n = text.size();
-  // Re-run the segmentation, tracking byte offsets, so we can cut at a
-  // token boundary.
-  while (i < n && used < max_tokens) {
-    const char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
+  const bool whole = ForEachRun(text, [&](const Run& run) {
+    if (used + run.tokens > max_tokens) {
+      return false;
     }
-    size_t j = i;
-    if (IsWordChar(c)) {
-      while (j < n && IsWordChar(text[j])) {
-        ++j;
-      }
-      const size_t len = j - i;
-      const size_t cost = len <= 6 ? 1 : (len + 3) / 4;
-      if (used + cost > max_tokens) {
-        break;
-      }
-      used += cost;
-    } else if (IsDigit(c)) {
-      while (j < n && IsDigit(text[j])) {
-        ++j;
-      }
-      const size_t cost = (j - i + 2) / 3;
-      if (used + cost > max_tokens) {
-        break;
-      }
-      used += cost;
-    } else {
-      while (j < n && text[j] == c) {
-        ++j;
-      }
-      const size_t cost = (j - i + 3) / 4;
-      if (used + cost > max_tokens) {
-        break;
-      }
-      used += cost;
-    }
-    end_offset = j;
-    i = j;
-  }
-  if (end_offset >= n) {
+    used += run.tokens;
+    end_offset = run.end;
+    return true;
+  });
+  if (whole) {
     return std::string(text);
   }
   return std::string(text.substr(0, end_offset)) + "…";

@@ -12,12 +12,10 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace textutil {
 
-// Approximate token count of `text`. Single streaming pass, no allocation;
-// always equal to TokenizePieces(text).size().
+// Approximate token count of `text`. Single streaming pass, no allocation.
 size_t CountTokens(std::string_view text);
 
 // Streaming segment counting: adds CountTokens(segment) to `*total` and
@@ -26,11 +24,6 @@ size_t CountTokens(std::string_view text);
 // resets its run state there) — which is how prompt assembly splits its
 // static and dynamic segments (DESIGN.md §9).
 size_t CountTokensAppend(std::string_view segment, size_t* total);
-
-// Splits text into the approximate token-sized pieces counted by CountTokens.
-// Materializes every piece — the reference (and pre-streaming) implementation,
-// kept for tests and token-budget truncation.
-std::vector<std::string> TokenizePieces(std::string_view text);
 
 // Truncates `text` to at most `max_tokens` approximate tokens, appending an
 // ellipsis marker when content was dropped.

@@ -17,6 +17,7 @@
 #include "src/dmi/session.h"
 #include "src/ripper/ripper.h"
 #include "src/support/binio.h"
+#include "src/support/metrics.h"
 
 namespace {
 
@@ -73,8 +74,15 @@ support::Status LoadBytesAs(const std::string& bytes, const std::string& name,
 
 TEST(ArtifactRoundTrip, ByteIdenticalModel) {
   const auto& compiled = WordModel();
+  const std::string& bytes = WordArtifactBytes();
+  auto counter = [](const char* name) {
+    return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
+  };
+  const uint64_t model_builds = counter("model.builds");
+  const uint64_t token_builds = counter("describe.token_count_builds");
+  const uint64_t subtree_builds = counter("describe.serialize_subtree_builds");
   std::shared_ptr<const dmi::CompiledModel> loaded;
-  ASSERT_TRUE(LoadBytesAs(WordArtifactBytes(), "word_roundtrip.dmim", &loaded).ok());
+  ASSERT_TRUE(LoadBytesAs(bytes, "word_roundtrip.dmim", &loaded).ok());
 
   // The static prompt segment and every memoized serialization must be
   // byte-identical — a loaded model must be indistinguishable to an agent.
@@ -107,6 +115,12 @@ TEST(ArtifactRoundTrip, ByteIdenticalModel) {
             compiled->options().prune.manual_exclude_names);
   EXPECT_EQ(loaded->options().externalize_threshold,
             compiled->options().externalize_threshold);
+
+  // The load reran none of the pipeline: the token counts and every subtree
+  // serialization read above came seeded from the artifact.
+  EXPECT_EQ(counter("model.builds") - model_builds, 0u);
+  EXPECT_EQ(counter("describe.token_count_builds") - token_builds, 0u);
+  EXPECT_EQ(counter("describe.serialize_subtree_builds") - subtree_builds, 0u);
 }
 
 TEST(ArtifactRoundTrip, LoadedModelServesSessions) {

@@ -51,15 +51,30 @@ BatchScheduler::Stats RunUniformStream(size_t max_batch_size, size_t calls) {
 // ----- the latency model -----------------------------------------------------------
 
 TEST(BatchSchedulerTest, AmortizedLatencyStrictlyDecreasingInBatchSize) {
+  constexpr size_t kCalls = 64;  // divisible by every batch size below
+  const LlmProfile profile = LlmProfile::Gpt5Medium();
+  const double serial_call_s =
+      BatchScheduler::SerialCallTimeS(profile, kPrefixTokens + kUniqueTokens, kOutputTokens);
   double last_amortized = 0;
   double last_tput = 0;
   bool first = true;
-  for (size_t b : {1, 4, 16}) {
-    const BatchScheduler::Stats stats = RunUniformStream(b, /*calls=*/16);
-    ASSERT_EQ(stats.calls, 16u);
-    ASSERT_EQ(stats.batches, 16u / b);
+  for (size_t b : {1, 4, 16, 64}) {
+    const BatchScheduler::Stats stats = RunUniformStream(b, kCalls);
+    ASSERT_EQ(stats.calls, kCalls);
+    ASSERT_EQ(stats.batches, kCalls / b);
     const double amortized = stats.AmortizedCallLatencyS();
     EXPECT_GT(amortized, 0.0);
+    // The speedup and throughput are closed forms of the latency model:
+    // kCalls serial calls against kCalls / b full batches of b.
+    const double batch_s = BatchScheduler::BatchWallTimeS(profile, b, kPrefixTokens,
+                                                          b * kUniqueTokens, kOutputTokens);
+    const double batched_s = static_cast<double>(kCalls / b) * batch_s;
+    const double speedup = static_cast<double>(kCalls) * serial_call_s / batched_s;
+    const double tput = static_cast<double>(kCalls * (kPrefixTokens + kUniqueTokens +
+                                                      kOutputTokens)) /
+                        batched_s;
+    EXPECT_NEAR(stats.AmortizedSpeedup(), speedup, 1e-9 * speedup) << "batch " << b;
+    EXPECT_NEAR(stats.TokensPerSec(), tput, 1e-9 * tput) << "batch " << b;
     if (!first) {
       EXPECT_LT(amortized, last_amortized) << "batch " << b;
       EXPECT_GT(stats.TokensPerSec(), last_tput) << "batch " << b;

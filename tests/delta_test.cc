@@ -154,10 +154,12 @@ std::string ArtifactBytesOf(const dmi::CompiledModel& model, const std::string& 
 
 // The correctness bar: delta rip + incremental recompile of the mutated build
 // must be byte-identical — serialized topology AND artifact bytes — to a
-// from-scratch rip+compile of the same build.
+// from-scratch rip+compile of the same build. `scratch_stats_out` receives the
+// from-scratch rip's counters, the work the delta path exists to avoid.
 void ExpectDeltaMatchesScratch(const Mutator& mutate, const std::string& tag,
                                ripper::DeltaRipResult* delta_out = nullptr,
-                               dmi::CompiledModel::RecompileCounters* counters_out = nullptr) {
+                               dmi::CompiledModel::RecompileCounters* counters_out = nullptr,
+                               ripper::RipStats* scratch_stats_out = nullptr) {
   const dmi::ModelingOptions options = WordOptions();
   const Baseline baseline = BuildBaseline(options);
 
@@ -211,6 +213,9 @@ void ExpectDeltaMatchesScratch(const Mutator& mutate, const std::string& tag,
   if (counters_out != nullptr) {
     *counters_out = counters;
   }
+  if (scratch_stats_out != nullptr) {
+    *scratch_stats_out = scratch_rip.stats();
+  }
 }
 
 bool Contains(const std::vector<std::string>& v, const std::string& key) {
@@ -222,11 +227,16 @@ bool Contains(const std::vector<std::string>& v, const std::string& key) {
 TEST(DeltaRip, RenameMenuEntryIsByteIdentical) {
   ripper::DeltaRipResult delta;
   dmi::CompiledModel::RecompileCounters counters;
-  ExpectDeltaMatchesScratch(RenameMenuEntry, "rename", &delta, &counters);
+  ripper::RipStats scratch;
+  ExpectDeltaMatchesScratch(RenameMenuEntry, "rename", &delta, &counters, &scratch);
   // The rename lives in the References ribbon partition; nothing else moved.
   EXPECT_EQ(delta.diff.changed, std::vector<std::string>{"main:Ribbon Tabs/References"});
   EXPECT_TRUE(delta.diff.added.empty());
   EXPECT_TRUE(delta.diff.removed.empty());
+  // Re-ripping one partition costs at most a fifth of a full rip's clicks.
+  EXPECT_GT(delta.stats.clicks, 0u);
+  EXPECT_LE(delta.stats.clicks * 5, scratch.clicks)
+      << delta.stats.clicks << " delta vs " << scratch.clicks << " full clicks";
   // Node-count-preserving mutation: forest ids stay stable, so the recompile
   // carries memoized shared-subtree serializations over.
   EXPECT_GT(counters.subtrees_total, 0u);
@@ -261,9 +271,13 @@ TEST(DeltaRip, DeleteSubtreeIsByteIdentical) {
 
 TEST(DeltaRip, CombinedMutationsAreByteIdentical) {
   ripper::DeltaRipResult delta;
-  ExpectDeltaMatchesScratch(Combined(), "combined", &delta);
+  ripper::RipStats scratch;
+  ExpectDeltaMatchesScratch(Combined(), "combined", &delta, nullptr, &scratch);
   EXPECT_FALSE(delta.diff.Empty());
   EXPECT_GT(delta.nodes_reripped, 0u);
+  // Four mutations touch four partitions: still at most a third of the clicks.
+  EXPECT_LE(delta.stats.clicks * 3, scratch.clicks)
+      << delta.stats.clicks << " delta vs " << scratch.clicks << " full clicks";
 }
 
 TEST(DeltaRip, EmptyBaselineTableFallsBackToFullRip) {

@@ -6,6 +6,7 @@
 #include "src/describe/augment.h"
 #include "src/describe/catalog.h"
 #include "src/describe/serialize.h"
+#include "src/support/metrics.h"
 #include "src/text/tokens.h"
 #include "src/topology/transform.h"
 
@@ -275,14 +276,25 @@ TEST(CatalogTest, CachedFullTextByteIdenticalToUncached) {
   topo::Forest f = topo::SelectiveExternalize(g, 0);
   desc::TopologyCatalog catalog(&g, std::move(f), desc::PruneOptions{},
                                 desc::DescribeOptions{});
-  const std::string uncached = catalog.FullTextUncached();
+  const std::string uncached = desc::SerializeForest(catalog.dag(), catalog.forest(),
+                                                     desc::DescribeOptions{}, nullptr);
+  auto counter = [](const char* name) {
+    return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
+  };
+  const uint64_t full_builds = counter("describe.serialize_full_builds");
+  const uint64_t token_builds = counter("describe.token_count_builds");
   // First call builds, second serves the cache; both byte-identical to the
   // cache-bypassing reference.
   EXPECT_EQ(catalog.FullText(), uncached);
   EXPECT_EQ(catalog.FullText(), uncached);
-  // Cached token counts equal the reference tokenizer's piece count.
-  EXPECT_EQ(catalog.FullTokens(), textutil::TokenizePieces(uncached).size());
-  EXPECT_EQ(catalog.CoreTokens(), textutil::TokenizePieces(catalog.CoreText()).size());
+  // Cached token counts equal a fresh count of the same bytes.
+  EXPECT_EQ(catalog.FullTokens(), textutil::CountTokens(uncached));
+  EXPECT_EQ(catalog.FullTokens(), textutil::CountTokens(uncached));
+  EXPECT_EQ(catalog.CoreTokens(), textutil::CountTokens(catalog.CoreText()));
+  EXPECT_EQ(catalog.CoreTokens(), textutil::CountTokens(catalog.CoreText()));
+  // Two calls each: one full serialization, one count per cached total.
+  EXPECT_EQ(counter("describe.serialize_full_builds") - full_builds, 1u);
+  EXPECT_EQ(counter("describe.token_count_builds") - token_builds, 2u);
   // The memoized subtree serialization matches a fresh SerializeTree.
   ASSERT_FALSE(catalog.forest().shared().empty());
   EXPECT_EQ(catalog.SubtreeText(0),
@@ -323,8 +335,9 @@ TEST(CatalogTest, ConcurrentQueriesReturnIdenticalResults) {
   topo::Forest f = topo::SelectiveExternalize(g, 0);
   desc::TopologyCatalog catalog(&g, std::move(f), desc::PruneOptions{},
                                 desc::DescribeOptions{});
-  const std::string expected_full = catalog.FullTextUncached();
-  const size_t expected_tokens = textutil::TokenizePieces(expected_full).size();
+  const std::string expected_full = desc::SerializeForest(catalog.dag(), catalog.forest(),
+                                                          desc::DescribeOptions{}, nullptr);
+  const size_t expected_tokens = textutil::CountTokens(expected_full);
   const std::vector<int> ids = catalog.forest().AllIds();
 
   constexpr int kThreads = 8;

@@ -361,7 +361,7 @@ TEST_F(PpointSession, InteractionRejectsWrongPattern) {
 }
 
 TEST_F(PpointSession, PromptContextContainsAllSections) {
-  std::string prompt = session_->BuildPromptContext();
+  std::string prompt = session_->Prompt().Assemble();
   EXPECT_NE(prompt.find("# DMI usage"), std::string::npos);
   EXPECT_NE(prompt.find("## Main tree"), std::string::npos);
   EXPECT_NE(prompt.find("# Current screen"), std::string::npos);
@@ -369,23 +369,34 @@ TEST_F(PpointSession, PromptContextContainsAllSections) {
 }
 
 TEST_F(PpointSession, PromptCacheByteIdenticalAndInvalidatesOnMutation) {
+  auto counter = [](const char* name) {
+    return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
+  };
   // Cold build equals the cache-bypassing reference, and the streaming
-  // segment-summed token count equals the reference tokenizer's piece count.
-  const std::string first = session_->BuildPromptContext();
+  // segment-summed token count equals a fresh count of the assembled bytes.
+  const std::string first = session_->Prompt().Assemble();
   EXPECT_EQ(first, session_->BuildPromptContextUncached());
-  EXPECT_EQ(session_->PromptTokens(), textutil::TokenizePieces(first).size());
-  // Warm turn: no UI mutation, the cached bytes come back unchanged.
-  EXPECT_EQ(session_->BuildPromptContext(), first);
-  // Mutating the UI bumps the generation; the next build must reflect the
-  // new screen and again match the uncached reference.
+  EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(first));
+  // Warm turn: no UI mutation, one cache hit serves the unchanged bytes.
+  uint64_t hits = counter("describe.prompt_cache_hits");
+  uint64_t misses = counter("describe.prompt_cache_misses");
+  EXPECT_EQ(session_->Prompt().Assemble(), first);
+  EXPECT_EQ(counter("describe.prompt_cache_hits") - hits, 1u);
+  EXPECT_EQ(counter("describe.prompt_cache_misses") - misses, 0u);
+  // Mutating the UI bumps the generation; the next build misses, reflects
+  // the new screen and again matches the uncached reference.
   auto target = session_->ResolveTargetByNames({"Transition Gallery", "Transition 9"});
   ASSERT_TRUE(target.ok()) << target.status().ToString();
   ASSERT_TRUE(
       session_->Visit(support::Format(R"([{"id":"%d"}])", target->id)).overall.ok());
-  const std::string after = session_->BuildPromptContext();
+  hits = counter("describe.prompt_cache_hits");
+  misses = counter("describe.prompt_cache_misses");
+  const std::string after = session_->Prompt().Assemble();
+  EXPECT_EQ(counter("describe.prompt_cache_hits") - hits, 0u);
+  EXPECT_EQ(counter("describe.prompt_cache_misses") - misses, 1u);
   EXPECT_NE(after, first);
   EXPECT_EQ(after, session_->BuildPromptContextUncached());
-  EXPECT_EQ(session_->PromptTokens(), textutil::TokenizePieces(after).size());
+  EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(after));
 }
 
 TEST_F(PpointSession, CountOnlyPromptTokensMatchesMaterializedPath) {
@@ -399,7 +410,7 @@ TEST_F(PpointSession, CountOnlyPromptTokensMatchesMaterializedPath) {
   const size_t count_only = session_->PromptTokens();
   EXPECT_EQ(session_->PromptCacheBytes(), 0u);  // nothing was materialized
   const std::string reference = session_->BuildPromptContextUncached();
-  EXPECT_EQ(count_only, textutil::TokenizePieces(reference).size());
+  EXPECT_EQ(count_only, textutil::CountTokens(reference));
   // Materializing afterwards agrees byte- and count-wise, and the static
   // segment is served straight off the shared model.
   const dmi::PromptView view = session_->Prompt();
@@ -411,7 +422,7 @@ TEST_F(PpointSession, CountOnlyPromptTokensMatchesMaterializedPath) {
 }
 
 TEST_F(PpointSession, PromptCacheInvalidatesOnStateSetters) {
-  const std::string before = session_->BuildPromptContext();
+  const std::string before = session_->Prompt().Assemble();
   // A toggle flip reaches the prompt through the screen listing's [on]
   // markers; the setter must bump the generation so the cache rebuilds.
   gsim::Control* bold =
@@ -420,14 +431,14 @@ TEST_F(PpointSession, PromptCacheInvalidatesOnStateSetters) {
   const uint64_t gen = app_->ui_generation();
   bold->set_toggled(!bold->toggled());
   EXPECT_GT(app_->ui_generation(), gen);
-  const std::string after = session_->BuildPromptContext();
+  const std::string after = session_->Prompt().Assemble();
   EXPECT_NE(after, before);
   EXPECT_EQ(after, session_->BuildPromptContextUncached());
   // Setting the same value again is a no-op: no generation bump, cache holds.
   const uint64_t gen2 = app_->ui_generation();
   bold->set_toggled(bold->toggled());
   EXPECT_EQ(app_->ui_generation(), gen2);
-  EXPECT_EQ(session_->BuildPromptContext(), after);
+  EXPECT_EQ(session_->Prompt().Assemble(), after);
   bold->set_toggled(!bold->toggled());  // restore
 }
 

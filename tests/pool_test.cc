@@ -441,6 +441,11 @@ TEST(CompiledModelTest, ConcurrentThinSessionsAgree) {
   ripper::GuiRipper rip(scratch, options.ripper_config);
   const topo::NavGraph graph = rip.Rip(options.contexts);
   std::shared_ptr<const dmi::CompiledModel> model = dmi::CompiledModel::Compile(graph, options);
+  auto counter = [](const char* name) {
+    return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
+  };
+  const uint64_t attaches = counter("session.compile_attach");
+  const uint64_t builds = counter("model.builds");
 
   apps::WordSim reference_app;
   dmi::DmiSession reference(reference_app, model);
@@ -463,6 +468,9 @@ TEST(CompiledModelTest, ConcurrentThinSessionsAgree) {
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_EQ(prompts[static_cast<size_t>(i)], want) << "thread " << i;
   }
+  // Every session attached to the shared model; none compiled its own.
+  EXPECT_EQ(counter("session.compile_attach") - attaches, kThreads + 1u);
+  EXPECT_EQ(counter("model.builds") - builds, 0u);
 }
 
 // ----- pooled == unpooled suite results --------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/ripper/identifier.h"
 #include "src/ripper/ripper.h"
 #include "src/ripper/visible_index.h"
+#include "src/support/metrics.h"
 #include "src/topology/transform.h"
 #include "src/topology/validate.h"
 #include "src/uia/tree.h"
@@ -506,6 +508,73 @@ TEST(VisibleIndexTest, WindowSliceMatchesWalkExcel) {
 
 TEST(VisibleIndexTest, WindowSliceMatchesWalkPpoint) {
   slices::ExpectSlicesMatchWalkAcrossStates<apps::PpointSim>();
+}
+
+// ----- visible-index work counters --------------------------------------------------
+
+namespace warm {
+
+uint64_t IndexCounter(const std::string& name) {
+  return support::MetricsRegistry::Global().Snapshot().CounterValue("visible_index." + name);
+}
+
+// While the UI generation holds, a lookup is one probe of the capture: one
+// rebuild serves every id, and no lookup walks the tree. The first stale
+// lookup after a bump walks once and leaves the rebuild to the next capture.
+// The index flushes its tallies when destroyed, so each phase scopes one.
+template <typename App>
+void ExpectWarmLookupsNeverWalk() {
+  App app;
+  const uint64_t rebuilds = IndexCounter("rebuilds");
+  const uint64_t lookups = IndexCounter("lookups");
+  const uint64_t cold_walks = IndexCounter("cold_walks");
+  size_t entries = 0;
+  std::string probe_id;
+  gsim::Control* probe = nullptr;
+  {
+    ripper::VisibleIndex index(app);
+    const std::vector<ripper::VisibleEntry>& captured = index.Visible();
+    ASSERT_FALSE(captured.empty());
+    std::map<std::string, gsim::Control*> first;
+    for (const ripper::VisibleEntry& entry : captured) {
+      first.emplace(entry.control_id, entry.control);
+    }
+    for (const ripper::VisibleEntry& entry : captured) {
+      EXPECT_EQ(index.FindById(entry.control_id), first.at(entry.control_id))
+          << entry.control_id;
+    }
+    entries = captured.size();
+    probe_id = captured.back().control_id;
+    probe = first.at(probe_id);
+  }
+  EXPECT_EQ(IndexCounter("rebuilds") - rebuilds, 1u);
+  EXPECT_EQ(IndexCounter("lookups") - lookups, entries);
+  EXPECT_EQ(IndexCounter("cold_walks") - cold_walks, 0u);
+
+  const uint64_t warm_rebuilds = IndexCounter("rebuilds");
+  const uint64_t warm_cold_walks = IndexCounter("cold_walks");
+  {
+    ripper::VisibleIndex index(app);
+    (void)index.Visible();
+    app.BumpUiGeneration();
+    EXPECT_EQ(index.FindById(probe_id), probe);
+  }
+  EXPECT_EQ(IndexCounter("rebuilds") - warm_rebuilds, 1u);  // the capture only
+  EXPECT_EQ(IndexCounter("cold_walks") - warm_cold_walks, 1u);
+}
+
+}  // namespace warm
+
+TEST(VisibleIndexTest, WarmLookupsNeverWalkWord) {
+  warm::ExpectWarmLookupsNeverWalk<apps::WordSim>();
+}
+
+TEST(VisibleIndexTest, WarmLookupsNeverWalkExcel) {
+  warm::ExpectWarmLookupsNeverWalk<apps::ExcelSim>();
+}
+
+TEST(VisibleIndexTest, WarmLookupsNeverWalkPpoint) {
+  warm::ExpectWarmLookupsNeverWalk<apps::PpointSim>();
 }
 
 // ----- full-app rip (Word) -----------------------------------------------------------

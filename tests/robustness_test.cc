@@ -556,6 +556,36 @@ TEST(HostileSuite, FullSuiteCompletesWithStructuredFailures) {
   EXPECT_GT(result.SuccessRate(), 0.4);
 }
 
+// The fault-domain ablation's setting (GUI+DMI, GPT-5 medium, seed 1, two
+// trials per task) under each robustness preset. Every run is seeded, so the
+// rates are exact; the floors sit a few runs under today's 34, 33, 30 and 32
+// successes of 54 and fail when the robustness layer stops absorbing the
+// injected faults.
+TEST(HostileSuite, FaultPresetsHoldTheirSuccessFloors) {
+  struct Level {
+    dmi::Policy policy;
+    double floor;
+  };
+  const Level levels[] = {
+      {dmi::Policy::None(), 0.52},
+      {dmi::Policy::Typical(), 0.50},
+      {dmi::Policy::Harsh(), 0.46},
+      {dmi::Policy::Hostile(), 0.49},
+  };
+  const auto tasks = workload::BuildOsworldWSuite();
+  for (const Level& level : levels) {
+    agentsim::RunConfig config;
+    config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
+    config.profile = agentsim::LlmProfile::Gpt5Medium();
+    config.seed = 1;
+    config.repeats = 2;
+    config.ApplyPolicy(level.policy);
+    const agentsim::SuiteResult result = Runner().RunSuite(tasks, config);
+    EXPECT_EQ(result.TotalRuns(), 2 * static_cast<int>(tasks.size())) << level.policy.name;
+    EXPECT_GE(result.SuccessRate(), level.floor) << level.policy.name;
+  }
+}
+
 TEST(HostileSuite, SerialParallelAndPooledUnpooledRunsAgree) {
   // Determinism under injection: trial seeds are derived from (task, trial),
   // injectors and retry RNGs from the trial seed, so worker count and app

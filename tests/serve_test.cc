@@ -6,6 +6,7 @@
 
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -568,6 +569,92 @@ TEST(AdmissionTest, TenantTokenBudgetClosesAdmission) {
 
   manager.Shutdown();
   EXPECT_EQ(manager.stats().rejected_tenant_tokens, 1u);
+}
+
+// Closed loop: every completion callback submits the same user's next
+// request. Each user is its own tenant capped at one session, so a
+// resubmission is admitted only if Finish closed the finished session's
+// accounting before running the callback.
+TEST(AdmissionTest, ClosedLoopResubmitFromCallbackIsAdmitted) {
+  dmi::ServiceConfig config = QuietConfig();
+  config.batch_size = 8;
+  config.max_in_flight = 4;
+  config.tenant_max_concurrent = 1;
+  SessionManager manager(config);
+  manager.PrewarmModels();
+
+  constexpr int kUsers = 32;
+  constexpr int kRequestsPerUser = 3;
+  const std::vector<std::string> task_ids = {"W3", "E2", "P1"};  // 3 app kinds
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> sent(kUsers, 0);
+  std::vector<Response> responses;
+  std::vector<support::Status> rejections;
+  int chains_done = 0;
+
+  std::function<void(int)> submit_next = [&](int user) {
+    int k = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      k = sent[static_cast<size_t>(user)]++;
+    }
+    const uint64_t id = static_cast<uint64_t>(user * kRequestsPerUser + k + 1);
+    Request request = MakeRequest(id, "user" + std::to_string(user),
+                                  task_ids[static_cast<size_t>(user + k) % task_ids.size()],
+                                  id * 7919);
+    const support::Status admitted =
+        manager.Submit(std::move(request), [&, user](Response response) {
+          bool more = false;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            responses.push_back(std::move(response));
+            more = sent[static_cast<size_t>(user)] < kRequestsPerUser;
+            if (!more) {
+              ++chains_done;
+              cv.notify_all();
+            }
+          }
+          if (more) {
+            submit_next(user);
+          }
+        });
+    if (!admitted.ok()) {
+      std::lock_guard<std::mutex> lock(mu);
+      rejections.push_back(admitted);
+      ++chains_done;
+      cv.notify_all();
+    }
+  };
+  for (int user = 0; user < kUsers; ++user) {
+    submit_next(user);
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return chains_done == kUsers; });
+  }
+  // Every session's accounting closed before its callback signalled.
+  EXPECT_EQ(manager.Outstanding(), 0u);
+  manager.Shutdown();
+
+  for (const support::Status& status : rejections) {
+    ADD_FAILURE() << "resubmission rejected: " << status.ToString();
+  }
+  const SessionManager::Stats stats = manager.stats();
+  const uint64_t total = static_cast<uint64_t>(kUsers * kRequestsPerUser);
+  EXPECT_EQ(stats.rejected_queue_full + stats.rejected_tenant_concurrent +
+                stats.rejected_tenant_tokens + stats.rejected_draining,
+            0u);
+  EXPECT_EQ(stats.admitted, total);
+  EXPECT_EQ(stats.completed, total);
+  ASSERT_EQ(responses.size(), total);
+  for (const Response& response : responses) {
+    EXPECT_TRUE(response.status.ok()) << response.request_id;
+    if (!response.result.success) {
+      EXPECT_NE(response.result.flight, nullptr) << response.request_id;
+    }
+  }
 }
 
 // ----- drain ----------------------------------------------------------------

@@ -16,6 +16,69 @@ namespace {
 
 // ----- tokens ------------------------------------------------------------------
 
+namespace oracle {
+
+// The reference segmenter CountTokens must reproduce: materializes every
+// approximate token as its own string.
+std::vector<std::string> TokenizePieces(std::string_view text) {
+  auto is_word = [](char c) {
+    return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '\'';
+  };
+  auto is_digit = [](char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; };
+  std::vector<std::string> pieces;
+  size_t i = 0;
+  const size_t n = text.size();
+  while (i < n) {
+    const char c = text[i];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++i;
+      continue;
+    }
+    size_t j = i;
+    if (is_word(c)) {
+      while (j < n && is_word(text[j])) {
+        ++j;
+      }
+      // Common short words are one token; longer ones split in 4-char chunks.
+      const size_t chunk = j - i <= 6 ? j - i : 4;
+      for (size_t k = i; k < j; k += chunk) {
+        pieces.emplace_back(text.substr(k, std::min(chunk, j - k)));
+      }
+    } else if (is_digit(c)) {
+      while (j < n && is_digit(text[j])) {
+        ++j;
+      }
+      for (size_t k = i; k < j; k += 3) {
+        pieces.emplace_back(text.substr(k, std::min<size_t>(3, j - k)));
+      }
+    } else {
+      // Runs of one repeated separator compress into chunks of up to 4.
+      while (j < n && text[j] == c) {
+        ++j;
+      }
+      for (size_t k = i; k < j; k += 4) {
+        pieces.emplace_back(text.substr(k, std::min<size_t>(4, j - k)));
+      }
+    }
+    i = j;
+  }
+  return pieces;
+}
+
+}  // namespace oracle
+
+// Input shapes every segmenter check runs over.
+const char* const kTokenSamples[] = {
+    "",
+    "bold",
+    "Font Color(SplitButton)(Opens the color palette)_214[Blue_87,Dark Red_88]",
+    "# Navigation topology\n## Main tree\n[Root](Window)_1[File(MenuItem)_2]",
+    "  leading   and   trailing   whitespace  ",
+    "digits 123456789 mixed with words and --- separator runs....",
+    "internationalization antidisestablishmentarianism a b c",
+    "@ref->S0_42,@ref->S1_77\n## Entry map (ref_id->subtree:root_id)\n42->S0:9\n",
+};
+
 TEST(TokensTest, EmptyIsZero) { EXPECT_EQ(textutil::CountTokens(""), 0u); }
 
 TEST(TokensTest, ShortWordsOneTokenEach) {
@@ -59,20 +122,10 @@ TEST(TokensTest, ControlDescriptionAveragesNearPaperEstimate) {
 }
 
 TEST(TokensTest, StreamingCountMatchesPieces) {
-  // CountTokens is a single streaming pass; TokenizePieces is the reference
-  // implementation. They must agree on every input shape.
-  const char* samples[] = {
-      "",
-      "bold",
-      "Font Color(SplitButton)(Opens the color palette)_214[Blue_87,Dark Red_88]",
-      "# Navigation topology\n## Main tree\n[Root](Window)_1[File(MenuItem)_2]",
-      "  leading   and   trailing   whitespace  ",
-      "digits 123456789 mixed with words and --- separator runs....",
-      "internationalization antidisestablishmentarianism a b c",
-      "@ref->S0_42,@ref->S1_77\n## Entry map (ref_id->subtree:root_id)\n42->S0:9\n",
-  };
-  for (const char* s : samples) {
-    EXPECT_EQ(textutil::CountTokens(s), textutil::TokenizePieces(s).size()) << s;
+  // CountTokens is a single streaming pass; the oracle materializes every
+  // piece. They must agree on every input shape.
+  for (const char* s : kTokenSamples) {
+    EXPECT_EQ(textutil::CountTokens(s), oracle::TokenizePieces(s).size()) << s;
   }
 }
 
@@ -108,15 +161,22 @@ TEST(TokensTest, TruncateToZero) {
 }
 
 TEST(TokensTest, TruncatedTextTokenCountWithinBudget) {
-  const std::string text =
-      "The quick brown fox jumps over the lazy dog repeatedly and often";
-  for (size_t budget : {1u, 3u, 5u, 8u}) {
-    std::string cut = textutil::TruncateToTokens(text, budget);
-    // Remove the ellipsis marker before recounting.
-    if (cut.size() >= 3 && cut.substr(cut.size() - 3) == "…") {
-      cut = cut.substr(0, cut.size() - 3);
+  std::vector<std::string> texts(std::begin(kTokenSamples), std::end(kTokenSamples));
+  texts.push_back("The quick brown fox jumps over the lazy dog repeatedly and often");
+  const std::string ellipsis = "…";
+  for (const std::string& text : texts) {
+    // The whole budget keeps the text whole; any smaller one cuts it to a
+    // prefix that counts at most the budget, marked with the ellipsis.
+    const size_t tokens = textutil::CountTokens(text);
+    EXPECT_EQ(textutil::TruncateToTokens(text, tokens), text);
+    for (size_t budget = 1; budget < tokens; ++budget) {
+      const std::string cut = textutil::TruncateToTokens(text, budget);
+      ASSERT_GE(cut.size(), ellipsis.size()) << text << " @" << budget;
+      ASSERT_EQ(cut.substr(cut.size() - ellipsis.size()), ellipsis) << text << " @" << budget;
+      const std::string kept = cut.substr(0, cut.size() - ellipsis.size());
+      EXPECT_EQ(text.compare(0, kept.size(), kept), 0) << text << " @" << budget;
+      EXPECT_LE(textutil::CountTokens(kept), budget) << text << " @" << budget;
     }
-    EXPECT_LE(textutil::CountTokens(cut), budget);
   }
 }
 

@@ -5,9 +5,7 @@
 # The parsers of untrusted bytes — the `.dmim` model-artifact reader, the
 # serving wire frames and src/json — must turn any input into a typed Status,
 # never an out-of-bounds read or a signed overflow; this job is the proof for
-# every input the tests feed them. Two ctest entries stay out:
-# BenchRegressionCheck compares release-build timings, and ServeLoadSmoke is a
-# timing-bound load run that sanitizer overhead only slows down.
+# every input the tests feed them.
 # Usage: tools/run_asan_tests.sh [build-dir]
 set -euo pipefail
 
@@ -19,5 +17,4 @@ cmake -B "$build_dir" -S "$repo_root" -DDMI_SANITIZE=address \
 cmake --build "$build_dir" -j "$(nproc)"
 ASAN_OPTIONS=detect_leaks=1:abort_on_error=1 \
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
-ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-    -E '^(BenchRegressionCheck|ServeLoadSmoke)$'
+ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
