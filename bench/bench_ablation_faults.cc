@@ -1,7 +1,7 @@
 // Fault-domain ablation: the robustness layer under escalating hazards
 // (DESIGN.md §11).
 //
-// Sweeps the dmi::Policy presets None -> Typical -> Harsh -> Hostile. Each
+// Sweeps the --policy presets none -> typical -> harsh -> hostile. Each
 // preset pairs an instability level with the retry/deadline posture
 // calibrated for it: Hostile adds the new fault domains (stale element
 // references, transient pattern failures, dropped window events, app-freeze
@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/dmi/policy.h"
 #include "src/support/metrics.h"
 
 int main() {
@@ -21,29 +20,20 @@ int main() {
   agentsim::TaskRunner runner;
   auto tasks = workload::BuildOsworldWSuite();
 
-  struct Level {
-    const char* label;
-    dmi::Policy policy;
-  };
-  const Level levels[] = {
-      {"none", dmi::Policy::None()},
-      {"typical", dmi::Policy::Typical()},
-      {"harsh", dmi::Policy::Harsh()},
-      {"hostile", dmi::Policy::Hostile()},
-  };
+  const char* const presets[] = {"none", "typical", "harsh", "hostile"};
 
   std::printf("  %-10s %8s %8s %10s %10s %10s %10s\n", "preset", "SR", "steps",
               "clk-retry", "ix-retry", "ddl-skip", "faults");
   bench::PrintRule();
 
-  for (const Level& level : levels) {
+  for (const char* preset : presets) {
     const auto before = support::MetricsRegistry::Global().Snapshot();
-    agentsim::RunConfig config;
-    config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-    config.profile = agentsim::LlmProfile::Gpt5Medium();
-    config.repeats = 2;
-    config.ApplyPolicy(level.policy);
-    agentsim::SuiteResult r = runner.RunSuite(tasks, config);
+    dmi::ServiceConfig service;
+    service.mode = "dmi";
+    service.model = "gpt5";
+    service.repeats = 2;
+    service.policy = preset;
+    agentsim::SuiteResult r = runner.RunSuite(tasks, bench::Resolve(service));
     const auto after = support::MetricsRegistry::Global().Snapshot();
     auto delta = [&](const char* name) {
       return after.CounterValue(name) - before.CounterValue(name);
@@ -53,7 +43,7 @@ int main() {
     const uint64_t ddl_skips = delta("robust.deadline_skipped_commands");
     const uint64_t faults = delta("robust.fault_stale_ref") + delta("robust.fault_pattern") +
                             delta("robust.fault_event_drop") + delta("robust.fault_freeze");
-    std::printf("  %-10s %7.1f%% %8.2f %10llu %10llu %10llu %10llu\n", level.label,
+    std::printf("  %-10s %7.1f%% %8.2f %10llu %10llu %10llu %10llu\n", preset,
                 100.0 * r.SuccessRate(), r.AvgStepsSuccessful(),
                 static_cast<unsigned long long>(click_retries),
                 static_cast<unsigned long long>(ix_retries),

@@ -24,30 +24,22 @@ int main() {
       {"no retries", true, true, false},
       {"all off", false, false, false},
   };
-  struct Level {
-    const char* label;
-    gsim::InstabilityConfig config;
-  };
-  const Level levels[] = {
-      {"none", gsim::InstabilityConfig::None()},
-      {"typical", gsim::InstabilityConfig::Typical()},
-      {"harsh", gsim::InstabilityConfig::Harsh()},
-  };
+  const char* const levels[] = {"none", "typical", "harsh"};
 
   std::printf("  %-22s %10s %10s %10s\n", "executor variant", "none", "typical", "harsh");
   bench::PrintRule();
   for (const Variant& v : variants) {
     std::printf("  %-22s", v.label);
-    for (const Level& level : levels) {
-      agentsim::RunConfig config;
-      config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-      config.profile = agentsim::LlmProfile::Gpt5Medium();
-      config.repeats = 2;
-      config.instability = level.config;
-      config.visit.enable_nonleaf_filter = v.filter;
-      config.visit.enable_fuzzy_match = v.fuzzy;
-      config.visit.enable_retry = v.retry;
-      agentsim::SuiteResult r = runner.RunSuite(tasks, config);
+    for (const char* level : levels) {
+      dmi::ServiceConfig service;
+      service.mode = "dmi";
+      service.model = "gpt5";
+      service.repeats = 2;
+      service.instability = level;
+      service.enable_nonleaf_filter = v.filter;
+      service.enable_fuzzy_match = v.fuzzy;
+      service.enable_retry = v.retry;
+      agentsim::SuiteResult r = runner.RunSuite(tasks, bench::Resolve(service));
       double actions = 0;
       int n = 0;
       for (const auto& rec : r.records) {

@@ -10,15 +10,17 @@ int main() {
   auto tasks = workload::BuildOsworldWSuite();
 
   for (const bench::Setting& s : bench::Table3Settings()) {
-    agentsim::RunConfig config;
-    config.mode = s.mode;
-    config.profile = s.profile;
-    config.repeats = 3;
+    dmi::ServiceConfig service;
+    service.mode = s.mode;
+    service.model = s.model;
+    service.repeats = 3;
+    const agentsim::RunConfig config = bench::Resolve(service);
     agentsim::SuiteResult r = runner.RunSuite(tasks, config);
     const double sr = 100.0 * r.SuccessRate();
     std::string bar(static_cast<size_t>(sr / 2.0), '#');
     std::printf("  %-10s %-11s %-18s %5.1f%% |%s\n", s.label, s.knowledge,
-                (s.profile.model + " " + s.profile.reasoning).c_str(), sr, bar.c_str());
+                (config.profile.model + " " + config.profile.reasoning).c_str(), sr,
+                bar.c_str());
   }
   std::printf("\nshape check: the GUI+DMI bar dominates within every model tier.\n");
   return 0;

@@ -17,18 +17,15 @@ int main() {
   agentsim::TaskRunner runner;
   auto tasks = workload::BuildOsworldWSuite();
 
-  agentsim::RunConfig gui;
-  gui.mode = agentsim::InterfaceMode::kGuiOnly;
-  gui.profile = agentsim::LlmProfile::Gpt5Medium();
-  gui.repeats = 3;
-  agentsim::RunConfig ablation = gui;
-  ablation.mode = agentsim::InterfaceMode::kGuiOnlyForest;
-  agentsim::RunConfig dmi = gui;
-  dmi.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-
-  agentsim::SuiteResult r_gui = runner.RunSuite(tasks, gui);
-  agentsim::SuiteResult r_abl = runner.RunSuite(tasks, ablation);
-  agentsim::SuiteResult r_dmi = runner.RunSuite(tasks, dmi);
+  dmi::ServiceConfig service;
+  service.model = "gpt5";
+  service.repeats = 3;
+  service.mode = "gui";
+  agentsim::SuiteResult r_gui = runner.RunSuite(tasks, bench::Resolve(service));
+  service.mode = "forest";
+  agentsim::SuiteResult r_abl = runner.RunSuite(tasks, bench::Resolve(service));
+  service.mode = "dmi";
+  agentsim::SuiteResult r_dmi = runner.RunSuite(tasks, bench::Resolve(service));
 
   // Intersection of tasks solved (majority of trials) by all three methods.
   std::set<std::string> common;

@@ -44,14 +44,14 @@ int main() {
   agentsim::TaskRunner runner;
   auto tasks = workload::BuildOsworldWSuite();
 
-  agentsim::RunConfig config;
-  config.profile = agentsim::LlmProfile::Gpt5Medium();
-  config.repeats = 3;
+  dmi::ServiceConfig service;
+  service.model = "gpt5";
+  service.repeats = 3;
 
-  config.mode = agentsim::InterfaceMode::kGuiOnly;
-  agentsim::SuiteResult gui = runner.RunSuite(tasks, config);
-  config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  agentsim::SuiteResult dmi = runner.RunSuite(tasks, config);
+  service.mode = "gui";
+  agentsim::SuiteResult gui = runner.RunSuite(tasks, bench::Resolve(service));
+  service.mode = "dmi";
+  agentsim::SuiteResult dmi = runner.RunSuite(tasks, bench::Resolve(service));
 
   Distribution("GUI-only baseline (paper: mechanism-dominated)", gui);
   Distribution("GUI+DMI (paper: ~81% policy, ~19% mechanism)", dmi);

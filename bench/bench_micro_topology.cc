@@ -93,7 +93,7 @@ void BM_VisitTask1(benchmark::State& state) {
   ripper::GuiRipper rip(scratch, options.ripper_config);
   topo::NavGraph graph = rip.Rip();
   apps::PpointSim app;
-  dmi::DmiSession session(app, std::move(graph), options);
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(graph, options));
   auto solid = session.ResolveTargetByNames({"Format Background Pane", "Solid fill"});
   auto blue = session.ResolveTargetByNames({"Fill Color", "Blue"});
   auto apply = session.ResolveTargetByNames({"Format Background Pane", "Apply to All"});

@@ -30,14 +30,13 @@ int main() {
   std::printf("  (paper: ~15 tokens/control; cores ~30K/15K/15K tokens)\n");
 
   // Per-task total tokens, baseline vs DMI (successful runs, GPT-5 medium).
-  agentsim::RunConfig gui;
-  gui.mode = agentsim::InterfaceMode::kGuiOnly;
-  gui.profile = agentsim::LlmProfile::Gpt5Medium();
-  gui.repeats = 3;
-  agentsim::RunConfig dmi = gui;
-  dmi.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  agentsim::SuiteResult r_gui = runner.RunSuite(tasks, gui);
-  agentsim::SuiteResult r_dmi = runner.RunSuite(tasks, dmi);
+  dmi::ServiceConfig service;
+  service.model = "gpt5";
+  service.repeats = 3;
+  service.mode = "gui";
+  agentsim::SuiteResult r_gui = runner.RunSuite(tasks, bench::Resolve(service));
+  service.mode = "dmi";
+  agentsim::SuiteResult r_dmi = runner.RunSuite(tasks, bench::Resolve(service));
 
   std::printf("\nPer-task token totals, successful runs (GPT-5 medium):\n");
   bench::PrintRule();

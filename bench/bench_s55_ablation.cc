@@ -12,13 +12,13 @@
 namespace {
 
 void Row(agentsim::TaskRunner& runner, const std::vector<workload::Task>& tasks,
-         const char* label, agentsim::InterfaceMode mode,
-         const agentsim::LlmProfile& profile, double paper_sr, double paper_steps) {
-  agentsim::RunConfig config;
-  config.mode = mode;
-  config.profile = profile;
-  config.repeats = 3;
-  agentsim::SuiteResult r = runner.RunSuite(tasks, config);
+         const char* label, const char* mode, const char* model, double paper_sr,
+         double paper_steps) {
+  dmi::ServiceConfig service;
+  service.mode = mode;
+  service.model = model;
+  service.repeats = 3;
+  agentsim::SuiteResult r = runner.RunSuite(tasks, bench::Resolve(service));
   std::printf("  %-22s %6.1f%% %7.2f   | paper: %5.1f%% %6.2f\n", label,
               100.0 * r.SuccessRate(), r.AvgStepsSuccessful(), paper_sr, paper_steps);
 }
@@ -33,22 +33,16 @@ int main() {
   std::printf("GPT-5 (medium reasoning):\n");
   std::printf("  %-22s %7s %7s\n", "setting", "SR", "steps");
   bench::PrintRule();
-  Row(runner, tasks, "GUI-only", agentsim::InterfaceMode::kGuiOnly,
-      agentsim::LlmProfile::Gpt5Medium(), 44.4, 8.16);
-  Row(runner, tasks, "GUI-only + forest", agentsim::InterfaceMode::kGuiOnlyForest,
-      agentsim::LlmProfile::Gpt5Medium(), 42.0, 8.41);
-  Row(runner, tasks, "GUI+DMI (full)", agentsim::InterfaceMode::kGuiPlusDmi,
-      agentsim::LlmProfile::Gpt5Medium(), 74.1, 4.61);
+  Row(runner, tasks, "GUI-only", "gui", "gpt5", 44.4, 8.16);
+  Row(runner, tasks, "GUI-only + forest", "forest", "gpt5", 42.0, 8.41);
+  Row(runner, tasks, "GUI+DMI (full)", "dmi", "gpt5", 74.1, 4.61);
 
   std::printf("\nGPT-5-mini (medium reasoning):\n");
   std::printf("  %-22s %7s %7s\n", "setting", "SR", "steps");
   bench::PrintRule();
-  Row(runner, tasks, "GUI-only", agentsim::InterfaceMode::kGuiOnly,
-      agentsim::LlmProfile::Gpt5MiniMedium(), 17.3, 7.14);
-  Row(runner, tasks, "GUI-only + forest", agentsim::InterfaceMode::kGuiOnlyForest,
-      agentsim::LlmProfile::Gpt5MiniMedium(), 23.5, 6.32);
-  Row(runner, tasks, "GUI+DMI (full)", agentsim::InterfaceMode::kGuiPlusDmi,
-      agentsim::LlmProfile::Gpt5MiniMedium(), 43.2, 4.43);
+  Row(runner, tasks, "GUI-only", "gui", "mini", 17.3, 7.14);
+  Row(runner, tasks, "GUI-only + forest", "forest", "mini", 23.5, 6.32);
+  Row(runner, tasks, "GUI+DMI (full)", "dmi", "mini", 43.2, 4.43);
 
   std::printf("\nshape check: forest-as-knowledge barely moves the strong model but helps\n"
               "the small one; the full declarative interface dominates both — the\n"

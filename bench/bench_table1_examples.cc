@@ -45,7 +45,7 @@ int main() {
   ripper::GuiRipper rip(scratch, options.ripper_config);
   topo::NavGraph graph = rip.Rip(options.contexts);
   apps::PpointSim dmi_app;
-  dmi::DmiSession session(dmi_app, std::move(graph), options);
+  dmi::DmiSession session(dmi_app, dmi::CompiledModel::Compile(graph, options));
 
   auto solid = session.ResolveTargetByNames({"Format Background Pane", "Solid fill"});
   auto blue = session.ResolveTargetByNames({"Fill Color", "Blue"});

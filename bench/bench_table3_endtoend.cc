@@ -40,15 +40,16 @@ int main(int argc, char** argv) {
   auto settings = bench::Table3Settings();
   for (size_t i = 0; i < settings.size(); ++i) {
     const bench::Setting& s = settings[i];
-    agentsim::RunConfig config;
-    config.mode = s.mode;
-    config.profile = s.profile;
-    config.repeats = 3;
-    config.workers = workers;
+    dmi::ServiceConfig service;
+    service.mode = s.mode;
+    service.model = s.model;
+    service.repeats = 3;
+    service.workers = workers;
+    const agentsim::RunConfig config = bench::Resolve(service);
     agentsim::SuiteResult r = runner.RunSuite(tasks, config);
     std::printf("  %-10s %-11s %-10s %-9s | %6.1f %6.2f %8.0f | %6.1f %6.2f %8.0f\n",
-                s.label, s.knowledge, s.profile.model.c_str(),
-                s.profile.reasoning.c_str(), 100.0 * r.SuccessRate(),
+                s.label, s.knowledge, config.profile.model.c_str(),
+                config.profile.reasoning.c_str(), 100.0 * r.SuccessRate(),
                 r.AvgStepsSuccessful(), r.AvgTimeSuccessful(), paper[i].sr,
                 paper[i].steps, paper[i].time);
     if (i == 2 || i == 4) {

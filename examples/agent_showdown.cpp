@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/agent/service_adapter.h"
 #include "src/agent/task_runner.h"
+#include "src/dmi/service_config.h"
 
 int main(int argc, char** argv) {
   const std::string task_id = argc > 1 ? argv[1] : "P1";
@@ -38,14 +40,15 @@ int main(int argc, char** argv) {
   std::printf("  ground truth: %zu imperative GUI actions vs %zu declarative DMI steps\n\n",
               task->gui_plan.size(), task->dmi_plan.size());
 
-  for (auto mode : {agentsim::InterfaceMode::kGuiOnly, agentsim::InterfaceMode::kGuiPlusDmi}) {
-    agentsim::RunConfig config;
-    config.mode = mode;
-    config.profile = agentsim::LlmProfile::Gpt5Medium();
+  for (const char* mode : {"gui", "dmi"}) {
+    dmi::ServiceConfig service;
+    service.mode = mode;
+    service.model = "gpt5";
+    const agentsim::RunConfig config = agentsim::RunConfigFromService(service);
     agentsim::RunResult r = runner.RunOnce(*task, config, seed);
     std::printf("%-10s  %s | llm calls %2d (core %d) | %5.0f s simulated | "
                 "%6zu prompt tokens | %3zu UI actions",
-                agentsim::InterfaceModeName(mode), r.success ? "SUCCESS" : "FAILED ",
+                agentsim::InterfaceModeName(config.mode), r.success ? "SUCCESS" : "FAILED ",
                 r.llm_calls, r.core_calls, r.sim_time_s, r.prompt_tokens, r.ui_actions);
     if (!r.success) {
       std::printf(" | cause: %s",

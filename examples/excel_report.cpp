@@ -45,7 +45,7 @@ int main() {
   topo::NavGraph graph = rip.Rip();
 
   apps::ExcelSim app;
-  dmi::DmiSession session(app, std::move(graph), options);
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(graph, options));
   std::printf("modeled ExcelSim: %zu controls, core %zu tokens\n\n",
               session.stats().raw.nodes, session.stats().core_tokens);
 

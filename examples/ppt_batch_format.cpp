@@ -38,7 +38,7 @@ int main() {
   topo::NavGraph graph = rip.Rip(options.contexts);
 
   apps::PpointSim app;
-  dmi::DmiSession session(app, std::move(graph), options);
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(graph, options));
   std::printf("modeled PpointSim: %zu controls (%zu contexts), core %zu tokens\n\n",
               session.stats().raw.nodes, options.contexts.size() + 1,
               session.stats().core_tokens);

@@ -3,7 +3,8 @@
 // This walks the whole public API surface end to end:
 //   1. build (or bring) a gsim::Application — here, a tiny settings app;
 //   2. rip it into a UI Navigation Graph (offline phase, once per app build);
-//   3. construct a DmiSession: decycle -> forest -> catalog -> executor;
+//   3. compile the graph (decycle -> forest -> catalog) and attach a
+//      DmiSession (the executor) to a live instance;
 //   4. read the serialized core topology (what an LLM would see);
 //   5. access controls declaratively with visit();
 //   6. set control state and observe content with the interaction interfaces.
@@ -95,7 +96,7 @@ int main() {
   // The default cost threshold (24) would just clone this tiny palette; lower
   // it so the example demonstrates shared subtrees and entry references.
   options.externalize_threshold = 4;
-  dmi::DmiSession session(app, std::move(graph), options);
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(graph, options));
   std::printf("forest: %zu nodes, %zu shared subtrees, %zu references\n",
               session.stats().forest_nodes, session.stats().shared_subtrees,
               session.stats().references);

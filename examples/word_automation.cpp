@@ -38,7 +38,7 @@ int main() {
   topo::NavGraph graph = rip.Rip();
 
   apps::WordSim app;
-  dmi::DmiSession session(app, std::move(graph), options);
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(graph, options));
   std::printf("modeled WordSim: %zu controls -> %zu-node forest, core %zu tokens\n\n",
               session.stats().raw.nodes, session.stats().forest_nodes,
               session.stats().core_tokens);

@@ -14,6 +14,11 @@ namespace {
 
 using workload::GuiAction;
 
+// Composite-interaction iteration cap before giving up.
+constexpr int kMaxDragIterations = 8;
+// Wrong-click recoveries (re-orient and re-navigate) before giving up.
+constexpr int kMaxRecoveries = 3;
+
 // Relaxed name match: the screen may show decorated names ("Bold (Ctrl+B)");
 // a human-or-LLM reader still binds them to the plan's "Bold".
 bool NameMatches(const std::string& shown, const std::string& wanted) {
@@ -179,7 +184,7 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
     if (corrupted || need_renav) {
       const bool noticed = need_renav || llm.DetectsWrongClick();
       if (noticed) {
-        if (++recoveries > config_.max_recoveries) {
+        if (++recoveries > kMaxRecoveries) {
           return fail(corrupted ? FailureCause::kVisualRecognitionError
                                 : FailureCause::kNavigationError);
         }
@@ -304,7 +309,7 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
           (void)input.DragScrollThumb(*surface, /*vertical=*/true, delta);
           rr.sim_time_s += 2.0 * llm.profile().ui_action_s;  // press-drag-release
           ++executed;
-          if (++drag_iterations[i] > config_.max_drag_iterations) {
+          if (++drag_iterations[i] > kMaxDragIterations) {
             return fail(FailureCause::kCompositeInteractionError);
           }
           if (std::abs(scroll->VerticalPercent() - a.scroll_target) <= 8.0) {

@@ -28,9 +28,6 @@ struct BaselineConfig {
   bool forest_knowledge = false;
   // Token size of that knowledge blob (counted into every call's prompt).
   size_t forest_knowledge_tokens = 0;
-  // Composite-interaction iteration cap before giving up.
-  int max_drag_iterations = 8;
-  int max_recoveries = 3;
 };
 
 class BaselineGuiAgent {

@@ -32,6 +32,9 @@ std::vector<std::vector<const DmiStep*>> GroupIntoTurns(const std::vector<DmiSte
   return turns;
 }
 
+// Re-plans a failed declarative step gets per turn.
+constexpr int kMaxStepRetries = 1;
+
 // Accounting for a run doomed by the residual mechanism hazard: the agent
 // burns the framework overhead plus two core attempts before giving up.
 constexpr int kResidualCoreCalls = 2;
@@ -441,7 +444,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
         continue;
       }
       // Structured error feedback lets the agent re-plan once per turn.
-      if (++attempts > config_.max_step_retries) {
+      if (++attempts > kMaxStepRetries) {
         rr.success = false;
         rr.cause = doom != FailureCause::kNone
                        ? doom

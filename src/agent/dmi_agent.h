@@ -18,7 +18,6 @@ namespace agentsim {
 
 struct DmiAgentConfig {
   int step_cap = 30;
-  int max_step_retries = 1;  // re-plan a failed declarative step once
   // Capture RenderJson() of each visit report into RunResult::report_json
   // (the last one wins). Off by default: only dmi_run --report-json pays it.
   bool capture_report_json = false;

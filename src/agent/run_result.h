@@ -36,9 +36,9 @@ struct RunResult {
   std::string report_json;
   // Causal telemetry (DESIGN.md §13). `run_id` keys this run's trace spans
   // and flight recorder; `flight` is the run's bounded event ring (commands,
-  // statuses, retries, token counts, batch membership), null when recording
-  // was disabled (RunConfig::flight_recorder_events == 0) or the result
-  // predates the runner. Neither participates in run-equivalence comparisons.
+  // statuses, retries, token counts, batch membership), null only when the
+  // result did not come from the runner. Neither participates in
+  // run-equivalence comparisons.
   uint64_t run_id = 0;
   std::shared_ptr<const support::FlightRecorder> flight;
 };

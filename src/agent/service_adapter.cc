@@ -5,30 +5,48 @@
 namespace agentsim {
 namespace {
 
-gsim::InstabilityConfig InstabilityByName(const std::string& name) {
-  if (name == "none") {
-    return gsim::InstabilityConfig::None();
-  }
-  if (name == "harsh") {
-    return gsim::InstabilityConfig::Harsh();
-  }
-  if (name == "hostile") {
-    return gsim::InstabilityConfig::Hostile();
-  }
-  return gsim::InstabilityConfig::Typical();
-}
+// A --policy preset (DESIGN.md §11): a hazard level paired with the retry and
+// deadline posture calibrated for it.
+struct Preset {
+  const char* name;
+  gsim::InstabilityConfig instability;
+  // Serves both the visit executor and the interaction interfaces. Unset =
+  // the executor's fixed 3-retry loop and fail-fast interactions.
+  support::RetryPolicy retry;
+  uint64_t run_deadline_ticks = 0;  // 0 = unlimited
+};
 
-dmi::Policy PolicyByName(const std::string& name) {
-  if (name == "none") {
-    return dmi::Policy::None();
+// The presets, calm to adversarial, looked up by name; the --instability
+// override reads only their hazard level. Retry schedules stiffen with the
+// hazard level, and only Hostile bounds the run with a deadline.
+const Preset& PresetByName(const std::string& name) {
+  static const Preset kPresets[] = {
+      {"none", gsim::InstabilityConfig::None(), {}, 0},
+      {"typical", gsim::InstabilityConfig::Typical(), {}, 0},
+      // Slow loads stretch to 4 ticks under Harsh; exponential backoff reaches
+      // them in fewer attempts than the default 1-tick fixed loop.
+      {"harsh", gsim::InstabilityConfig::Harsh(),
+       support::RetryPolicy::ExponentialJitter(/*max_attempts=*/4, /*initial_ticks=*/1,
+                                               /*multiplier=*/2.0, /*max_ticks=*/8,
+                                               /*jitter=*/0.0),
+       0},
+      // Freeze windows last 5 ticks and pattern windows 3; the schedule must
+      // be able to outwait one full window within its attempt budget. Jitter
+      // decorrelates retries from the fault windows (drawn from the seeded
+      // run RNG, so still deterministic per seed). The deadline keeps a
+      // hostile run from stalling unboundedly.
+      {"hostile", gsim::InstabilityConfig::Hostile(),
+       support::RetryPolicy::ExponentialJitter(/*max_attempts=*/5, /*initial_ticks=*/1,
+                                               /*multiplier=*/2.0, /*max_ticks=*/12,
+                                               /*jitter=*/0.25),
+       600},
+  };
+  for (const Preset& preset : kPresets) {
+    if (name == preset.name) {
+      return preset;
+    }
   }
-  if (name == "harsh") {
-    return dmi::Policy::Harsh();
-  }
-  if (name == "hostile") {
-    return dmi::Policy::Hostile();
-  }
-  return dmi::Policy::Typical();
+  return kPresets[1];  // typical; unreachable for a validated name
 }
 
 }  // namespace
@@ -54,17 +72,24 @@ RunConfig RunConfigFromService(const dmi::ServiceConfig& config) {
   run.repeats = config.repeats;
   run.step_cap = config.step_cap;
   run.workers = config.workers;
-  run.pool_apps = config.pool_apps;
   run.capture_report_json = config.capture_report_json;
-  run.flight_recorder_events = static_cast<size_t>(config.flight_recorder_events);
+  run.visit.enable_nonleaf_filter = config.enable_nonleaf_filter;
+  run.visit.enable_fuzzy_match = config.enable_fuzzy_match;
+  run.visit.enable_retry = config.enable_retry;
+  // No preset named: Typical hazards with no retry schedule or deadline, the
+  // RunConfig defaults.
   if (!config.policy.empty()) {
-    run.ApplyPolicy(PolicyByName(config.policy));
+    const Preset& preset = PresetByName(config.policy);
+    run.instability = preset.instability;
+    run.visit.retry = preset.retry;
+    run.interaction_retry = preset.retry;
+    run.run_deadline_ticks = preset.run_deadline_ticks;
+    run.policy_label = preset.name;
   }
   if (!config.instability.empty()) {
-    // Hazard-level override layered after the preset, mirroring the CLI
-    // contract: --policy adopts the whole posture, --instability afterwards
-    // overrides just the injector level.
-    run.instability = InstabilityByName(config.instability);
+    // --policy adopts the whole posture; --instability afterwards overrides
+    // just the hazard level.
+    run.instability = PresetByName(config.instability).instability;
   }
   if (config.batch_size > 0) {
     run.batch.enabled = true;

@@ -1,11 +1,13 @@
-// The legacy-RunConfig adapter for dmi::ServiceConfig (DESIGN.md §16).
+// The one resolver from dmi::ServiceConfig to agentsim::RunConfig
+// (DESIGN.md §16).
 //
-// ServiceConfig is the one validated configuration surface; RunConfig is the
-// agent layer's working view of it. Front ends (dmi_run, dmi_serve) parse
-// into a ServiceConfig, Validate() it once, and call RunConfigFromService to
-// project the per-run view out — mode/model names become enums, the policy
-// preset is applied wholesale (ApplyPolicy), and the instability override is
-// layered on top, exactly the order dmi_run's historical flag handling used.
+// ServiceConfig is the only configuration surface; RunConfig is the agent
+// layer's resolved view of it. Every front end (dmi_run, dmi_serve, the paper
+// benches, the examples) fills in a ServiceConfig and calls
+// RunConfigFromService once: mode/model names become enums, the --policy
+// preset table sets the hazard level, retry schedules, run deadline and
+// metrics label, the instability override replaces just the hazard level,
+// and the §5.6 toggles land on the visit config.
 #ifndef SRC_AGENT_SERVICE_ADAPTER_H_
 #define SRC_AGENT_SERVICE_ADAPTER_H_
 

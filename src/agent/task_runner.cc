@@ -46,6 +46,10 @@ std::string FailureSlug(FailureCause cause) {
 
 std::string FailureMetricName(FailureCause cause) { return "agent.failure." + FailureSlug(cause); }
 
+// Flight-recorder ring capacity per run (DESIGN.md §13); the recorder is
+// always on.
+constexpr size_t kFlightRecorderEvents = 128;
+
 }  // namespace
 
 const char* InterfaceModeName(InterfaceMode mode) {
@@ -328,11 +332,8 @@ RunResult TaskRunner::RunOnceInternal(const workload::Task& task, const RunConfi
   // The run's flight recorder (DESIGN.md §13): LLM calls and batch
   // memberships stream in via the SimLlm hook, executed commands via the
   // session's visit executor. Shared so the RunResult can carry it out.
-  std::shared_ptr<support::FlightRecorder> flight;
-  if (config.flight_recorder_events > 0) {
-    flight = std::make_shared<support::FlightRecorder>(run_id, config.flight_recorder_events);
-    llm.AttachFlightRecorder(flight.get());
-  }
+  auto flight = std::make_shared<support::FlightRecorder>(run_id, kFlightRecorderEvents);
+  llm.AttachFlightRecorder(flight.get());
   workload::AppPool::Lease lease = app_pool_.Acquire(task, config.pool_apps);
   gsim::Application& app = *lease;
   app.SetInstability(&injector);
@@ -376,7 +377,7 @@ RunResult TaskRunner::RunOnceInternal(const workload::Task& task, const RunConfi
     BaselineGuiAgent agent(agent_config);
     result = agent.Run(task, app, llm, &injector);
   }
-  if (flight != nullptr && !result.success) {
+  if (!result.success) {
     flight->RecordNote("run failed: " + std::string(FailureCauseName(result.cause)));
   }
   result.flight = std::move(flight);

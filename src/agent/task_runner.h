@@ -22,8 +22,10 @@
 #include "src/agent/run_result.h"
 #include "src/dmi/compiled_model.h"
 #include "src/dmi/model_registry.h"
-#include "src/dmi/policy.h"
 #include "src/dmi/session.h"
+#include "src/dmi/visit.h"
+#include "src/gui/instability.h"
+#include "src/support/retry.h"
 #include "src/workload/app_pool.h"
 #include "src/workload/tasks.h"
 
@@ -37,6 +39,11 @@ enum class InterfaceMode {
 
 const char* InterfaceModeName(InterfaceMode mode);
 
+// The agent layer's resolved view of a setting (RunOnce and RunSuite read
+// it). Outside the tests every RunConfig comes out of
+// agentsim::RunConfigFromService (service_adapter.h), which resolves a
+// validated dmi::ServiceConfig once; nothing else fills one in. Tests adjust
+// one to inject a fake (a perfect LlmProfile, the unpooled reference).
 struct RunConfig {
   InterfaceMode mode = InterfaceMode::kGuiOnly;
   LlmProfile profile = LlmProfile::Gpt5Medium();
@@ -44,7 +51,7 @@ struct RunConfig {
   int repeats = 3;  // paper: each task run three times, averaged
   int step_cap = 30;
   gsim::InstabilityConfig instability = gsim::InstabilityConfig::Typical();
-  dmi::VisitConfig visit;  // robustness toggles (ablation bench)
+  dmi::VisitConfig visit;  // §5.6 toggles + the preset's retry schedule
   // Worker threads for RunSuite: 1 = serial (default), 0 = one per hardware
   // thread, N = exactly N. Each (task, trial) run is seeded independently of
   // execution order, so the suite result is identical for any worker count.
@@ -52,7 +59,8 @@ struct RunConfig {
   // Lease pooled application instances (factory-reset between runs) instead
   // of constructing a fresh app per run. Pooled and unpooled suites produce
   // byte-identical results — the pool's reset-equivalence contract is
-  // checksum-verified in debug builds (DESIGN.md §10).
+  // checksum-verified in debug builds (DESIGN.md §10). Always on outside the
+  // tests, which turn it off for the unpooled reference.
   bool pool_apps = true;
   // Per-run tick budget (DESIGN.md §11). 0 = unlimited. DMI mode only: the
   // session's executor refuses commands past the budget and the agent runs
@@ -72,23 +80,9 @@ struct RunConfig {
   // SuiteResults are field-identical with batching on or off, at any batch
   // size (tested, including under Harsh/Hostile policies).
   BatchOptions batch;
-  // `policy` label stamped on the labeled agent.* metrics (DESIGN.md §13);
-  // set by ApplyPolicy from the preset name, empty = unlabeled dimension.
+  // `policy` label stamped on the labeled agent.* metrics (DESIGN.md §13):
+  // the --policy preset's name, empty = unlabeled dimension.
   std::string policy_label;
-  // Flight-recorder ring capacity per run (DESIGN.md §13). 0 disables the
-  // recorder entirely (no allocation, no recording).
-  size_t flight_recorder_events = 128;
-
-  // Adopts a robustness preset (dmi::Policy) wholesale: instability level,
-  // visit/interaction retry schedules, the per-run deadline, and the metrics
-  // policy label.
-  void ApplyPolicy(const dmi::Policy& policy) {
-    instability = policy.instability;
-    visit = policy.visit;
-    interaction_retry = policy.interaction.retry;
-    run_deadline_ticks = policy.run_deadline_ticks;
-    policy_label = policy.name;
-  }
 };
 
 struct TaskRecord {

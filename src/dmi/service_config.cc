@@ -20,18 +20,6 @@ bool ParseNumber(const std::string& value, T* out) {
   return true;
 }
 
-bool ParseBool(const std::string& value, bool* out) {
-  if (value == "true" || value == "1" || value == "on") {
-    *out = true;
-    return true;
-  }
-  if (value == "false" || value == "0" || value == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 support::Status BadValue(const std::string& flag, const std::string& value) {
   return support::InvalidArgumentError("flag " + flag + ": bad value '" + value + "'");
 }
@@ -78,18 +66,10 @@ bool ServiceConfig::ApplyFlag(const std::string& flag, const std::string& value,
     if (!ParseNumber(value, &batch_size)) {
       *error = BadValue(flag, value);
     }
-  } else if (flag == "--pool-apps") {
-    if (!ParseBool(value, &pool_apps)) {
-      *error = BadValue(flag, value);
-    }
   } else if (flag == "--model-dir") {
     model_dir = value;
   } else if (flag == "--app-version") {
     app_version = value;
-  } else if (flag == "--flight-recorder") {
-    if (!ParseNumber(value, &flight_recorder_events)) {
-      *error = BadValue(flag, value);
-    }
   } else if (flag == "--max-in-flight") {
     if (!ParseNumber(value, &max_in_flight)) {
       *error = BadValue(flag, value);
@@ -141,9 +121,6 @@ support::Status ServiceConfig::Validate() const {
   }
   if (batch_size < 0) {
     return support::InvalidArgumentError("batch_size: must be >= 0 (0 = batching off)");
-  }
-  if (flight_recorder_events < 0) {
-    return support::InvalidArgumentError("flight_recorder_events: must be >= 0");
   }
   if (max_in_flight <= 0) {
     return support::InvalidArgumentError("max_in_flight: must be positive");

@@ -1,16 +1,12 @@
-// dmi::ServiceConfig: the one validated configuration surface for every
-// DMI front end (DESIGN.md §16).
+// dmi::ServiceConfig: the one configuration surface for every DMI front end
+// (DESIGN.md §16).
 //
-// Historically each binary grew its own knob set: dmi_run accreted a dozen
-// flags that it hand-mapped onto agentsim::RunConfig, dmi::Policy presets
-// were applied imperatively, and the batching/worker/model-dir switches lived
-// only in flag-parsing code. ServiceConfig consolidates all of it into one
-// struct with one Validate(): both `dmi_run` and `dmi_serve` parse their
-// command lines into a ServiceConfig (ApplyFlag handles the shared flag
-// vocabulary), validate once, and hand the result to the agent layer, where
-// agentsim::RunConfigFromService projects the legacy RunConfig view out of
-// it. RunConfig itself is kept as that thin adapter target — new knobs land
-// here first (see the deprecation note in DESIGN.md §16).
+// Every run or serving set-up outside the tests is a ServiceConfig: dmi_run
+// and dmi_serve parse their command lines into one (ApplyFlag handles the
+// shared flag vocabulary), the paper benches and examples fill one in, and
+// serve::SessionManager takes one. Validate() checks it once, and
+// agentsim::RunConfigFromService resolves it once into the RunConfig the
+// agent layer reads; the --policy presets are a table inside that resolver.
 //
 // The struct deliberately stores names (mode/model/policy presets) as
 // validated strings rather than agent-layer enums so dmi_core stays
@@ -45,24 +41,30 @@ struct ServiceConfig {
   int repeats = 3;
   int step_cap = 30;
 
+  // ----- §5.6 robustness toggles (ablation benches; no flag) -----------------
+  bool enable_nonleaf_filter = true;
+  bool enable_fuzzy_match = true;
+  bool enable_retry = true;
+
   // ----- fleet / perf knobs --------------------------------------------------
   int workers = 1;     // suite worker threads; 0 = one per hardware thread
   int batch_size = 0;  // fleet batching max batch size; 0 = batching off
-  bool pool_apps = true;
 
   // ----- model store ---------------------------------------------------------
   std::string model_dir;  // empty = no artifact store
   std::string app_version = "1";
 
   // ----- telemetry -----------------------------------------------------------
-  int flight_recorder_events = 128;  // 0 disables the per-run recorder
   bool capture_report_json = false;
 
   // ----- serving knobs (dmi_serve only; ignored by batch front ends) ---------
   int max_in_flight = 4;     // concurrent sessions actually running
   int queue_capacity = 256;  // admitted-but-waiting sessions
-  // Default per-tenant quotas applied to tenants without an explicit entry.
-  // 0 = unlimited.
+  // Per-tenant quotas, the same for every tenant; 0 = unlimited.
+  // tenant_max_concurrent caps a tenant's queued + running sessions.
+  // tenant_token_budget caps its prompt + output tokens over completed
+  // sessions: admission closes once the spend reaches it, and the session
+  // that crosses the line completes (post-paid, like real token billing).
   int tenant_max_concurrent = 0;
   int64_t tenant_token_budget = 0;
 

@@ -37,11 +37,6 @@ std::string PromptView::Assemble() const {
   return out;
 }
 
-DmiSession::DmiSession(gsim::Application& app, const topo::NavGraph& graph,
-                       const ModelingOptions& options)
-    : DmiSession(app, CompiledModel::Compile(graph, options),
-                 SessionOptions{VisitConfig{}, options.interaction}) {}
-
 DmiSession::DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model)
     : DmiSession(app, model, SessionOptions{VisitConfig{}, model->options().interaction}) {}
 

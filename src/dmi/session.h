@@ -52,16 +52,11 @@ struct PromptView {
 
 class DmiSession {
  public:
-  // Cold path: compiles a private model from a pre-ripped graph. The graph is
-  // read-only; no by-value copy is taken. Models that outlive the process
-  // persist as `.dmim` artifacts (model_artifact.h, DESIGN.md §14).
-  DmiSession(gsim::Application& app, const topo::NavGraph& graph,
-             const ModelingOptions& options);
-
-  // Warm path: attaches a live application to a shared pre-compiled model.
-  // The visit config defaults to VisitConfig{} and the interaction config to
-  // the one the model was compiled with; the second overload sets both per
-  // run.
+  // Attaches a live application to a compiled model (CompiledModel::Compile
+  // from a ripped graph, or a `.dmim` artifact load — model_artifact.h,
+  // DESIGN.md §14); sessions share one model read-only. The visit config
+  // defaults to VisitConfig{} and the interaction config to the one the model
+  // was compiled with; the second overload sets both per run.
   DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model);
   DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model,
              const SessionOptions& options);

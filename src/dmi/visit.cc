@@ -15,6 +15,11 @@
 namespace dmi {
 namespace {
 
+// Minimum fuzzy-match score for a control to stand in for a renamed one.
+constexpr double kFuzzyThreshold = 0.72;
+// How many windows the executor may close while searching for the path.
+constexpr int kMaxWindowCloses = 4;
+
 const char* CommandKindName(VisitCommand::Kind kind) {
   switch (kind) {
     case VisitCommand::Kind::kAccess:
@@ -144,7 +149,7 @@ gsim::Control* VisitExecutor::LocateControl(const topo::NodeInfo& info) {
       best_fuzzy = entry.control;
     }
   }
-  if (best_fuzzy != nullptr && best_score >= config_.fuzzy_threshold) {
+  if (best_fuzzy != nullptr && best_score >= kFuzzyThreshold) {
     return best_fuzzy;
   }
   return nullptr;
@@ -213,7 +218,7 @@ support::Status VisitExecutor::NavigatePath(const std::vector<int>& path,
     }
     gsim::Window* top = app_->TopWindow();
     if (top == nullptr || top == &app_->main_window() ||
-        closes >= config_.max_window_closes) {
+        closes >= kMaxWindowCloses) {
       return support::NotFoundError(
           "no element of the navigation path is visible in the current UI state");
     }

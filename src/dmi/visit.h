@@ -38,12 +38,9 @@ struct VisitConfig {
   bool enable_nonleaf_filter = true;
   bool enable_fuzzy_match = true;
   bool enable_retry = true;
-  double fuzzy_threshold = 0.72;
-  // How many windows the executor may close while searching for the path.
-  int max_window_closes = 4;
   // Typed retry schedule (DESIGN.md §11). Left unset (the default), the
   // executor retries 3 times, one tick apart (none when enable_retry is
-  // off); set it (e.g. via dmi::Policy) for exponential backoff with jitter.
+  // off); the harsh and hostile presets set exponential backoff with jitter.
   support::RetryPolicy retry;
 };
 

@@ -342,11 +342,20 @@ support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
   }
   out.partitions_total = out.checksums.size();
 
+  // Both rips make the offline model pipeline's own call: one instance of
+  // the updated build, GuiRipper::Rip over the extra contexts (exploration
+  // shared across them), canonicalized. So a delta or fallback result equals
+  // a cold build of the same app, contexts included.
+  auto rip_build = [&options](const RipperConfig& config, RipStats* stats) {
+    std::unique_ptr<gsim::Application> app = options.app_factory();
+    GuiRipper ripper(*app, config);
+    topo::NavGraph graph = ripper.Rip(options.extra_contexts).Canonicalized();
+    *stats = ripper.stats();
+    return graph;
+  };
+
   auto full_rip = [&]() -> support::Result<DeltaRipResult> {
-    RipResult full = RipAppContexts(options.config, options.extra_contexts,
-                                    ParallelRipOptions{options.app_factory, options.pool});
-    out.graph = std::move(full.graph);
-    out.stats = full.stats;
+    out.graph = rip_build(options.config, &out.stats);
     out.full_fallback = true;
     out.nodes_reused = 0;
     out.nodes_reripped = out.graph.node_count() > 0 ? out.graph.node_count() - 1 : 0;
@@ -429,9 +438,7 @@ support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
     }
     return scope.count(*region) > 0;
   };
-  RipResult scoped = RipAppContexts(scoped_config, options.extra_contexts,
-                                    ParallelRipOptions{options.app_factory, options.pool});
-  out.stats = scoped.stats;
+  const topo::NavGraph scoped = rip_build(scoped_config, &out.stats);
 
   // Splice: copy certified-unchanged baseline regions, merge the scoped rip
   // over them, canonicalize. AddNode/AddEdge dedup overlaps (the scoped rip
@@ -465,8 +472,8 @@ support::Result<DeltaRipResult> DeltaRip(const DeltaRipOptions& options,
     }
   }
   out.nodes_reused = spliced.node_count() > 0 ? spliced.node_count() - 1 : 0;
-  out.nodes_reripped = scoped.graph.node_count() > 0 ? scoped.graph.node_count() - 1 : 0;
-  spliced.MergeFrom(scoped.graph);
+  out.nodes_reripped = scoped.node_count() > 0 ? scoped.node_count() - 1 : 0;
+  spliced.MergeFrom(scoped);
   out.graph = spliced.Canonicalized();
   return out;
 }

@@ -8,8 +8,9 @@
 // diffs the table against the one stored in a baseline model artifact, and
 // re-rips only the partitions whose closure changed. Unchanged regions of the
 // baseline UI Navigation Graph are spliced through verbatim; the result
-// canonicalizes to the exact graph a from-scratch rip of the updated app
-// would produce (the mutation-injection tests assert byte identity).
+// canonicalizes to the exact graph the offline model pipeline's rip of the
+// updated app would produce (the mutation-injection tests assert byte
+// identity, contexts included).
 //
 // The checksum of a partition covers its *closure*: the static subtree plus
 // everything its exploration can reach — owned popups, shared popup subtrees,
@@ -28,7 +29,6 @@
 #include "src/gui/application.h"
 #include "src/ripper/ripper.h"
 #include "src/support/status.h"
-#include "src/support/thread_pool.h"
 #include "src/topology/nav_graph.h"
 
 namespace ripper {
@@ -65,16 +65,16 @@ ChecksumDiff DiffChecksumTables(const ChecksumTable& baseline, const ChecksumTab
 struct DeltaRipOptions {
   RipperConfig config;
   std::vector<RipContext> extra_contexts;
-  // Builds one fresh instance of the *updated* application per ripped
-  // context (same contract as ParallelRipOptions::app_factory). Required.
+  // Builds a fresh instance of the *updated* application (one for the
+  // checksum walk, one per rip). Applications are procedurally generated, so
+  // every instance exposes the same UI. Required.
   std::function<std::unique_ptr<gsim::Application>()> app_factory;
-  // Workers for parallel per-context rips; nullptr rips serially.
-  support::ThreadPool* pool = nullptr;
 };
 
 struct DeltaRipResult {
-  // Canonicalized graph of the updated app — identical to a from-scratch
-  // RipAppContexts() of the same build.
+  // Canonicalized graph of the updated app — identical to the offline model
+  // pipeline's GuiRipper::Rip(extra_contexts).Canonicalized() of the same
+  // build.
   topo::NavGraph graph;
   // Rip counters actually spent (scoped rip, or the full rip on fallback).
   RipStats stats;

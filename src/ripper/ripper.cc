@@ -1,7 +1,6 @@
 #include "src/ripper/ripper.h"
 
 #include <deque>
-#include <future>
 #include <unordered_map>
 #include <utility>
 
@@ -27,19 +26,6 @@ struct WorkItem {
 };
 
 }  // namespace
-
-void RipStats::Accumulate(const RipStats& other) {
-  clicks += other.clicks;
-  captures += other.captures;
-  explored += other.explored;
-  external_recoveries += other.external_recoveries;
-  window_events += other.window_events;
-  contexts += other.contexts;
-  capture_rebuilds += other.capture_rebuilds;
-  capture_cache_hits += other.capture_cache_hits;
-  indexed_lookups += other.indexed_lookups;
-  simulated_ms += other.simulated_ms;
-}
 
 GuiRipper::GuiRipper(gsim::Application& app, RipperConfig config)
     : app_(&app), config_(std::move(config)), index_(app) {
@@ -333,68 +319,6 @@ topo::NavGraph GuiRipper::Rip(const std::vector<RipContext>& extra_contexts) {
   DMI_LOG(kInfo) << "ripped " << graph.node_count() << " controls, " << graph.edge_count()
                  << " edges in " << stats_.explored << " explorations";
   return graph;
-}
-
-topo::NavGraph GuiRipper::RipSingleContext(const RipContext& context) {
-  explored_.clear();
-  topo::NavGraph graph;
-  RipContextInternal(graph, context);
-  return graph;
-}
-
-RipResult RipAppContexts(const RipperConfig& config,
-                         const std::vector<RipContext>& extra_contexts,
-                         const ParallelRipOptions& options) {
-  support::TraceSpan span("rip.app_contexts", "rip");
-  span.AddArg("parallel", options.pool != nullptr ? int64_t{1} : int64_t{0});
-  std::vector<RipContext> contexts;
-  contexts.reserve(extra_contexts.size() + 1);
-  RipContext default_context;
-  default_context.name = "default";
-  contexts.push_back(default_context);
-  for (const RipContext& context : extra_contexts) {
-    contexts.push_back(context);
-  }
-
-  // One fresh app + ripper per context; contexts never share state, so each
-  // per-context result is a pure function of (config, context).
-  auto rip_one = [&config, &options](const RipContext& context) {
-    std::unique_ptr<gsim::Application> app = options.app_factory();
-    GuiRipper ripper(*app, config);
-    RipResult result;
-    result.graph = ripper.RipSingleContext(context);
-    result.stats = ripper.stats();
-    return result;
-  };
-
-  std::vector<RipResult> per_context(contexts.size());
-  if (options.pool != nullptr) {
-    std::vector<std::future<RipResult>> futures;
-    futures.reserve(contexts.size());
-    for (const RipContext& context : contexts) {
-      futures.push_back(options.pool->Submit([&rip_one, &context] { return rip_one(context); }));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      per_context[i] = futures[i].get();
-    }
-  } else {
-    for (size_t i = 0; i < contexts.size(); ++i) {
-      per_context[i] = rip_one(contexts[i]);
-    }
-  }
-
-  // Merge in fixed context order, then canonicalize by control id; the
-  // combination makes the output independent of execution interleaving.
-  RipResult merged;
-  for (RipResult& result : per_context) {
-    merged.graph.MergeFrom(result.graph);
-    merged.stats.Accumulate(result.stats);
-  }
-  merged.graph = merged.graph.Canonicalized();
-  DMI_LOG(kInfo) << "parallel-ripped " << contexts.size() << " contexts into "
-                 << merged.graph.node_count() << " controls, " << merged.graph.edge_count()
-                 << " edges";
-  return merged;
 }
 
 }  // namespace ripper

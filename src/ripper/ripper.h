@@ -16,21 +16,17 @@
 //
 // Performance: captures and id lookups run through a generation-stamped
 // ripper::VisibleIndex (one tree walk per UI-state generation, O(1) lookups) —
-// see visible_index.h. RipAppContexts() additionally rips independent contexts
-// in parallel on separate app instances and merges the graphs
-// deterministically.
+// see visible_index.h.
 #ifndef SRC_RIPPER_RIPPER_H_
 #define SRC_RIPPER_RIPPER_H_
 
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/gui/application.h"
 #include "src/ripper/visible_index.h"
-#include "src/support/thread_pool.h"
 #include "src/topology/nav_graph.h"
 
 namespace ripper {
@@ -51,8 +47,7 @@ struct RipperConfig {
   // when the filter accepts its control id. Everything *revealed* while
   // exploring an accepted seed is explored normally — the filter scopes
   // which top-level regions are entered, not what exploration may touch.
-  // Null means "explore everything" (full rip). May be invoked concurrently
-  // from parallel per-context rips; implementations must be pure.
+  // Null means "explore everything" (full rip). Must be pure.
   std::function<bool(const gsim::Control& control, const std::string& control_id)>
       seed_filter;
 };
@@ -89,9 +84,6 @@ struct RipStats {
     const uint64_t total = capture_rebuilds + capture_cache_hits;
     return total == 0 ? 0.0 : static_cast<double>(capture_cache_hits) / total;
   }
-
-  // Elementwise sum (used when merging per-context parallel rips).
-  void Accumulate(const RipStats& other);
 };
 
 class GuiRipper {
@@ -104,11 +96,6 @@ class GuiRipper {
 
   // Rips the default context plus each extra context; returns the merged UNG.
   topo::NavGraph Rip(const std::vector<RipContext>& extra_contexts = {});
-
-  // Rips exactly one context into a fresh graph. Unlike Rip(), no exploration
-  // state is shared with other contexts, so the result depends only on
-  // (app build, config, context) — the unit of work for parallel ripping.
-  topo::NavGraph RipSingleContext(const RipContext& context);
 
   const RipStats& stats() const { return stats_; }
 
@@ -145,33 +132,6 @@ class GuiRipper {
   // Backing storage for uncached captures (mirrors the index's entry buffer).
   std::vector<VisibleEntry> scratch_entries_;
 };
-
-// ----- parallel multi-context ripping ---------------------------------------
-
-struct ParallelRipOptions {
-  // Builds one fresh application instance per context. Applications are
-  // procedurally generated, so independent instances expose identical UIs;
-  // each instance is confined to the worker that rips it (one app per thread,
-  // never shared).
-  std::function<std::unique_ptr<gsim::Application>()> app_factory;
-  // Workers to rip on; nullptr rips the contexts serially (same output).
-  support::ThreadPool* pool = nullptr;
-};
-
-struct RipResult {
-  topo::NavGraph graph;
-  RipStats stats;
-};
-
-// Rips the default context plus each extra context *independently* (each on
-// its own app instance with its own exploration state) and merges the
-// per-context graphs in context order, then canonicalizes node ordering by
-// control id. Because every per-context rip is deterministic and the merge
-// order is fixed, the result is bit-identical whether contexts run serially
-// or on a thread pool.
-RipResult RipAppContexts(const RipperConfig& config,
-                         const std::vector<RipContext>& extra_contexts,
-                         const ParallelRipOptions& options);
 
 }  // namespace ripper
 

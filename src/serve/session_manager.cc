@@ -1,6 +1,5 @@
 #include "src/serve/session_manager.h"
 
-#include <cassert>
 #include <future>
 #include <set>
 #include <utility>
@@ -36,23 +35,10 @@ double MsSince(int64_t start_us, int64_t now_us) {
 
 }  // namespace
 
-SessionManager::Options SessionManager::OptionsFromConfig(
-    const dmi::ServiceConfig& config) {
-  Options options;
-  options.max_in_flight = config.max_in_flight;
-  options.queue_capacity = config.queue_capacity;
-  options.default_quota.max_concurrent = config.tenant_max_concurrent;
-  options.default_quota.token_budget = config.tenant_token_budget;
-  return options;
-}
-
-SessionManager::SessionManager(const dmi::ServiceConfig& config, Options options)
-    : options_(options) {
-  assert(config.Validate().ok() && "SessionManager on unvalidated config");
-  run_config_ = agentsim::RunConfigFromService(config);
-  // The manager is the concurrency layer; each session is one RunOnce on one
-  // worker thread, so the suite-level fan-out knobs are inert here.
-  run_config_.workers = 1;
+SessionManager::SessionManager(const dmi::ServiceConfig& config)
+    : config_(config), run_config_(agentsim::RunConfigFromService(config)) {
+  // The manager is the concurrency layer: each session is one RunOnce on one
+  // worker thread, which reads none of the suite-level fan-out knobs.
   tasks_ = workload::BuildOsworldWSuite();
   for (const workload::Task& task : tasks_) {
     task_by_id_.emplace(task.id, &task);
@@ -63,19 +49,13 @@ SessionManager::SessionManager(const dmi::ServiceConfig& config, Options options
   if (run_config_.batch.enabled) {
     runner_.batch_scheduler().Configure(run_config_.batch);
   }
-  const int worker_count = options_.max_in_flight > 0 ? options_.max_in_flight : 1;
-  workers_.reserve(static_cast<size_t>(worker_count));
-  for (int i = 0; i < worker_count; ++i) {
+  workers_.reserve(static_cast<size_t>(config_.max_in_flight));
+  for (int i = 0; i < config_.max_in_flight; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 SessionManager::~SessionManager() { Shutdown(); }
-
-const TenantQuota& SessionManager::QuotaFor(const std::string& tenant) const {
-  const auto it = options_.tenant_quotas.find(tenant);
-  return it != options_.tenant_quotas.end() ? it->second : options_.default_quota;
-}
 
 support::Status SessionManager::Submit(Request request, Callback done) {
   if (done == nullptr) {
@@ -103,8 +83,8 @@ support::Status SessionManager::Submit(Request request, Callback done) {
     // System capacity = sessions running (max_in_flight workers) + sessions
     // waiting (queue_capacity). Everything past that is a typed rejection —
     // the caller sheds load instead of the daemon growing an unbounded queue.
-    const size_t capacity = static_cast<size_t>(options_.max_in_flight) +
-                            static_cast<size_t>(options_.queue_capacity);
+    const size_t capacity = static_cast<size_t>(config_.max_in_flight) +
+                            static_cast<size_t>(config_.queue_capacity);
     const size_t outstanding = queue_.size() + running_;
     if (outstanding >= capacity) {
       ++stats_.rejected_queue_full;
@@ -113,20 +93,21 @@ support::Status SessionManager::Submit(Request request, Callback done) {
           "admission queue full (" + std::to_string(outstanding) + " outstanding, capacity " +
           std::to_string(capacity) + ")");
     }
-    const TenantQuota& quota = QuotaFor(tenant);
-    if (quota.max_concurrent > 0 && tenant_active_[tenant] >= quota.max_concurrent) {
+    if (config_.tenant_max_concurrent > 0 &&
+        tenant_active_[tenant] >= config_.tenant_max_concurrent) {
       ++stats_.rejected_tenant_concurrent;
       CountRejected(tenant, "tenant_concurrent");
       return support::ResourceExhaustedError(
           "tenant '" + tenant + "' concurrent-session quota (" +
-          std::to_string(quota.max_concurrent) + ") exhausted");
+          std::to_string(config_.tenant_max_concurrent) + ") exhausted");
     }
-    if (quota.token_budget > 0 && tenant_tokens_[tenant] >= quota.token_budget) {
+    if (config_.tenant_token_budget > 0 &&
+        tenant_tokens_[tenant] >= config_.tenant_token_budget) {
       ++stats_.rejected_tenant_tokens;
       CountRejected(tenant, "tenant_tokens");
       return support::ResourceExhaustedError(
-          "tenant '" + tenant + "' token budget (" + std::to_string(quota.token_budget) +
-          ") exhausted");
+          "tenant '" + tenant + "' token budget (" +
+          std::to_string(config_.tenant_token_budget) + ") exhausted");
     }
     ++stats_.admitted;
     ++tenant_active_[tenant];
@@ -282,9 +263,7 @@ void SessionManager::PrewarmModels() {
       // registry cold load) for the kind; the pool prewarm fills the shelf
       // with reset-verified instances for every worker.
       (void)runner_.modeling_stats(task.app);
-      if (run_config_.pool_apps) {
-        runner_.app_pool().Prewarm(task, static_cast<size_t>(options_.max_in_flight));
-      }
+      runner_.app_pool().Prewarm(task, static_cast<size_t>(config_.max_in_flight));
     }
   }
 }

@@ -53,33 +53,13 @@
 
 namespace serve {
 
-// Per-tenant admission limits. 0 = unlimited.
-struct TenantQuota {
-  // Sessions a tenant may have in the system at once (queued + running).
-  int max_concurrent = 0;
-  // Cumulative token budget (prompt + output over all completed sessions).
-  // Admission closes once the spend reaches the budget; the session that
-  // crosses the line completes (post-paid accounting, like real token
-  // billing).
-  int64_t token_budget = 0;
-};
-
 class SessionManager {
  public:
-  struct Options {
-    int max_in_flight = 4;     // worker threads = sessions actually running
-    int queue_capacity = 256;  // admitted-but-waiting bound
-    TenantQuota default_quota;
-    std::map<std::string, TenantQuota> tenant_quotas;  // overrides by tenant
-  };
-
-  // `config` must be Validate()-ok. The serving knobs (max_in_flight, queue,
-  // default tenant quotas) are lifted from it; quota overrides come via
-  // `options`. Worker threads start immediately.
-  static Options OptionsFromConfig(const dmi::ServiceConfig& config);
-  SessionManager(const dmi::ServiceConfig& config, Options options);
-  explicit SessionManager(const dmi::ServiceConfig& config)
-      : SessionManager(config, OptionsFromConfig(config)) {}
+  // `config` must be Validate()-ok. Sessions run under its RunConfig
+  // resolution; the serving knobs (max_in_flight worker threads,
+  // queue_capacity, and the per-tenant quotas tenant_max_concurrent and
+  // tenant_token_budget) are read from it. Worker threads start immediately.
+  explicit SessionManager(const dmi::ServiceConfig& config);
   ~SessionManager();
 
   SessionManager(const SessionManager&) = delete;
@@ -146,12 +126,11 @@ class SessionManager {
   void WorkerLoop();
   // Runs one admitted session to a verdict and builds its response.
   Response Execute(const Queued& item, int64_t dequeue_us);
-  const TenantQuota& QuotaFor(const std::string& tenant) const;
   // Fires `done(response)` after closing out the session's accounting.
   void Finish(const Queued& item, Response response);
 
-  const Options options_;
-  agentsim::RunConfig run_config_;
+  const dmi::ServiceConfig config_;
+  const agentsim::RunConfig run_config_;
   // Task table: id -> suite task (the daemon serves the OSWorld-W suite).
   std::vector<workload::Task> tasks_;
   std::map<std::string, const workload::Task*> task_by_id_;

@@ -37,8 +37,8 @@ struct RetryPolicy {
   // The fixed loop: `retries` extra attempts, one tick between each (the
   // visit executor's default when VisitConfig::retry is unset).
   static RetryPolicy FixedTicks(int retries);
-  // Exponential backoff with a jitter fraction; the aggressive preset used by
-  // dmi::Policy::Hostile().
+  // Exponential backoff with a jitter fraction (the harsh and hostile
+  // --policy presets' schedules).
   static RetryPolicy ExponentialJitter(int max_attempts, uint64_t initial_ticks,
                                        double multiplier, uint64_t max_ticks,
                                        double jitter);

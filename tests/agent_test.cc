@@ -93,7 +93,7 @@ TEST(RunnerTest, ResidualMechanismAccountingGolden) {
   ripper::GuiRipper rip(scratch, options.ripper_config);
   const topo::NavGraph graph = rip.Rip(options.contexts).Canonicalized();
   apps::WordSim app;
-  dmi::DmiSession session(app, graph, options);
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(graph, options));
   EXPECT_EQ(r.prompt_tokens, 5u * (session.PromptTokens() + 200u));
 }
 

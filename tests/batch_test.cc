@@ -17,9 +17,10 @@
 #include <vector>
 
 #include "src/agent/batch_scheduler.h"
+#include "src/agent/service_adapter.h"
 #include "src/agent/task_runner.h"
 #include "src/apps/word_sim.h"
-#include "src/dmi/policy.h"
+#include "src/dmi/service_config.h"
 #include "src/dmi/session.h"
 #include "src/ripper/ripper.h"
 #include "src/text/tokens.h"
@@ -302,25 +303,20 @@ TEST(SuiteEquivalenceTest, BatchedMatchesUnbatchedAtEveryBatchSize) {
 
 TEST(SuiteEquivalenceTest, BatchedMatchesUnbatchedUnderHarshAndHostilePolicies) {
   const std::vector<workload::Task> suite = workload::BuildOsworldWSuite();
-  const struct {
-    const char* label;
-    dmi::Policy policy;
-  } presets[] = {{"harsh", dmi::Policy::Harsh()}, {"hostile", dmi::Policy::Hostile()}};
-  for (const auto& preset : presets) {
-    RunConfig base;
-    base.mode = InterfaceMode::kGuiPlusDmi;
-    base.repeats = 1;
-    base.ApplyPolicy(preset.policy);
+  for (const char* preset : {"harsh", "hostile"}) {
+    dmi::ServiceConfig service;
+    service.mode = "dmi";
+    service.repeats = 1;
+    service.policy = preset;
     TaskRunner reference_runner;
-    const SuiteResult reference = reference_runner.RunSuite(suite, base);
+    const SuiteResult reference =
+        reference_runner.RunSuite(suite, agentsim::RunConfigFromService(service));
 
     TaskRunner runner;
-    RunConfig cfg = base;
-    cfg.workers = 4;
-    cfg.batch.enabled = true;
-    cfg.batch.max_batch_size = 16;
-    const SuiteResult batched = runner.RunSuite(suite, cfg);
-    ExpectSameSuite(batched, reference, std::string("policy ") + preset.label);
+    service.workers = 4;
+    service.batch_size = 16;
+    const SuiteResult batched = runner.RunSuite(suite, agentsim::RunConfigFromService(service));
+    ExpectSameSuite(batched, reference, std::string("policy ") + preset);
     EXPECT_GT(runner.batch_stats().calls, 0u);
   }
 }

@@ -18,12 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "src/agent/service_adapter.h"
 #include "src/agent/task_runner.h"
 #include "src/apps/office_common.h"
+#include "src/apps/ppoint_sim.h"
 #include "src/apps/word_sim.h"
 #include "src/dmi/model_artifact.h"
 #include "src/dmi/model_registry.h"
-#include "src/dmi/policy.h"
+#include "src/dmi/service_config.h"
 #include "src/ripper/delta.h"
 #include "src/ripper/ripper.h"
 #include "src/support/binio.h"
@@ -32,7 +34,6 @@
 
 namespace {
 
-using agentsim::InterfaceMode;
 using agentsim::RunConfig;
 using agentsim::SuiteResult;
 using agentsim::TaskRunner;
@@ -298,8 +299,83 @@ TEST(DeltaRip, EmptyBaselineTableFallsBackToFullRip) {
   std::unique_ptr<gsim::Application> scratch_app = FactoryFor(RenameMenuEntry)();
   ripper::GuiRipper scratch_rip(*scratch_app, options.ripper_config);
   const topo::NavGraph scratch_graph = scratch_rip.Rip(options.contexts).Canonicalized();
-  EXPECT_EQ(delta->graph.node_count(), scratch_graph.node_count());
+  // Compared as a predicate: a mismatch would otherwise print two
+  // megabyte-sized documents.
+  EXPECT_TRUE(delta->graph.ToJson().Dump() == scratch_graph.ToJson().Dump());
+}
+
+// ----- PowerPoint: rip contexts go through the model pipeline ---------------
+//
+// PowerPoint's model has an image-selected context, the only way to reach
+// the Picture Format tab. The delta rip must rip it exactly as the runner's
+// offline pipeline does (one app, GuiRipper::Rip(contexts), canonicalized),
+// so a refresh publishes the model a cold build would.
+
+void RenameResetPicture(gsim::Application& app) {
+  gsim::Control* c = FindControl(app.main_window().root(), "Reset Picture");
+  ASSERT_NE(c, nullptr);
+  c->RenameTo("Reset Picture (Legacy)");
+}
+
+std::function<std::unique_ptr<gsim::Application>()> PpointFactoryFor(const Mutator& mutate) {
+  return [mutate]() -> std::unique_ptr<gsim::Application> {
+    auto app = std::make_unique<apps::PpointSim>();
+    if (mutate) {
+      mutate(*app);
+    }
+    return app;
+  };
+}
+
+// The delta result must equal the model pipeline's rip of the same build,
+// byte for byte, and compile to the same static prompt.
+void ExpectPpointDeltaMatchesModelPipeline(const Mutator& mutate, const topo::NavGraph& baseline,
+                                           const ripper::ChecksumTable& baseline_checksums,
+                                           bool expect_fallback) {
+  const dmi::ModelingOptions options =
+      TaskRunner::DefaultModelingOptions(workload::AppKind::kPpoint);
+  ASSERT_FALSE(options.contexts.empty());
+  ripper::DeltaRipOptions delta_options;
+  delta_options.config = options.ripper_config;
+  delta_options.extra_contexts = options.contexts;
+  delta_options.app_factory = PpointFactoryFor(mutate);
+  support::Result<ripper::DeltaRipResult> delta =
+      ripper::DeltaRip(delta_options, baseline, baseline_checksums);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_EQ(delta->full_fallback, expect_fallback);
+
+  std::unique_ptr<gsim::Application> scratch_app = PpointFactoryFor(mutate)();
+  ripper::GuiRipper scratch_rip(*scratch_app, options.ripper_config);
+  const topo::NavGraph scratch_graph = scratch_rip.Rip(options.contexts).Canonicalized();
   EXPECT_EQ(delta->graph.edge_count(), scratch_graph.edge_count());
+  EXPECT_TRUE(delta->graph.ToJson().Dump() == scratch_graph.ToJson().Dump());
+
+  const auto delta_model =
+      dmi::CompiledModel::Compile(delta->graph, options, &delta->stats, &delta->checksums);
+  const auto scratch_model =
+      dmi::CompiledModel::Compile(scratch_graph, options, &delta->stats, &delta->checksums);
+  EXPECT_EQ(delta_model->static_prompt_tokens(), scratch_model->static_prompt_tokens());
+  EXPECT_TRUE(delta_model->static_prompt() == scratch_model->static_prompt());
+}
+
+TEST(DeltaRip, PowerPointEmptyTableFallbackMatchesModelPipeline) {
+  // An artifact-backed runner refreshes with an empty table (a cold-loaded
+  // model keeps no raw graph), so this fallback is every --model-dir refresh.
+  ExpectPpointDeltaMatchesModelPipeline(nullptr, topo::NavGraph(), ripper::ChecksumTable{},
+                                        /*expect_fallback=*/true);
+}
+
+TEST(DeltaRip, PowerPointContextOnlyRenameMatchesModelPipeline) {
+  const dmi::ModelingOptions options =
+      TaskRunner::DefaultModelingOptions(workload::AppKind::kPpoint);
+  apps::PpointSim app;
+  const ripper::ChecksumTable checksums = ripper::ComputeSubtreeChecksums(app);
+  ripper::GuiRipper rip(app, options.ripper_config);
+  const topo::NavGraph baseline = rip.Rip(options.contexts).Canonicalized();
+  // "Reset Picture" lives in the Picture Format tab, which only the image
+  // context reveals: the scoped rip must reach it through that context.
+  ExpectPpointDeltaMatchesModelPipeline(RenameResetPicture, baseline, checksums,
+                                        /*expect_fallback=*/false);
 }
 
 TEST(DeltaRip, ChecksumTableIsInstanceStable) {
@@ -430,13 +506,13 @@ std::vector<workload::Task> WordTasks() {
 }
 
 RunConfig SwapConfig() {
-  RunConfig config;
-  config.mode = InterfaceMode::kGuiPlusDmi;
-  config.ApplyPolicy(dmi::Policy::Harsh());
-  config.workers = 4;
-  config.repeats = 2;
-  config.batch.enabled = true;
-  return config;
+  dmi::ServiceConfig service;
+  service.mode = "dmi";
+  service.policy = "harsh";
+  service.workers = 4;
+  service.repeats = 2;
+  service.batch_size = 16;
+  return agentsim::RunConfigFromService(service);
 }
 
 TEST(ConcurrentSwap, InFlightRunsFinishOnOldModelNewLeasesSeeNewBuild) {

@@ -206,7 +206,7 @@ std::pair<App*, dmi::DmiSession*> ModelWithScratch(const dmi::ModelingOptions& o
   topo::NavGraph graph = rip.Rip(options.contexts);
   App* live = new App();
   live->CaptureFreshState();  // each test's SetUp factory-resets the shared app
-  auto* session = new dmi::DmiSession(*live, std::move(graph), options);
+  auto* session = new dmi::DmiSession(*live, dmi::CompiledModel::Compile(graph, options));
   return {live, session};
 }
 

@@ -46,7 +46,7 @@ TEST(DynamicRenameTest, SpecialFindTextRenamesButton) {
 
 TEST(DynamicRenameTest, VisitOnRenamedControlGivesStructuredMiss) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), WordOptions());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), WordOptions()));
   auto find_next = session.ResolveTargetByNames({"Find and Replace", "Find Next"});
   ASSERT_TRUE(find_next.ok());
   auto find_edit = session.ResolveTargetByNames({"Find and Replace", "Find what"});
@@ -74,7 +74,7 @@ TEST(DynamicRenameTest, VisitOnRenamedControlGivesStructuredMiss) {
 
 TEST(ObservabilityTest, VisitEmitsNestedSpansAndFastPathCounters) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), WordOptions());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), WordOptions()));
   app.SetSelection(0, 0);
   auto bold = session.ResolveTargetByNames({"Font", "Bold"});
   ASSERT_TRUE(bold.ok());
@@ -137,7 +137,7 @@ TEST(EnforcedTest, JsonEnforcedBypassesFilter) {
 
 TEST(EnforcedTest, EnforcedNavigationNodeExecutes) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), WordOptions());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), WordOptions()));
   // "Underline" is a navigation node (its menu has children).
   auto underline = session.ResolveTargetByNames({"Font", "Underline"});
   ASSERT_TRUE(underline.ok());
@@ -179,7 +179,7 @@ TEST(FallbackTest, DmiAgentRunsGuiFallbackSlice) {
 
   apps::WordSim app;
   app.SetSelection(0, 0);
-  dmi::DmiSession session(app, WordGraph(), WordOptions());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), WordOptions()));
   agentsim::LlmProfile perfect = agentsim::LlmProfile::Gpt5Medium();
   perfect.nav_slip = 0;
   perfect.semantic_error_dmi = 0;
@@ -196,7 +196,7 @@ TEST(FallbackTest, DmiAgentRunsGuiFallbackSlice) {
 
 TEST(ResolutionTest, ResolvedPathsAreValidForSampledLeaves) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), WordOptions());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), WordOptions()));
   const topo::Forest& forest = session.catalog().forest();
   const topo::NavGraph& dag = session.catalog().dag();
   int checked = 0;
@@ -226,7 +226,7 @@ TEST(ResolutionTest, ResolvedPathsAreValidForSampledLeaves) {
 
 TEST(ResolutionTest, UnknownChainGivesNotFound) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), WordOptions());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), WordOptions()));
   EXPECT_EQ(session.ResolveTargetByNames({"No Such Control Anywhere"}).status().code(),
             support::StatusCode::kNotFound);
   EXPECT_EQ(session.ResolveTargetByNames({}).status().code(),

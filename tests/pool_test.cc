@@ -12,13 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "src/agent/service_adapter.h"
 #include "src/agent/task_runner.h"
 #include "src/apps/excel_sim.h"
 #include "src/apps/office_common.h"
 #include "src/apps/ppoint_sim.h"
 #include "src/apps/word_sim.h"
 #include "src/dmi/compiled_model.h"
-#include "src/dmi/policy.h"
+#include "src/dmi/service_config.h"
 #include "src/dmi/session.h"
 #include "src/ripper/ripper.h"
 #include "src/support/metrics.h"
@@ -375,19 +376,18 @@ TEST(AppPoolTest, SuiteResetsMatchFreshUnderEveryPolicy) {
   const uint64_t creates_before = creates();
 
   constexpr int kRepeats = 20;
-  for (const dmi::Policy& policy :
-       {dmi::Policy::Typical(), dmi::Policy::Harsh(), dmi::Policy::Hostile()}) {
-    for (InterfaceMode mode : {InterfaceMode::kGuiOnly, InterfaceMode::kGuiPlusDmi}) {
-      RunConfig config;
-      config.mode = mode;
-      config.ApplyPolicy(policy);
+  for (const char* policy : {"typical", "harsh", "hostile"}) {
+    for (const char* mode : {"gui", "dmi"}) {
+      dmi::ServiceConfig service;
+      service.mode = mode;
+      service.policy = policy;
+      const RunConfig config = agentsim::RunConfigFromService(service);
       for (const workload::Task& task : suite) {
         for (int trial = 0; trial < kRepeats; ++trial) {
           runner.RunOnce(task, config, 1000 + static_cast<uint64_t>(trial));
           workload::AppPool::Lease lease = runner.app_pool().Acquire(task);
           ASSERT_EQ(lease->UiaStateChecksum(), fresh[task.app])
-              << task.id << " trial " << trial << " mode " << InterfaceModeName(mode) << " policy "
-              << policy.name;
+              << task.id << " trial " << trial << " mode " << mode << " policy " << policy;
         }
       }
     }

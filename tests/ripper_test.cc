@@ -221,7 +221,7 @@ TEST(RipperTest, ContextRevealsContextualControls) {
   EXPECT_EQ(r2.stats().contexts, 2u);
 }
 
-// ----- determinism: index caching and parallel context ripping ----------------------
+// ----- determinism: index caching ------------------------------------------------------
 
 namespace determinism {
 
@@ -287,53 +287,6 @@ TEST(RipperDeterminismTest, CachedMatchesUncachedExcel) {
 TEST(RipperDeterminismTest, CachedMatchesUncachedPpointWithContext) {
   determinism::ExpectCachedMatchesUncached<apps::PpointSim>({determinism::ImageContext()},
                                                             4);
-}
-
-TEST(RipperDeterminismTest, ParallelContextsMatchSerial) {
-  ripper::RipperConfig config;
-  config.blocklist = {"Account", "Feedback"};
-  config.max_depth = 4;
-
-  ripper::ParallelRipOptions serial_options;
-  serial_options.app_factory = [] { return std::make_unique<apps::PpointSim>(); };
-  serial_options.pool = nullptr;
-  ripper::RipResult serial =
-      ripper::RipAppContexts(config, {determinism::ImageContext()}, serial_options);
-
-  support::ThreadPool pool(3);
-  ripper::ParallelRipOptions parallel_options = serial_options;
-  parallel_options.pool = &pool;
-  ripper::RipResult parallel =
-      ripper::RipAppContexts(config, {determinism::ImageContext()}, parallel_options);
-
-  EXPECT_EQ(serial.graph.ToJson().Dump(), parallel.graph.ToJson().Dump());
-  EXPECT_EQ(serial.stats.clicks, parallel.stats.clicks);
-  EXPECT_EQ(serial.stats.captures, parallel.stats.captures);
-  EXPECT_EQ(serial.stats.explored, parallel.stats.explored);
-  // The contextual tab reached through the image context must be present.
-  bool tab = false;
-  for (size_t i = 0; i < parallel.graph.node_count(); ++i) {
-    tab |= parallel.graph.node(static_cast<int>(i)).name == "Picture Format";
-  }
-  EXPECT_TRUE(tab);
-}
-
-TEST(RipperDeterminismTest, SingleContextParallelMatchesClassicRipCanonicalized) {
-  // With no extra contexts there is no shared-exploration divergence, so the
-  // independent-context rip equals the classic Rip() up to node ordering.
-  ripper::RipperConfig config;
-  config.blocklist = {"Account", "Feedback"};
-  config.max_depth = 4;
-
-  apps::WordSim app;
-  ripper::GuiRipper classic(app, config);
-  const std::string classic_json = classic.Rip().Canonicalized().ToJson().Dump();
-
-  ripper::ParallelRipOptions options;
-  options.app_factory = [] { return std::make_unique<apps::WordSim>(); };
-  ripper::RipResult independent = ripper::RipAppContexts(config, {}, options);
-
-  EXPECT_EQ(classic_json, independent.graph.ToJson().Dump());
 }
 
 // ----- visible-index window slices ------------------------------------------------

@@ -8,10 +8,11 @@
 #include <vector>
 
 #include "src/agent/dmi_agent.h"
+#include "src/agent/service_adapter.h"
 #include "src/agent/sim_llm.h"
 #include "src/agent/task_runner.h"
 #include "src/apps/word_sim.h"
-#include "src/dmi/policy.h"
+#include "src/dmi/service_config.h"
 #include "src/dmi/session.h"
 #include "src/gui/control.h"
 #include "src/gui/instability.h"
@@ -47,7 +48,7 @@ class VisitFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(VisitFuzz, RandomCommandStreamsNeverCrashAndAlwaysReport) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   support::Rng rng(GetParam());
   const int max_id = session.catalog().forest().max_id();
 
@@ -114,7 +115,7 @@ class JsonFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JsonFuzz, MutatedJsonNeverCrashesTheParserOrExecutor) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   support::Rng rng(GetParam());
   const std::string base =
       R"([{"id": "42"}, {"id": "7", "entry_ref_id": ["3"]}, {"shortcut_key": "ENTER"}])";
@@ -164,7 +165,7 @@ TEST_P(HazardSweep, BoldTaskSurvivesOrFailsStructurally) {
     apps::WordSim app;
     gsim::InstabilityInjector injector(hazard.config, 1000 + trial);
     app.SetInstability(&injector);
-    dmi::DmiSession session(app, WordGraph(), Options());
+    dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
     app.SetSelection(0, 1);
     auto bold = session.ResolveTargetByNames({"Font", "Bold"});
     ASSERT_TRUE(bold.ok());
@@ -192,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(Hazards, HazardSweep, ::testing::Range(0, 3));
 
 TEST(NavigationProperty, ExecutorReachesSampledLeavesFromColdState) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   const topo::Forest& forest = session.catalog().forest();
   support::Rng rng(77);
   std::vector<int> leaves;
@@ -248,7 +249,7 @@ void ExpectJsonRoundTrip(const dmi::VisitReport& report) {
 
 TEST(GoldenRender, PlainAccessResolvedByNames) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   app.SetSelection(0, 1);
   auto bold = session.ResolveTargetByNames({"Font", "Bold"});
   ASSERT_TRUE(bold.ok());
@@ -264,7 +265,7 @@ TEST(GoldenRender, PlainAccessResolvedByNames) {
 
 TEST(GoldenRender, BareShortcut) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   dmi::VisitCommand sc;
   sc.kind = dmi::VisitCommand::Kind::kShortcut;
   sc.shortcut_key = "ENTER";
@@ -275,7 +276,7 @@ TEST(GoldenRender, BareShortcut) {
 
 TEST(GoldenRender, UnknownIdKeepsItsMessage) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   const int bad = session.catalog().forest().max_id() + 17;
   ASSERT_EQ(bad, 4217);
   dmi::VisitCommand cmd;
@@ -290,7 +291,7 @@ TEST(GoldenRender, UnknownIdKeepsItsMessage) {
 
 TEST(GoldenRender, NavigationNodesStayFiltered) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   auto font = session.ResolveTargetByNames({"Font"});
   ASSERT_TRUE(font.ok());
   ASSERT_EQ(font->id, 27);
@@ -312,7 +313,7 @@ TEST(GoldenRender, NavigationNodesStayFiltered) {
 
 TEST(ShortcutReplay, ExecutorSkipsTheShortcutAfterAFailure) {
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   const int bad = session.catalog().forest().max_id() + 17;
   dmi::VisitCommand cmd;
   cmd.target_id = bad;
@@ -362,7 +363,7 @@ TEST(ShortcutReplay, AgentRetryResumesAfterTheExecutedPrefix) {
   // from the failure point — before the resume fix it replayed the whole
   // batch and the ENTER fired twice.
   apps::WordSim app;
-  dmi::DmiSession session(app, WordGraph(), Options());
+  dmi::DmiSession session(app, dmi::CompiledModel::Compile(WordGraph(), Options()));
   app.SetSelection(0, 1);
   gsim::Control* italic = FindByTrueName(app, "Italic");
   ASSERT_NE(italic, nullptr);
@@ -530,13 +531,14 @@ agentsim::TaskRunner& Runner() {
 }
 
 TEST(HostileSuite, FullSuiteCompletesWithStructuredFailures) {
-  agentsim::RunConfig config;
-  config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  config.seed = 21;
-  config.repeats = 1;
-  config.ApplyPolicy(dmi::Policy::Hostile());
+  dmi::ServiceConfig service;
+  service.mode = "dmi";
+  service.seed = 21;
+  service.repeats = 1;
+  service.policy = "hostile";
   const auto tasks = workload::BuildOsworldWSuite();
-  agentsim::SuiteResult result = Runner().RunSuite(tasks, config);
+  agentsim::SuiteResult result =
+      Runner().RunSuite(tasks, agentsim::RunConfigFromService(service));
   EXPECT_EQ(result.TotalRuns(), static_cast<int>(tasks.size()));
   for (const auto& record : result.records) {
     for (const auto& run : record.runs) {
@@ -563,26 +565,27 @@ TEST(HostileSuite, FullSuiteCompletesWithStructuredFailures) {
 // injected faults.
 TEST(HostileSuite, FaultPresetsHoldTheirSuccessFloors) {
   struct Level {
-    dmi::Policy policy;
+    const char* policy;
     double floor;
   };
   const Level levels[] = {
-      {dmi::Policy::None(), 0.52},
-      {dmi::Policy::Typical(), 0.50},
-      {dmi::Policy::Harsh(), 0.46},
-      {dmi::Policy::Hostile(), 0.49},
+      {"none", 0.52},
+      {"typical", 0.50},
+      {"harsh", 0.46},
+      {"hostile", 0.49},
   };
   const auto tasks = workload::BuildOsworldWSuite();
   for (const Level& level : levels) {
-    agentsim::RunConfig config;
-    config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-    config.profile = agentsim::LlmProfile::Gpt5Medium();
-    config.seed = 1;
-    config.repeats = 2;
-    config.ApplyPolicy(level.policy);
-    const agentsim::SuiteResult result = Runner().RunSuite(tasks, config);
-    EXPECT_EQ(result.TotalRuns(), 2 * static_cast<int>(tasks.size())) << level.policy.name;
-    EXPECT_GE(result.SuccessRate(), level.floor) << level.policy.name;
+    dmi::ServiceConfig service;
+    service.mode = "dmi";
+    service.model = "gpt5";
+    service.seed = 1;
+    service.repeats = 2;
+    service.policy = level.policy;
+    const agentsim::SuiteResult result =
+        Runner().RunSuite(tasks, agentsim::RunConfigFromService(service));
+    EXPECT_EQ(result.TotalRuns(), 2 * static_cast<int>(tasks.size())) << level.policy;
+    EXPECT_GE(result.SuccessRate(), level.floor) << level.policy;
   }
 }
 
@@ -595,16 +598,16 @@ TEST(HostileSuite, SerialParallelAndPooledUnpooledRunsAgree) {
   for (size_t i = 0; i < suite.size(); i += 3) {
     tasks.push_back(suite[i]);  // every third task: all three apps, 9 tasks
   }
-  agentsim::RunConfig base;
-  base.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  base.seed = 77;
-  base.repeats = 2;
-  base.ApplyPolicy(dmi::Policy::Hostile());
-  base.workers = 1;
-  base.pool_apps = true;
+  dmi::ServiceConfig service;
+  service.mode = "dmi";
+  service.seed = 77;
+  service.repeats = 2;
+  service.policy = "hostile";
+  service.workers = 1;
+  const agentsim::RunConfig base = agentsim::RunConfigFromService(service);
 
-  agentsim::RunConfig parallel = base;
-  parallel.workers = 4;
+  service.workers = 4;
+  const agentsim::RunConfig parallel = agentsim::RunConfigFromService(service);
   agentsim::RunConfig unpooled = base;
   unpooled.pool_apps = false;
 

@@ -15,6 +15,7 @@
 
 #include "src/agent/service_adapter.h"
 #include "src/dmi/service_config.h"
+#include "src/gui/instability.h"
 #include "src/serve/daemon.h"
 #include "src/serve/report_schema.h"
 #include "src/serve/session_manager.h"
@@ -304,7 +305,7 @@ TEST(ServiceConfigTest, AdapterProjectsLegacyRunConfig) {
   config.step_cap = 12;
   config.workers = 3;
   config.batch_size = 4;
-  config.pool_apps = false;
+  config.enable_fuzzy_match = false;
   ASSERT_TRUE(config.Validate().ok());
 
   agentsim::RunConfig run = agentsim::RunConfigFromService(config);
@@ -314,19 +315,45 @@ TEST(ServiceConfigTest, AdapterProjectsLegacyRunConfig) {
   EXPECT_EQ(run.repeats, 2);
   EXPECT_EQ(run.step_cap, 12);
   EXPECT_EQ(run.workers, 3);
-  EXPECT_FALSE(run.pool_apps);
+  EXPECT_TRUE(run.pool_apps);
   EXPECT_TRUE(run.batch.enabled);
   EXPECT_EQ(run.batch.max_batch_size, 4u);
-  // --policy harsh adopted the full preset...
-  EXPECT_EQ(run.policy_label, dmi::Policy::Harsh().name);
-  EXPECT_EQ(run.run_deadline_ticks, dmi::Policy::Harsh().run_deadline_ticks);
+  // The §5.6 toggles land on the visit config.
+  EXPECT_TRUE(run.visit.enable_nonleaf_filter);
+  EXPECT_FALSE(run.visit.enable_fuzzy_match);
+  EXPECT_TRUE(run.visit.enable_retry);
+  // --policy harsh adopted the whole preset: its hazard level, one retry
+  // schedule for both interfaces, no deadline, and the metrics label...
+  EXPECT_EQ(run.policy_label, "harsh");
+  EXPECT_DOUBLE_EQ(run.instability.click_fail_rate,
+                   gsim::InstabilityConfig::Harsh().click_fail_rate);
+  EXPECT_EQ(run.visit.retry.max_attempts, 4);
+  EXPECT_EQ(run.visit.retry.max_backoff_ticks, 8u);
+  EXPECT_EQ(run.interaction_retry.max_attempts, 4);
+  EXPECT_EQ(run.run_deadline_ticks, 0u);
 
   // ...and --instability afterwards overrides just the hazard level.
   config.instability = "none";
   agentsim::RunConfig overridden = agentsim::RunConfigFromService(config);
-  EXPECT_EQ(overridden.policy_label, dmi::Policy::Harsh().name);
+  EXPECT_EQ(overridden.policy_label, "harsh");
+  EXPECT_EQ(overridden.visit.retry.max_attempts, 4);
   EXPECT_DOUBLE_EQ(overridden.instability.click_fail_rate, 0.0);
   EXPECT_DOUBLE_EQ(overridden.instability.name_variation_rate, 0.0);
+
+  // Only the hostile preset bounds a run with a deadline.
+  config.policy = "hostile";
+  config.instability.clear();
+  const agentsim::RunConfig hostile = agentsim::RunConfigFromService(config);
+  EXPECT_EQ(hostile.run_deadline_ticks, 600u);
+  EXPECT_EQ(hostile.visit.retry.max_attempts, 5);
+
+  // No preset: Typical hazards, the executor's fixed retry loop, no label.
+  const agentsim::RunConfig plain = agentsim::RunConfigFromService(dmi::ServiceConfig());
+  EXPECT_TRUE(plain.policy_label.empty());
+  EXPECT_TRUE(plain.visit.retry.unset());
+  EXPECT_TRUE(plain.interaction_retry.unset());
+  EXPECT_DOUBLE_EQ(plain.instability.click_fail_rate,
+                   gsim::InstabilityConfig::Typical().click_fail_rate);
 }
 
 // ----- schema golden --------------------------------------------------------
@@ -511,9 +538,8 @@ TEST(AdmissionTest, TenantConcurrentQuotaIsPerTenant) {
   dmi::ServiceConfig config = QuietConfig();
   config.max_in_flight = 2;
   config.queue_capacity = 8;
-  SessionManager::Options options = SessionManager::OptionsFromConfig(config);
-  options.tenant_quotas["acme"] = serve::TenantQuota{1, 0};
-  SessionManager manager(config, options);
+  config.tenant_max_concurrent = 1;
+  SessionManager manager(config);
   WorkerGate gate;
   gate.Install(manager);
   ResponseSink sink;

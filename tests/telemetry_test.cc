@@ -23,8 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/agent/service_adapter.h"
 #include "src/agent/task_runner.h"
-#include "src/dmi/policy.h"
+#include "src/dmi/service_config.h"
 #include "src/json/json.h"
 #include "src/support/flight_recorder.h"
 #include "src/support/metrics.h"
@@ -348,19 +349,24 @@ uint64_t SumLabeled(const support::MetricsSnapshot& snapshot, const std::string&
 
 class FleetTelemetryTest : public ::testing::TestWithParam<const char*> {};
 
+// Fleet mode (4 workers, batching on) under one --policy preset.
+agentsim::RunConfig FleetConfig(const char* policy, uint64_t seed) {
+  dmi::ServiceConfig service;
+  service.mode = "dmi";
+  service.seed = seed;
+  service.repeats = 2;
+  service.workers = 4;
+  service.batch_size = 16;
+  service.policy = policy;
+  return agentsim::RunConfigFromService(service);
+}
+
 TEST_P(FleetTelemetryTest, LabeledCountersReconcileExactlyWithSuiteResult) {
   support::MetricsRegistry& registry = support::MetricsRegistry::Global();
   registry.ResetAllForTest();
 
-  agentsim::RunConfig config;
-  config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  config.seed = 33;
-  config.repeats = 2;
-  config.workers = 4;
-  config.batch.enabled = true;
-  config.batch.max_batch_size = 16;
   const std::string preset = GetParam();
-  config.ApplyPolicy(preset == "harsh" ? dmi::Policy::Harsh() : dmi::Policy::Hostile());
+  const agentsim::RunConfig config = FleetConfig(GetParam(), /*seed=*/33);
   ASSERT_EQ(config.policy_label, preset);
 
   agentsim::TaskRunner runner;
@@ -406,15 +412,7 @@ TEST_P(FleetTelemetryTest, DrainIsCompleteAndCausalUnderFleetMode) {
   support::TraceRecorder::Global().Discard();
   support::TraceRecorder::Global().SetEnabled(true);
 
-  agentsim::RunConfig config;
-  config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  config.seed = 33;
-  config.repeats = 2;
-  config.workers = 4;
-  config.batch.enabled = true;
-  config.batch.max_batch_size = 16;
-  const std::string preset = GetParam();
-  config.ApplyPolicy(preset == "harsh" ? dmi::Policy::Harsh() : dmi::Policy::Hostile());
+  const agentsim::RunConfig config = FleetConfig(GetParam(), /*seed=*/33);
 
   agentsim::TaskRunner runner;
   const agentsim::SuiteResult result =
@@ -536,14 +534,7 @@ TEST(FlightRecorderTest, CommandEventsCarryStatusAndErrorDetail) {
 }
 
 TEST(FlightRecorderTest, HostileFleetRunAttachesHistoryToFailedResults) {
-  agentsim::RunConfig config;
-  config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  config.seed = 21;
-  config.repeats = 2;
-  config.workers = 4;
-  config.batch.enabled = true;
-  config.batch.max_batch_size = 16;
-  config.ApplyPolicy(dmi::Policy::Hostile());
+  const agentsim::RunConfig config = FleetConfig("hostile", /*seed=*/21);
 
   agentsim::TaskRunner runner;
   const agentsim::SuiteResult result =
@@ -579,23 +570,6 @@ TEST(FlightRecorderTest, HostileFleetRunAttachesHistoryToFailedResults) {
     }
   }
   EXPECT_GT(failed, 0) << "hostile should fail at least one run";
-}
-
-TEST(FlightRecorderTest, DisabledByConfigLeavesResultsLight) {
-  agentsim::RunConfig config;
-  config.mode = agentsim::InterfaceMode::kGuiPlusDmi;
-  config.repeats = 1;
-  config.flight_recorder_events = 0;  // off
-  agentsim::TaskRunner runner;
-  std::vector<workload::Task> tasks = workload::BuildOsworldWSuite();
-  tasks.resize(3);
-  const agentsim::SuiteResult result = runner.RunSuite(tasks, config);
-  for (const auto& record : result.records) {
-    for (const auto& run : record.runs) {
-      EXPECT_EQ(run.flight, nullptr);
-      EXPECT_NE(run.run_id, 0u);  // run ids still allocate for correlation
-    }
-  }
 }
 
 }  // namespace

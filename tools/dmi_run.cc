@@ -7,24 +7,26 @@
 // Usage:
 //   dmi_run [--mode gui|forest|dmi] [--model gpt5|gpt5min|mini]
 //           [--task W3] [--repeats 3] [--seed 1] [--step-cap 30]
-//           [--workers N] [--batch N] [--pool-apps true|false]
+//           [--workers N] [--batch N]
 //           [--instability none|typical|harsh|hostile]
 //           [--policy none|typical|harsh|hostile]
 //           [--report-json out.report.json]
 //           [--trace out.trace.json] [--metrics out.metrics.json]
+//           [--model-dir dir] [--app-version V]
 //
-// Every shared knob parses through dmi::ServiceConfig — the same validated
-// configuration surface dmi_serve uses — and is projected onto the legacy
-// agentsim::RunConfig via agentsim::RunConfigFromService (DESIGN.md §16).
-// Binary-local flags (--task, the export paths) stay here.
+// Every shared knob parses through dmi::ServiceConfig — the same
+// configuration surface dmi_serve, the benches and the examples use — which
+// agentsim::RunConfigFromService resolves once into the agent layer's
+// RunConfig (DESIGN.md §16). Binary-local flags (--task, the export paths)
+// stay here.
 //
 // --trace enables span recording and writes a Chrome-trace JSON (load it in
 // chrome://tracing or https://ui.perfetto.dev); a path ending in .jsonl gets
 // the line-delimited event stream instead. --metrics dumps the counter and
 // histogram registry after the suite.
 //
-// --policy adopts a full dmi::Policy preset (instability + typed retry
-// schedules + per-run deadline); --instability afterwards overrides just the
+// --policy adopts a whole robustness preset (hazard level + typed retry
+// schedule + per-run deadline); --instability afterwards overrides just the
 // hazard level. --report-json writes the machine-readable suite report in the
 // shared serve::ReportSchema shape (schema_version 1): every run's terminal
 // status with its structured ErrorDetail payload plus the RenderJson() of its
@@ -55,7 +57,7 @@ void Usage() {
   std::printf(
       "usage: dmi_run [--mode gui|forest|dmi] [--model gpt5|gpt5min|mini]\n"
       "               [--task <id>] [--repeats N] [--seed N] [--step-cap N]\n"
-      "               [--workers N] [--batch N] [--pool-apps true|false]\n"
+      "               [--workers N] [--batch N]\n"
       "               [--instability none|typical|harsh|hostile]\n"
       "               [--policy none|typical|harsh|hostile]\n"
       "               [--report-json <out.json>]\n"
@@ -126,7 +128,7 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  agentsim::RunConfig config = agentsim::RunConfigFromService(service);
+  const agentsim::RunConfig config = agentsim::RunConfigFromService(service);
 
   agentsim::TaskRunner runner;
   if (!service.model_dir.empty()) {
