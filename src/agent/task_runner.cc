@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <utility>
 
 #include "src/apps/excel_sim.h"
 #include "src/apps/ppoint_sim.h"
@@ -113,7 +114,7 @@ void TaskRunner::SetModelDir(std::string dir, std::string app_version) {
   model_app_version_ = std::move(app_version);
 }
 
-std::shared_ptr<const TaskRunner::AppModel> TaskRunner::ModelFor(workload::AppKind kind) {
+std::shared_ptr<const dmi::CompiledModel> TaskRunner::ModelFor(workload::AppKind kind) {
   // Coarse lock: concurrent callers of an already-built model pay one probe;
   // a cold build holds the lock (RunSuite prebuilds before fanning out, so
   // workers never build).
@@ -122,12 +123,11 @@ std::shared_ptr<const TaskRunner::AppModel> TaskRunner::ModelFor(workload::AppKi
   if (it != models_.end()) {
     return it->second;
   }
-  auto model = std::make_shared<AppModel>();
   dmi::ModelingOptions options = DefaultModelingOptions(kind);
-  // The full offline pipeline (rip + compile). Compile folds the rip stats
-  // and the app's subtree-checksum table in, so a compiled model is the same
-  // self-contained record an artifact load produces — and a valid delta-rip
-  // baseline.
+  // The full offline pipeline (rip + compile). Compile keeps the ripped
+  // graph and folds the rip stats and the app's subtree-checksum table in,
+  // so the model is a self-contained record for its artifact and a valid
+  // delta-rip baseline.
   auto pipeline = [&]() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
     DMI_LOG(kInfo) << "modeling " << workload::AppKindName(kind) << " (offline phase)";
     std::unique_ptr<gsim::Application> scratch = MakeScratch(kind);
@@ -135,31 +135,25 @@ std::shared_ptr<const TaskRunner::AppModel> TaskRunner::ModelFor(workload::AppKi
     // it (the table is a pure function of static structure either way).
     const ripper::ChecksumTable checksums = ripper::ComputeSubtreeChecksums(*scratch);
     ripper::GuiRipper rip(*scratch, options.ripper_config);
-    // Canonical layout is the modeling norm (same contract as the factory
-    // rip entry points): delta splices and incremental recompiles line node
-    // ids up against the baseline only when both sides are canonical.
-    auto ripped =
-        std::make_shared<topo::NavGraph>(rip.Rip(options.contexts).Canonicalized());
-    auto compiled = dmi::CompiledModel::Compile(*ripped, options, &rip.stats(), &checksums);
-    model->ripped = std::move(ripped);
-    return compiled;
+    // Canonical layout is the modeling norm (same contract as the delta
+    // rip): a delta splice lines node ids up against the baseline only when
+    // both sides are canonical. A statement of its own, so the raw rip is
+    // freed before the compile allocates.
+    topo::NavGraph ripped = rip.Rip(options.contexts).Canonicalized();
+    return dmi::CompiledModel::Compile(std::move(ripped), options, &rip.stats(), &checksums);
   };
   const auto vit = model_versions_.find(kind);
   const std::string& version = vit != model_versions_.end() ? vit->second : model_app_version_;
+  std::shared_ptr<const dmi::CompiledModel> model;
   if (registry_ != nullptr) {
     // Artifact store attached: cold-load when possible, compile (with
     // save-through) when not. The registry's fallback makes a corrupt or
     // missing artifact a perf event, never a failure, so the non-Result
     // ModelFor contract holds.
-    auto acquired =
-        registry_->Acquire(workload::AppKindName(kind), version, options, pipeline);
-    model->compiled = *acquired;
+    model = *registry_->Acquire(workload::AppKindName(kind), version, options, pipeline);
   } else {
-    model->compiled = *pipeline();
+    model = *pipeline();
   }
-  model->stats = model->compiled->stats();
-  model->rip = model->stats.rip;
-  model->core_tokens = model->stats.core_tokens;
   models_[kind] = model;
   return model;
 }
@@ -169,56 +163,33 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
   support::TraceSpan span("model.refresh", "model");
   span.AddArg("app", workload::AppKindName(kind));
   span.AddArg("version", new_version);
-  // Snapshot the baseline outside the remodel (the delta rip is long; the
-  // models lock must not be held across it — workers keep resolving the old
-  // model meanwhile, which is the whole point).
-  std::shared_ptr<const AppModel> baseline;
+  // The baseline is resolved like any run's model (memo, artifact, or rip),
+  // so it always carries the graph and checksum table the delta rip splices
+  // against. The models lock is not held across the delta rip: workers keep
+  // resolving the old model meanwhile, which is the whole point.
+  const std::shared_ptr<const dmi::CompiledModel> baseline = ModelFor(kind);
   std::string old_version;
   {
     std::lock_guard<std::mutex> lock(models_mutex_);
-    if (auto it = models_.find(kind); it != models_.end()) {
-      baseline = it->second;
-    }
     const auto vit = model_versions_.find(kind);
     old_version = vit != model_versions_.end() ? vit->second : model_app_version_;
   }
   dmi::ModelingOptions options = DefaultModelingOptions(kind);
-  auto next = std::make_shared<AppModel>();
-  auto remodel = [&](const std::shared_ptr<const dmi::CompiledModel>& registry_baseline)
+  auto remodel = [&](const std::shared_ptr<const dmi::CompiledModel>&)
       -> support::Result<dmi::ModelRegistry::Remodeled> {
-    // The in-process baseline carries the raw ripped graph (the splice
-    // source); a registry-resolved artifact baseline has only the decycled
-    // DAG, so the delta ripper full-falls-back on it (empty baseline graph).
-    std::shared_ptr<const dmi::CompiledModel> base_model =
-        baseline != nullptr ? baseline->compiled : registry_baseline;
     ripper::DeltaRipOptions delta_options;
     delta_options.config = options.ripper_config;
     delta_options.extra_contexts = options.contexts;
     delta_options.app_factory = factory;
-    const topo::NavGraph empty_graph;
-    const ripper::ChecksumTable empty_table;
-    const topo::NavGraph* base_graph =
-        baseline != nullptr && baseline->ripped != nullptr ? baseline->ripped.get()
-                                                           : &empty_graph;
-    const ripper::ChecksumTable* base_checksums =
-        base_model != nullptr && base_graph != &empty_graph ? &base_model->subtree_checksums()
-                                                            : &empty_table;
     support::Result<ripper::DeltaRipResult> delta =
-        ripper::DeltaRip(delta_options, *base_graph, *base_checksums);
+        ripper::DeltaRip(delta_options, baseline->ripped(), baseline->subtree_checksums());
     if (!delta.ok()) {
       return delta.status();
     }
-    std::shared_ptr<const dmi::CompiledModel> compiled;
-    if (base_model != nullptr) {
-      dmi::CompiledModel::RecompileCounters counters;
-      compiled = dmi::CompiledModel::RecompileDelta(*base_model, delta->graph, options,
-                                                    &delta->stats, &delta->checksums, &counters);
-    } else {
-      compiled = dmi::CompiledModel::Compile(delta->graph, options, &delta->stats,
-                                             &delta->checksums);
-    }
-    next->ripped = std::make_shared<topo::NavGraph>(std::move(delta->graph));
-    return dmi::ModelRegistry::Remodeled{std::move(compiled), delta->nodes_reused};
+    return dmi::ModelRegistry::Remodeled{
+        dmi::CompiledModel::Compile(std::move(delta->graph), options, &delta->stats,
+                                    &delta->checksums),
+        delta->nodes_reused};
   };
   support::Result<std::shared_ptr<const dmi::CompiledModel>> compiled =
       support::InvalidArgumentError("unreachable");
@@ -226,7 +197,7 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
     compiled = registry_->Refresh(workload::AppKindName(kind), old_version, new_version,
                                   options, remodel);
   } else {
-    support::Result<dmi::ModelRegistry::Remodeled> remodeled = remodel(nullptr);
+    support::Result<dmi::ModelRegistry::Remodeled> remodeled = remodel(baseline);
     if (!remodeled.ok()) {
       return remodeled.status();
     }
@@ -235,13 +206,9 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
   if (!compiled.ok()) {
     return compiled.status();
   }
-  next->compiled = *compiled;
-  next->stats = next->compiled->stats();
-  next->rip = next->stats.rip;
-  next->core_tokens = next->stats.core_tokens;
   {
     std::lock_guard<std::mutex> lock(models_mutex_);
-    models_[kind] = std::move(next);
+    models_[kind] = *compiled;
     model_versions_[kind] = new_version;
   }
   // Publish the new app build to the pool last: from here on, new leases
@@ -256,15 +223,15 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
 const dmi::ModelingStats& TaskRunner::modeling_stats(workload::AppKind kind) {
   // The returned reference stays valid while the runner holds the model in
   // its map; a RefreshModel of the same kind invalidates it.
-  return ModelFor(kind)->stats;
+  return ModelFor(kind)->stats();
 }
 
 const ripper::RipStats& TaskRunner::rip_stats(workload::AppKind kind) {
-  return ModelFor(kind)->rip;
+  return ModelFor(kind)->stats().rip;
 }
 
 size_t TaskRunner::CoreTopologyTokens(workload::AppKind kind) {
-  return ModelFor(kind)->core_tokens;
+  return ModelFor(kind)->stats().core_tokens;
 }
 
 RunResult TaskRunner::RunOnce(const workload::Task& task, const RunConfig& config,
@@ -323,7 +290,7 @@ RunResult TaskRunner::RunOnceInternal(const workload::Task& task, const RunConfi
   // Shared-ownership copy: if a RefreshModel publishes a new model for this
   // kind mid-run, this run keeps the build it started on (zero-downtime
   // swap, DESIGN.md §15).
-  const std::shared_ptr<const AppModel> model = ModelFor(task.app);
+  const std::shared_ptr<const dmi::CompiledModel> model = ModelFor(task.app);
   // The injector is declared before the lease on purpose: the lease destructor
   // factory-resets the pooled app, which detaches the injector pointer, and
   // only afterwards does the injector itself go out of scope.
@@ -341,9 +308,8 @@ RunResult TaskRunner::RunOnceInternal(const workload::Task& task, const RunConfi
     // Fleet accounting: DMI calls batch under the shared model's prefix key,
     // GUI-mode calls batch prefix-less. Observational only — the sink draws
     // no RNG and never feeds back into the run.
-    const dmi::CompiledModel* prefix = config.mode == InterfaceMode::kGuiPlusDmi
-                                           ? model->compiled.get()
-                                           : nullptr;
+    const dmi::CompiledModel* prefix =
+        config.mode == InterfaceMode::kGuiPlusDmi ? model.get() : nullptr;
     llm.AttachBatchSink(&batch_scheduler_, prefix,
                         prefix != nullptr ? prefix->static_prompt_tokens() : 0,
                         workload::AppKindName(task.app));
@@ -353,9 +319,9 @@ RunResult TaskRunner::RunOnceInternal(const workload::Task& task, const RunConfi
   if (config.mode == InterfaceMode::kGuiPlusDmi) {
     dmi::SessionOptions session_options;
     session_options.visit = config.visit;
-    session_options.interaction = model->compiled->options().interaction;
+    session_options.interaction = model->options().interaction;
     session_options.interaction.retry = config.interaction_retry;
-    dmi::DmiSession session(app, model->compiled, session_options);
+    dmi::DmiSession session(app, model, session_options);
     // Backoff jitter is seeded per trial: deterministic for a given seed,
     // decorrelated across trials.
     session.SeedRetryRng(seed);
@@ -373,7 +339,7 @@ RunResult TaskRunner::RunOnceInternal(const workload::Task& task, const RunConfi
     BaselineConfig agent_config;
     agent_config.step_cap = config.step_cap;
     agent_config.forest_knowledge = config.mode == InterfaceMode::kGuiOnlyForest;
-    agent_config.forest_knowledge_tokens = model->core_tokens;
+    agent_config.forest_knowledge_tokens = model->stats().core_tokens;
     BaselineGuiAgent agent(agent_config);
     result = agent.Run(task, app, llm, &injector);
   }

@@ -158,9 +158,10 @@ class TaskRunner {
   dmi::ModelRegistry* mutable_model_registry() { return registry_.get(); }
 
   // Live model swap (DESIGN.md §15): delta-rips the updated application build
-  // produced by `factory` against the current model's checksum table,
-  // incrementally recompiles, and atomically publishes the result as `kind`'s
-  // model under `new_version`. Zero-downtime: runs already in flight hold a
+  // produced by `factory` against the current model's ripped graph and
+  // checksum table (resolving that model first, like a run would), compiles
+  // the result, and atomically publishes it as `kind`'s model under
+  // `new_version`. Zero-downtime: runs already in flight hold a
   // shared_ptr to the old model and finish on it; runs started after this
   // returns see the new model, and pooled app leases construct the new build
   // (old-build instances are destroyed on return, never re-shelved). With an
@@ -173,24 +174,9 @@ class TaskRunner {
   workload::AppPool& app_pool() { return app_pool_; }
 
  private:
-  struct AppModel {
-    // Immutable compiled pipeline shared read-only by every DMI-mode run
-    // (thin per-run sessions attach in O(dynamic state)).
-    std::shared_ptr<const dmi::CompiledModel> compiled;
-    // The raw ripped NavGraph the model was compiled from — the delta
-    // ripper's splice source. Null when the model was cold-loaded from an
-    // artifact (the artifact stores the decycled DAG, not the raw graph); a
-    // refresh then falls back to a full rip.
-    std::shared_ptr<const topo::NavGraph> ripped;
-    // Compiled stats with the rip stats folded in (§5.2 reporting).
-    dmi::ModelingStats stats;
-    ripper::RipStats rip;
-    size_t core_tokens = 0;
-  };
-
   // Shared-ownership lookup: callers copy the pointer out and keep using the
   // model even if RefreshModel republishes the kind mid-run.
-  std::shared_ptr<const AppModel> ModelFor(workload::AppKind kind);
+  std::shared_ptr<const dmi::CompiledModel> ModelFor(workload::AppKind kind);
 
   // The uninstrumented run body; RunOnce wraps it in the run's trace scope +
   // span and publishes the result onto the agent.* counters/histograms.
@@ -202,7 +188,7 @@ class TaskRunner {
   // immutable once built (RunSuite prebuilds them before the fan-out), so
   // only the map lookup needs the lock.
   std::mutex models_mutex_;
-  std::map<workload::AppKind, std::shared_ptr<const AppModel>> models_;
+  std::map<workload::AppKind, std::shared_ptr<const dmi::CompiledModel>> models_;
   // Set via SetModelDir; when present, ModelFor goes through it.
   std::unique_ptr<dmi::ModelRegistry> registry_;
   std::string model_app_version_ = "1";

@@ -43,77 +43,6 @@ TopologyCatalog::TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest,
   subtree_text_.resize(forest_.shared().size());
 }
 
-TopologyCatalog::TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest,
-                                 PruneOptions prune, DescribeOptions describe,
-                                 const std::vector<const std::string*>& seeds)
-    : TopologyCatalog(dag, std::move(forest), prune, describe) {
-  static support::Counter& reused =
-      support::MetricsRegistry::Global().GetCounter("describe.serialize_subtree_reused");
-  const size_t limit = std::min(seeds.size(), forest_.shared().size());
-  for (size_t s = 0; s < limit; ++s) {
-    if (seeds[s] == nullptr) {
-      continue;
-    }
-    // Burn the once-flag with the carried-over string; SubtreeText(s) then
-    // always takes the hit path without counting a cache build.
-    std::call_once(subtree_once_[s], [this, s, &seeds] { subtree_text_[s] = *seeds[s]; });
-    reused.Increment();
-  }
-}
-
-TopologyCatalog::TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest,
-                                 DescribeOptions describe, FromSnapshotTag)
-    : dag_(dag), forest_(std::move(forest)), describe_(describe) {
-  subtree_once_ = std::make_unique<std::once_flag[]>(forest_.shared().size());
-  subtree_text_.resize(forest_.shared().size());
-}
-
-CatalogSnapshot TopologyCatalog::Snapshot() const {
-  CatalogSnapshot snap;
-  snap.core_ids.reserve(core_stats_.kept);
-  for (int id = 0; id <= forest_.max_id(); ++id) {
-    if (core_ids_.contains(id)) {
-      snap.core_ids.push_back(id);
-    }
-  }
-  snap.core_stats = core_stats_;
-  snap.core_text = core_text_;
-  snap.core_tokens = CoreTokens();
-  snap.full_tokens = FullTokens();
-  snap.subtree_texts.reserve(forest_.shared().size());
-  for (size_t s = 0; s < forest_.shared().size(); ++s) {
-    snap.subtree_texts.push_back(SubtreeText(static_cast<int>(s)));
-  }
-  return snap;
-}
-
-std::unique_ptr<TopologyCatalog> TopologyCatalog::FromSnapshot(const topo::NavGraph* dag,
-                                                               topo::Forest forest,
-                                                               DescribeOptions describe,
-                                                               CatalogSnapshot snapshot) {
-  auto catalog = std::unique_ptr<TopologyCatalog>(
-      new TopologyCatalog(dag, std::move(forest), describe, FromSnapshotTag{}));
-  catalog->core_ids_ = IdSet(catalog->forest_.max_id());
-  for (int id : snapshot.core_ids) {
-    catalog->core_ids_.insert(id);
-  }
-  catalog->core_stats_ = snapshot.core_stats;
-  catalog->core_text_ = std::move(snapshot.core_text);
-  // Seed the lazy caches by burning their once-flags with the loaded values;
-  // later calls take the hit path without counting a cache build.
-  std::call_once(catalog->core_tokens_once_,
-                 [&] { catalog->core_tokens_ = snapshot.core_tokens; });
-  std::call_once(catalog->full_tokens_once_,
-                 [&] { catalog->full_tokens_ = snapshot.full_tokens; });
-  const size_t subtrees =
-      std::min(snapshot.subtree_texts.size(), catalog->forest_.shared().size());
-  for (size_t s = 0; s < subtrees; ++s) {
-    std::call_once(catalog->subtree_once_[s],
-                   [&] { catalog->subtree_text_[s] = std::move(snapshot.subtree_texts[s]); });
-  }
-  return catalog;
-}
-
 void TopologyCatalog::ComputeCore(const PruneOptions& prune) {
   // Walk every tree, keeping nodes up to max_depth, eliding large
   // enumerations' children and manually excluded subtrees.

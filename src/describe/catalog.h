@@ -43,47 +43,10 @@ struct CoreStats {
   size_t elided_enumerations = 0;  // distinct enumerations collapsed
 };
 
-// Everything the catalog computed from the forest, captured for the binary
-// model artifact (DESIGN.md §14): the pruned core (membership, stats, text)
-// plus every memoized serialization and token count, so a cold load re-runs
-// none of the describe/tokenize pipeline.
-struct CatalogSnapshot {
-  std::vector<int> core_ids;  // ascending forest ids of the pruned core
-  CoreStats core_stats;
-  std::string core_text;
-  size_t core_tokens = 0;
-  size_t full_tokens = 0;
-  std::vector<std::string> subtree_texts;  // one per shared subtree
-};
-
 class TopologyCatalog {
  public:
   TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest, PruneOptions prune,
                   DescribeOptions describe);
-
-  // Like the primary constructor, but pre-seeds selected shared-subtree
-  // serializations with strings carried over from a previous catalog whose
-  // corresponding subtrees are structurally identical (delta recompile,
-  // DESIGN.md §15). `seeds[s] == nullptr` (or seeds shorter than the shared
-  // list) leaves subtree `s` lazily computed as usual. The core is always
-  // computed fresh — splices shift forest ids, so the core serialization
-  // cannot be carried over.
-  TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest, PruneOptions prune,
-                  DescribeOptions describe, const std::vector<const std::string*>& seeds);
-
-  // Captures the core plus all memoized serializations/token counts for the
-  // artifact writer, forcing any cache not yet populated (compile-side cost).
-  CatalogSnapshot Snapshot() const;
-
-  // Rebuilds a catalog from a loaded snapshot without re-running the
-  // describe/tokenize pipeline: the core is adopted as-is and the lazy
-  // caches are pre-seeded (their once-flags burnt with the loaded values).
-  // FullText() stays lazy — it composes from the seeded per-subtree
-  // serializations on first use, byte-identical to a fresh catalog's.
-  static std::unique_ptr<TopologyCatalog> FromSnapshot(const topo::NavGraph* dag,
-                                                       topo::Forest forest,
-                                                       DescribeOptions describe,
-                                                       CatalogSnapshot snapshot);
 
   const topo::Forest& forest() const { return forest_; }
   const topo::NavGraph& dag() const { return *dag_; }
@@ -112,12 +75,6 @@ class TopologyCatalog {
   const CoreStats& core_stats() const { return core_stats_; }
 
  private:
-  // Shared-state ctor for FromSnapshot: wires dag/forest/describe and sizes
-  // the lazy-cache arrays, computing nothing.
-  struct FromSnapshotTag {};
-  TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest, DescribeOptions describe,
-                  FromSnapshotTag);
-
   void ComputeCore(const PruneOptions& prune);
 
   const topo::NavGraph* dag_;

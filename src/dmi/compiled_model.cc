@@ -1,6 +1,5 @@
 #include "src/dmi/compiled_model.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -30,7 +29,7 @@ const std::string& CompiledModel::UsageHint() {
   return hint;
 }
 
-std::shared_ptr<const CompiledModel> CompiledModel::Compile(const topo::NavGraph& graph,
+std::shared_ptr<const CompiledModel> CompiledModel::Compile(topo::NavGraph graph,
                                                             const ModelingOptions& options,
                                                             const ripper::RipStats* rip,
                                                             const ripper::ChecksumTable* checksums) {
@@ -45,12 +44,13 @@ std::shared_ptr<const CompiledModel> CompiledModel::Compile(const topo::NavGraph
   if (rip != nullptr) {
     stats.rip = *rip;
   }
-  // Augmentation is the only pipeline stage that mutates the input graph;
-  // everything downstream reads it, so the copy is taken only when needed.
-  const topo::NavGraph* source = &graph;
+  model->ripped_ = std::move(graph);
+  // Augmentation is the only pipeline stage that mutates the graph; the
+  // model keeps the graph as ripped, so the copy is taken only when needed.
+  const topo::NavGraph* source = &model->ripped_;
   topo::NavGraph augmented;
   if (options.augment_descriptions) {
-    augmented = graph;
+    augmented = model->ripped_;
     (void)desc::AugmentDescriptions(augmented, desc::BuiltinAugmentRules());
     source = &augmented;
   }
@@ -89,129 +89,6 @@ std::shared_ptr<const CompiledModel> CompiledModel::Compile(const topo::NavGraph
                          static_cast<double>(support::TraceNowUs() - build_start_us) / 1000.0);
   span.AddArg("core_nodes", static_cast<int64_t>(stats.core_nodes));
   span.AddArg("core_tokens", static_cast<int64_t>(stats.core_tokens));
-  return model;
-}
-
-namespace {
-
-// Exact structural equality of shared subtree `s` across two forests: same
-// forest ids, same shape, same reference wiring, and node-for-node identical
-// NodeInfo content. This is the (sufficient and necessary) condition for the
-// baseline's memoized serialization of that subtree to be byte-reusable —
-// the serialized form embeds forest ids and S<n> labels, so anything that
-// shifts ids must recompute.
-bool SubtreeIdentical(const topo::NavGraph& baseline_dag, const topo::Tree& baseline_tree,
-                      const topo::NavGraph& dag, const topo::Tree& tree) {
-  if (baseline_tree.nodes.size() != tree.nodes.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const topo::TreeNode& a = baseline_tree.nodes[i];
-    const topo::TreeNode& b = tree.nodes[i];
-    if (a.id != b.id || a.parent != b.parent || a.is_reference != b.is_reference ||
-        a.ref_subtree != b.ref_subtree || a.children != b.children) {
-      return false;
-    }
-    const topo::NodeInfo& an = baseline_dag.node(a.graph_index);
-    const topo::NodeInfo& bn = dag.node(b.graph_index);
-    if (an.control_id != bn.control_id || an.name != bn.name || an.type != bn.type ||
-        an.description != bn.description || an.automation_id != bn.automation_id) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::shared_ptr<const CompiledModel> CompiledModel::RecompileDelta(
-    const CompiledModel& baseline, const topo::NavGraph& graph, const ModelingOptions& options,
-    const ripper::RipStats* rip, const ripper::ChecksumTable* checksums,
-    RecompileCounters* counters) {
-  support::TraceSpan span("model.recompile_delta", "model");
-  const int64_t build_start_us = support::TraceNowUs();
-  auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
-  model->options_ = options;
-  if (checksums != nullptr) {
-    model->subtree_checksums_ = *checksums;
-  }
-  ModelingStats& stats = model->stats_;
-  if (rip != nullptr) {
-    stats.rip = *rip;
-  }
-  const topo::NavGraph* source = &graph;
-  topo::NavGraph augmented;
-  if (options.augment_descriptions) {
-    augmented = graph;
-    (void)desc::AugmentDescriptions(augmented, desc::BuiltinAugmentRules());
-    source = &augmented;
-  }
-  // The graph passes (stats, decycle, externalize) are integer algorithms —
-  // cheap relative to serialization/tokenization — and recomputing them keeps
-  // the output a pure function of the graph, which is what the byte-identity
-  // guarantee rests on.
-  stats.raw = source->ComputeStats();
-  topo::DecycleResult decycled = topo::Decycle(*source);
-  stats.back_edges_removed = decycled.removed_back_edges;
-  stats.unreachable_dropped = decycled.unreachable_dropped;
-  model->dag_ = std::make_unique<topo::NavGraph>(std::move(decycled.dag));
-  topo::Forest forest = topo::SelectiveExternalize(*model->dag_, options.externalize_threshold);
-  stats.forest_nodes = forest.total_nodes();
-  stats.shared_subtrees = forest.shared().size();
-  stats.references = forest.reference_count();
-
-  // Carry the baseline's memoized shared-subtree serializations over where
-  // the subtree survived the splice untouched (ids included — see
-  // SubtreeIdentical). The seeded catalog serves them from cache; everything
-  // else recomputes lazily.
-  RecompileCounters local;
-  RecompileCounters& c = counters != nullptr ? *counters : local;
-  c.subtrees_total = forest.shared().size();
-  c.subtrees_reused = 0;
-  std::vector<const std::string*> seeds(forest.shared().size(), nullptr);
-  const topo::Forest& baseline_forest = baseline.catalog().forest();
-  const size_t comparable = std::min(forest.shared().size(), baseline_forest.shared().size());
-  for (size_t s = 0; s < comparable; ++s) {
-    if (SubtreeIdentical(baseline.dag(), baseline_forest.shared()[s], *model->dag_,
-                         forest.shared()[s])) {
-      seeds[s] = &baseline.catalog().SubtreeText(static_cast<int>(s));
-      ++c.subtrees_reused;
-    }
-  }
-  model->catalog_ = std::make_unique<desc::TopologyCatalog>(
-      model->dag_.get(), std::move(forest), options.prune, options.describe, seeds);
-  stats.core_nodes = model->catalog_->core_stats().kept;
-  stats.core_tokens = model->catalog_->CoreTokens();
-  stats.full_tokens = model->catalog_->FullTokens();
-  model->usage_hint_tokens_ = textutil::CountTokens(UsageHint());
-  const std::string& core = model->catalog_->CoreText();
-  model->static_prompt_.reserve(UsageHint().size() + core.size());
-  model->static_prompt_ = UsageHint();
-  model->static_prompt_ += core;
-  model->static_prompt_tokens_ = model->usage_hint_tokens_ + model->catalog_->CoreTokens();
-  support::CountMetric("model.builds");
-  support::CountMetric("model.delta_builds");
-  support::CountMetric("model.recompile_subtrees_reused", c.subtrees_reused);
-  support::ObserveMetric("model.recompile_ms",
-                         static_cast<double>(support::TraceNowUs() - build_start_us) / 1000.0);
-  span.AddArg("subtrees_reused", static_cast<int64_t>(c.subtrees_reused));
-  return model;
-}
-
-std::shared_ptr<const CompiledModel> CompiledModel::FromLoadedParts(LoadedParts parts) {
-  auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
-  model->options_ = std::move(parts.options);
-  model->stats_ = parts.stats;
-  model->dag_ = std::move(parts.dag);
-  model->catalog_ = std::move(parts.catalog);
-  model->usage_hint_tokens_ = parts.usage_hint_tokens;
-  model->static_prompt_ = std::move(parts.static_prompt);
-  model->static_prompt_tokens_ = parts.static_prompt_tokens;
-  model->subtree_checksums_ = std::move(parts.subtree_checksums);
-  // A loaded model is a model the process did *not* build: model.builds and
-  // session.compile_builds stay untouched so the amortization accounting
-  // (DESIGN.md §10) keeps meaning "pipeline runs", not "models in memory".
-  support::CountMetric("model.artifact_loads");
   return model;
 }
 

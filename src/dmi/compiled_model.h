@@ -1,7 +1,8 @@
 // CompiledModel: the immutable, thread-shareable product of the offline
-// modeling pipeline (decycled DAG + forest + TopologyCatalog + static prompt
-// segments), built once per application build and shared read-only across
-// every per-run DmiSession via shared_ptr (DESIGN.md §10).
+// modeling pipeline (the ripped graph it was built from + decycled DAG +
+// forest + TopologyCatalog + static prompt segments), built once per
+// application build and shared read-only across every per-run DmiSession via
+// shared_ptr (DESIGN.md §10).
 //
 // This is the amortization split: everything here is a pure function of the
 // ripped NavGraph and the modeling options, so the suite harness compiles it
@@ -57,56 +58,23 @@ struct ResolvedTarget {
 class CompiledModel {
  public:
   // Runs the full offline pipeline (augment → decycle → selective
-  // externalization → catalog) over a pre-ripped graph. The input graph is
-  // read-only; a private copy is made only when augmentation must mutate it.
-  // The result is immutable and safe to share across threads: the catalog's
-  // lazy caches are call_once-guarded on an immutable forest (DESIGN.md §9).
-  // `rip` (optional) folds the ripper's counters into stats(), making the
-  // model a self-contained record for artifact persistence. `checksums`
+  // externalization → catalog) over a ripped graph. This is the only way a
+  // model is built: an in-process rip, an artifact load (model_artifact.h)
+  // and a delta refresh (DESIGN.md §15) all end here. The model keeps the
+  // graph as ripped(); augmentation works on a private copy. The result is
+  // immutable and safe to share across threads: the catalog's lazy caches
+  // are call_once-guarded on an immutable forest (DESIGN.md §9). `rip`
+  // (optional) folds the ripper's counters into stats(). `checksums`
   // (optional) attaches the app's per-subtree structural checksum table
-  // (ripper::ComputeSubtreeChecksums) so the saved artifact can serve as a
-  // delta-rip baseline (DESIGN.md §15).
+  // (ripper::ComputeSubtreeChecksums), which together with ripped() makes
+  // the model a delta-rip baseline.
   static std::shared_ptr<const CompiledModel> Compile(
-      const topo::NavGraph& graph, const ModelingOptions& options,
+      topo::NavGraph graph, const ModelingOptions& options,
       const ripper::RipStats* rip = nullptr, const ripper::ChecksumTable* checksums = nullptr);
 
-  // Delta-aware recompile counters (observability; also mirrored onto the
-  // model.recompile_* metrics).
-  struct RecompileCounters {
-    size_t subtrees_total = 0;
-    size_t subtrees_reused = 0;  // memoized serializations carried over
-  };
-
-  // Incremental recompile over a DeltaRip graph (DESIGN.md §15): runs the
-  // same pure pipeline as Compile, but carries the baseline catalog's
-  // memoized shared-subtree serializations over wherever the new forest's
-  // subtree is structurally identical (same ids, same shape, same node
-  // content — node-count-preserving mutations keep ids stable, so renames
-  // reuse every untouched subtree; splices that shift ids fall back to
-  // recomputing, which exact comparison detects). `options` must equal the
-  // baseline's modeling options or the carried strings would lie. The result
-  // is byte-identical to Compile() over the same graph — only the cost
-  // differs.
-  static std::shared_ptr<const CompiledModel> RecompileDelta(
-      const CompiledModel& baseline, const topo::NavGraph& graph,
-      const ModelingOptions& options, const ripper::RipStats* rip,
-      const ripper::ChecksumTable* checksums, RecompileCounters* counters = nullptr);
-
-  // Fully materialized parts adopted by the binary-artifact loader
-  // (model_artifact.cc, DESIGN.md §14). `catalog` must already point at
-  // `dag` — FromLoadedParts re-runs no pipeline stage.
-  struct LoadedParts {
-    ModelingOptions options;
-    ModelingStats stats;
-    std::unique_ptr<topo::NavGraph> dag;
-    std::unique_ptr<desc::TopologyCatalog> catalog;
-    size_t usage_hint_tokens = 0;
-    std::string static_prompt;
-    size_t static_prompt_tokens = 0;
-    ripper::ChecksumTable subtree_checksums;
-  };
-  static std::shared_ptr<const CompiledModel> FromLoadedParts(LoadedParts parts);
-
+  // The graph the model was compiled from: what an artifact stores and the
+  // baseline a delta rip splices.
+  const topo::NavGraph& ripped() const { return ripped_; }
   const topo::NavGraph& dag() const { return *dag_; }
   const desc::TopologyCatalog& catalog() const { return *catalog_; }
   const ModelingStats& stats() const { return stats_; }
@@ -116,9 +84,9 @@ class CompiledModel {
   size_t usage_hint_tokens() const { return usage_hint_tokens_; }
 
   // Per-subtree structural checksum table of the app build this model was
-  // ripped from (empty for models compiled without one; the artifact then
-  // carries no checksum table). The delta ripper diffs a live app against
-  // this.
+  // ripped from (empty for models compiled without one; a delta rip against
+  // such a model falls back to a full rip). The delta ripper diffs a live
+  // app against this.
   const ripper::ChecksumTable& subtree_checksums() const { return subtree_checksums_; }
 
   // The static prompt segment — usage hint + serialized core topology —
@@ -148,6 +116,7 @@ class CompiledModel {
 
   ModelingOptions options_;
   ModelingStats stats_;
+  topo::NavGraph ripped_;
   // The catalog holds a raw pointer to the DAG, so the allocation must stay
   // put for the model's lifetime (hence unique_ptr, not a plain member).
   std::unique_ptr<topo::NavGraph> dag_;

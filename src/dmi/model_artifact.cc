@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "src/gui/application.h"
@@ -10,33 +9,25 @@
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "src/support/trace.h"
+#include "src/topology/transform.h"
 
 namespace dmi {
 namespace {
 
 // Section ids (values are part of the on-disk format — append, never renumber).
 enum SectionId : uint32_t {
-  kSectionDag = 1,
-  kSectionForest = 2,
-  kSectionCatalog = 3,
-  kSectionPrompt = 4,
-  kSectionStats = 5,
-  kSectionOptions = 6,
-  kSectionChecksums = 7,  // per-subtree structural checksum table
+  kSectionGraph = 1,      // the ripped graph: node table, then successor lists
+  kSectionStats = 2,      // the rip counters
+  kSectionOptions = 3,    // compile options (override the runtime ones)
+  kSectionChecksums = 4,  // per-subtree structural checksum table
 };
 // Every section id up to this one is required.
 constexpr uint32_t kLastRequiredSection = kSectionChecksums;
 
 const char* SectionName(uint32_t id) {
   switch (id) {
-    case kSectionDag:
-      return "dag";
-    case kSectionForest:
-      return "forest";
-    case kSectionCatalog:
-      return "catalog";
-    case kSectionPrompt:
-      return "prompt";
+    case kSectionGraph:
+      return "graph";
     case kSectionStats:
       return "stats";
     case kSectionOptions:
@@ -97,18 +88,6 @@ void PutIntVec(std::string& out, const std::vector<int>& v) {
   }
 }
 
-void PutTree(std::string& out, const topo::Tree& tree) {
-  PutU32(out, static_cast<uint32_t>(tree.nodes.size()));
-  for (const topo::TreeNode& node : tree.nodes) {
-    PutI32(out, node.graph_index);
-    PutI32(out, node.id);
-    PutI32(out, node.parent);
-    PutU8(out, node.is_reference ? 1 : 0);
-    PutI32(out, node.ref_subtree);
-    PutIntVec(out, node.children);
-  }
-}
-
 // Appends one framed section: id, item count, body length, body.
 void PutSection(std::string& payload, uint32_t id, uint64_t items, const std::string& body) {
   PutU32(payload, id);
@@ -117,104 +96,36 @@ void PutSection(std::string& payload, uint32_t id, uint64_t items, const std::st
   payload.append(body);
 }
 
-std::string BuildDagSection(const topo::NavGraph& dag) {
+std::string BuildGraphSection(const topo::NavGraph& graph) {
   std::string body;
-  body.reserve(dag.node_count() * 96);
-  PutU32(body, static_cast<uint32_t>(dag.node_count()));
-  for (size_t i = 0; i < dag.node_count(); ++i) {
-    const topo::NodeInfo& info = dag.node(static_cast<int>(i));
+  body.reserve(graph.node_count() * 96);
+  PutU32(body, static_cast<uint32_t>(graph.node_count()));
+  for (size_t i = 0; i < graph.node_count(); ++i) {
+    const topo::NodeInfo& info = graph.node(static_cast<int>(i));
     PutStr(body, info.control_id);
     PutStr(body, info.name);
     PutU32(body, static_cast<uint32_t>(info.type));
     PutStr(body, info.description);
     PutStr(body, info.automation_id);
   }
-  for (size_t i = 0; i < dag.node_count(); ++i) {
-    PutIntVec(body, dag.successors(static_cast<int>(i)));
+  for (size_t i = 0; i < graph.node_count(); ++i) {
+    PutIntVec(body, graph.successors(static_cast<int>(i)));
   }
   return body;
 }
 
-std::string BuildForestSection(const topo::Forest& forest) {
+std::string BuildStatsSection(const ripper::RipStats& rip) {
   std::string body;
-  body.reserve(forest.total_nodes() * 40);
-  PutTree(body, forest.main());
-  PutU32(body, static_cast<uint32_t>(forest.shared().size()));
-  for (const topo::Tree& tree : forest.shared()) {
-    PutTree(body, tree);
-  }
-  const std::vector<topo::ForestLocation>& locs = forest.LocationTable();
-  PutU32(body, static_cast<uint32_t>(locs.size()));
-  for (const topo::ForestLocation& loc : locs) {
-    PutI32(body, loc.tree);
-    PutI32(body, loc.node);
-  }
-  const std::vector<topo::ReferenceEntry>& refs = forest.AllReferences();
-  PutU32(body, static_cast<uint32_t>(refs.size()));
-  for (const topo::ReferenceEntry& ref : refs) {
-    PutI32(body, ref.ref_id);
-    PutI32(body, ref.subtree);
-  }
-  const std::vector<std::vector<int>>& by_subtree = forest.RefsBySubtree();
-  PutU32(body, static_cast<uint32_t>(by_subtree.size()));
-  for (const std::vector<int>& v : by_subtree) {
-    PutIntVec(body, v);
-  }
-  PutI32(body, forest.max_id());
-  return body;
-}
-
-std::string BuildCatalogSection(const desc::CatalogSnapshot& snap) {
-  std::string body;
-  body.reserve(snap.core_text.size() + snap.core_ids.size() * 4 + 256);
-  PutIntVec(body, snap.core_ids);
-  PutU64(body, snap.core_stats.kept);
-  PutU64(body, snap.core_stats.elided);
-  PutU64(body, snap.core_stats.elided_enumerations);
-  PutStr(body, snap.core_text);
-  PutU64(body, snap.core_tokens);
-  PutU64(body, snap.full_tokens);
-  PutU32(body, static_cast<uint32_t>(snap.subtree_texts.size()));
-  for (const std::string& text : snap.subtree_texts) {
-    PutStr(body, text);
-  }
-  return body;
-}
-
-std::string BuildPromptSection(const CompiledModel& model) {
-  std::string body;
-  body.reserve(model.static_prompt().size() + 32);
-  PutU64(body, model.usage_hint_tokens());
-  PutStr(body, model.static_prompt());
-  PutU64(body, model.static_prompt_tokens());
-  return body;
-}
-
-std::string BuildStatsSection(const ModelingStats& s) {
-  std::string body;
-  PutU64(body, s.raw.nodes);
-  PutU64(body, s.raw.edges);
-  PutU64(body, s.raw.merge_nodes);
-  PutU64(body, s.raw.back_edges);
-  PutI32(body, s.raw.max_depth);
-  PutU64(body, s.back_edges_removed);
-  PutU64(body, s.unreachable_dropped);
-  PutU64(body, s.forest_nodes);
-  PutU64(body, s.shared_subtrees);
-  PutU64(body, s.references);
-  PutU64(body, s.core_nodes);
-  PutU64(body, s.core_tokens);
-  PutU64(body, s.full_tokens);
-  PutU64(body, s.rip.clicks);
-  PutU64(body, s.rip.captures);
-  PutU64(body, s.rip.explored);
-  PutU64(body, s.rip.external_recoveries);
-  PutU64(body, s.rip.window_events);
-  PutU64(body, s.rip.contexts);
-  PutU64(body, s.rip.capture_rebuilds);
-  PutU64(body, s.rip.capture_cache_hits);
-  PutU64(body, s.rip.indexed_lookups);
-  PutF64(body, s.rip.simulated_ms);
+  PutU64(body, rip.clicks);
+  PutU64(body, rip.captures);
+  PutU64(body, rip.explored);
+  PutU64(body, rip.external_recoveries);
+  PutU64(body, rip.window_events);
+  PutU64(body, rip.contexts);
+  PutU64(body, rip.capture_rebuilds);
+  PutU64(body, rip.capture_cache_hits);
+  PutU64(body, rip.indexed_lookups);
+  PutF64(body, rip.simulated_ms);
   return body;
 }
 
@@ -350,38 +261,6 @@ class Reader {
     return support::Status::Ok();
   }
 
-  support::Status ReadTree(topo::Tree* out) {
-    uint32_t count = 0;
-    if (support::Status st = ReadU32(&count); !st.ok()) {
-      return st;
-    }
-    // 17 bytes fixed per node + its (bounds-checked) child vector.
-    if (remaining() < static_cast<size_t>(count) * 17) {
-      return Truncated(static_cast<size_t>(count) * 17);
-    }
-    out->nodes.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      topo::TreeNode& node = out->nodes[i];
-      uint8_t is_ref = 0;
-      if (support::Status st = ReadI32(&node.graph_index); !st.ok()) {
-        return st;
-      }
-      (void)ReadI32(&node.id);
-      (void)ReadI32(&node.parent);
-      if (support::Status st = ReadU8(&is_ref); !st.ok()) {
-        return st;
-      }
-      node.is_reference = is_ref != 0;
-      if (support::Status st = ReadI32(&node.ref_subtree); !st.ok()) {
-        return st;
-      }
-      if (support::Status st = ReadIntVec(&node.children); !st.ok()) {
-        return st;
-      }
-    }
-    return support::Status::Ok();
-  }
-
   support::Status Truncated(size_t wanted) const {
     return support::InvalidArgumentError(
                "truncated artifact '" + path_ + "': need " + std::to_string(wanted) +
@@ -494,200 +373,92 @@ support::Status VerifyChecksum(const std::string& bytes, const Header& header,
   return support::Status::Ok();
 }
 
-support::Status ParseDagSection(Reader& reader, const std::string& path,
-                                std::unique_ptr<topo::NavGraph>* out) {
+support::Status InvalidGraph(const std::string& path, const std::string& what) {
+  return support::InvalidArgumentError("artifact '" + path + "': " + what)
+      .WithDetail(ArtifactDetail(path, "a valid ripped graph"));
+}
+
+// Rebuilds the ripped graph through AddNode/AddEdge and validates its shape:
+// unique, non-empty ids with the virtual root first, in-range edge targets
+// and control types, no repeated edge or self-loop.
+support::Status ParseGraphSection(Reader& reader, const std::string& path,
+                                  topo::NavGraph* out) {
   uint32_t count = 0;
   if (support::Status st = reader.ReadU32(&count); !st.ok()) {
     return st;
   }
-  std::vector<topo::NodeInfo> nodes(count);
-  // Node-table hot loop: four length-prefixed strings plus a type word per
-  // node, parsed from raw cursors with one bounds check per field. This is
-  // the single largest cost of a cold load, so it skips the per-call Reader
-  // accounting; the consumed span is committed back to the reader at the
-  // end (or before surfacing a truncation, so the error offset is right).
-  const char* base = reader.cursor();
-  const char* p = base;
-  const char* end = base + reader.remaining();
-  size_t want = 0;
-  auto read_str = [&](std::string* dst) {
-    if (end - p < 4) {
-      want = 4;
-      return false;
-    }
-    uint32_t len = 0;
-    std::memcpy(&len, p, 4);
-    p += 4;
-    if (static_cast<size_t>(end - p) < len) {
-      want = len;
-      return false;
-    }
-    dst->assign(p, len);
-    p += len;
-    return true;
-  };
+  if (count == 0) {
+    return InvalidGraph(path, "graph has no root node");
+  }
+  topo::NavGraph graph;
   for (uint32_t i = 0; i < count; ++i) {
-    topo::NodeInfo& info = nodes[i];
+    topo::NodeInfo info;
     uint32_t type = 0;
-    bool ok = read_str(&info.control_id) && read_str(&info.name);
-    if (ok) {
-      if (end - p < 4) {
-        want = 4;
-        ok = false;
-      } else {
-        std::memcpy(&type, p, 4);
-        p += 4;
-      }
+    if (support::Status st = reader.ReadStr(&info.control_id); !st.ok()) {
+      return st;
     }
-    if (ok && type >= static_cast<uint32_t>(uia::kNumControlTypes)) {
-      return support::InvalidArgumentError(
-          support::Format("artifact '%s': node %u has invalid control type %u", path.c_str(),
-                          i, type));
+    if (support::Status st = reader.ReadStr(&info.name); !st.ok()) {
+      return st;
+    }
+    if (support::Status st = reader.ReadU32(&type); !st.ok()) {
+      return st;
+    }
+    if (support::Status st = reader.ReadStr(&info.description); !st.ok()) {
+      return st;
+    }
+    if (support::Status st = reader.ReadStr(&info.automation_id); !st.ok()) {
+      return st;
+    }
+    if (type >= static_cast<uint32_t>(uia::kNumControlTypes)) {
+      return InvalidGraph(path, support::Format("node %u has unknown control type %u", i, type));
     }
     info.type = static_cast<uia::ControlType>(type);
-    ok = ok && read_str(&info.description) && read_str(&info.automation_id);
-    if (!ok) {
-      (void)reader.Skip(static_cast<size_t>(p - base));
-      return reader.Truncated(want);
+    if (info.control_id.empty()) {
+      return InvalidGraph(path, support::Format("node %u has an empty control id", i));
+    }
+    if (i == 0) {
+      if (info.control_id != graph.node(topo::NavGraph::kRootIndex).control_id) {
+        return InvalidGraph(path, "node 0 is not the virtual root");
+      }
+      graph.mutable_node(topo::NavGraph::kRootIndex) = std::move(info);
+    } else if (graph.AddNode(info) != static_cast<int>(i)) {
+      return InvalidGraph(path, support::Format("node %u repeats control id '%s'", i,
+                                                info.control_id.c_str()));
     }
   }
-  (void)reader.Skip(static_cast<size_t>(p - base));
-  std::vector<std::vector<int>> adjacency(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (support::Status st = reader.ReadIntVec(&adjacency[i]); !st.ok()) {
+  size_t edges = 0;
+  std::vector<int> row;
+  for (uint32_t from = 0; from < count; ++from) {
+    if (support::Status st = reader.ReadIntVec(&row); !st.ok()) {
       return st;
     }
+    for (int to : row) {
+      if (to < 0 || static_cast<uint32_t>(to) >= count) {
+        return InvalidGraph(path, support::Format("node %u has edge target %d out of range", from,
+                                                  to));
+      }
+      graph.AddEdge(static_cast<int>(from), to);
+    }
+    edges += row.size();
   }
-  support::Result<topo::NavGraph> graph =
-      topo::NavGraph::FromParts(std::move(nodes), std::move(adjacency));
-  if (!graph.ok()) {
-    return graph.status();
+  if (graph.edge_count() != edges) {
+    return InvalidGraph(path, "graph has a repeated edge or a self-loop");
   }
-  *out = std::make_unique<topo::NavGraph>(std::move(*graph));
+  *out = std::move(graph);
   return support::Status::Ok();
 }
 
-support::Status ParseForestSection(Reader& reader, topo::ForestParts* parts) {
-  if (support::Status st = reader.ReadTree(&parts->main); !st.ok()) {
-    return st;
-  }
-  uint32_t shared_count = 0;
-  if (support::Status st = reader.ReadU32(&shared_count); !st.ok()) {
-    return st;
-  }
-  parts->shared.resize(shared_count);
-  for (uint32_t s = 0; s < shared_count; ++s) {
-    if (support::Status st = reader.ReadTree(&parts->shared[s]); !st.ok()) {
-      return st;
-    }
-  }
-  // ForestLocation and ReferenceEntry are pairs of i32 — bulk-copy both
-  // tables (same layout the writer emitted field-by-field).
-  static_assert(sizeof(topo::ForestLocation) == 8 && sizeof(topo::ReferenceEntry) == 8,
-                "artifact tables are packed i32 pairs");
-  uint32_t loc_count = 0;
-  if (support::Status st = reader.ReadU32(&loc_count); !st.ok()) {
-    return st;
-  }
-  if (reader.remaining() < static_cast<size_t>(loc_count) * 8) {
-    return reader.Truncated(static_cast<size_t>(loc_count) * 8);
-  }
-  parts->loc_by_id.resize(loc_count);
-  if (loc_count > 0) {
-    std::memcpy(parts->loc_by_id.data(), reader.cursor(), static_cast<size_t>(loc_count) * 8);
-    (void)reader.Skip(static_cast<size_t>(loc_count) * 8);
-  }
-  uint32_t ref_count = 0;
-  if (support::Status st = reader.ReadU32(&ref_count); !st.ok()) {
-    return st;
-  }
-  if (reader.remaining() < static_cast<size_t>(ref_count) * 8) {
-    return reader.Truncated(static_cast<size_t>(ref_count) * 8);
-  }
-  parts->all_refs.resize(ref_count);
-  if (ref_count > 0) {
-    std::memcpy(parts->all_refs.data(), reader.cursor(), static_cast<size_t>(ref_count) * 8);
-    (void)reader.Skip(static_cast<size_t>(ref_count) * 8);
-  }
-  uint32_t by_subtree_count = 0;
-  if (support::Status st = reader.ReadU32(&by_subtree_count); !st.ok()) {
-    return st;
-  }
-  if (reader.remaining() < static_cast<size_t>(by_subtree_count) * 4) {
-    return reader.Truncated(static_cast<size_t>(by_subtree_count) * 4);
-  }
-  parts->refs_by_subtree.resize(by_subtree_count);
-  for (uint32_t i = 0; i < by_subtree_count; ++i) {
-    if (support::Status st = reader.ReadIntVec(&parts->refs_by_subtree[i]); !st.ok()) {
-      return st;
-    }
-  }
-  int32_t max_id = 0;
-  if (support::Status st = reader.ReadI32(&max_id); !st.ok()) {
-    return st;
-  }
-  parts->max_id = max_id;
-  return support::Status::Ok();
-}
-
-support::Status ParseCatalogSection(Reader& reader, desc::CatalogSnapshot* snap) {
-  if (support::Status st = reader.ReadIntVec(&snap->core_ids); !st.ok()) {
-    return st;
-  }
-  (void)reader.ReadSize(&snap->core_stats.kept);
-  (void)reader.ReadSize(&snap->core_stats.elided);
-  if (support::Status st = reader.ReadSize(&snap->core_stats.elided_enumerations); !st.ok()) {
-    return st;
-  }
-  if (support::Status st = reader.ReadStr(&snap->core_text); !st.ok()) {
-    return st;
-  }
-  (void)reader.ReadSize(&snap->core_tokens);
-  if (support::Status st = reader.ReadSize(&snap->full_tokens); !st.ok()) {
-    return st;
-  }
-  uint32_t subtree_count = 0;
-  if (support::Status st = reader.ReadU32(&subtree_count); !st.ok()) {
-    return st;
-  }
-  if (reader.remaining() < static_cast<size_t>(subtree_count) * 4) {
-    return reader.Truncated(static_cast<size_t>(subtree_count) * 4);
-  }
-  snap->subtree_texts.resize(subtree_count);
-  for (uint32_t s = 0; s < subtree_count; ++s) {
-    if (support::Status st = reader.ReadStr(&snap->subtree_texts[s]); !st.ok()) {
-      return st;
-    }
-  }
-  return support::Status::Ok();
-}
-
-support::Status ParseStatsSection(Reader& reader, ModelingStats* s) {
-  (void)reader.ReadSize(&s->raw.nodes);
-  (void)reader.ReadSize(&s->raw.edges);
-  (void)reader.ReadSize(&s->raw.merge_nodes);
-  (void)reader.ReadSize(&s->raw.back_edges);
-  if (support::Status st = reader.ReadI32(&s->raw.max_depth); !st.ok()) {
-    return st;
-  }
-  (void)reader.ReadSize(&s->back_edges_removed);
-  (void)reader.ReadSize(&s->unreachable_dropped);
-  (void)reader.ReadSize(&s->forest_nodes);
-  (void)reader.ReadSize(&s->shared_subtrees);
-  (void)reader.ReadSize(&s->references);
-  (void)reader.ReadSize(&s->core_nodes);
-  (void)reader.ReadSize(&s->core_tokens);
-  (void)reader.ReadSize(&s->full_tokens);
-  (void)reader.ReadU64(&s->rip.clicks);
-  (void)reader.ReadU64(&s->rip.captures);
-  (void)reader.ReadU64(&s->rip.explored);
-  (void)reader.ReadU64(&s->rip.external_recoveries);
-  (void)reader.ReadU64(&s->rip.window_events);
-  (void)reader.ReadU64(&s->rip.contexts);
-  (void)reader.ReadU64(&s->rip.capture_rebuilds);
-  (void)reader.ReadU64(&s->rip.capture_cache_hits);
-  (void)reader.ReadU64(&s->rip.indexed_lookups);
-  return reader.ReadF64(&s->rip.simulated_ms);
+support::Status ParseStatsSection(Reader& reader, ripper::RipStats* rip) {
+  (void)reader.ReadU64(&rip->clicks);
+  (void)reader.ReadU64(&rip->captures);
+  (void)reader.ReadU64(&rip->explored);
+  (void)reader.ReadU64(&rip->external_recoveries);
+  (void)reader.ReadU64(&rip->window_events);
+  (void)reader.ReadU64(&rip->contexts);
+  (void)reader.ReadU64(&rip->capture_rebuilds);
+  (void)reader.ReadU64(&rip->capture_cache_hits);
+  (void)reader.ReadU64(&rip->indexed_lookups);
+  return reader.ReadF64(&rip->simulated_ms);
 }
 
 support::Status ParseOptionsSection(Reader& reader, ModelingOptions* options) {
@@ -734,6 +505,12 @@ support::Status ParseChecksumsSection(Reader& reader, ripper::ChecksumTable* tab
   if (support::Status st = reader.ReadU32(&count); !st.ok()) {
     return st;
   }
+  // An entry costs at least 12 bytes (an empty key and its digest); reject
+  // counts the span cannot hold before reserving (a corrupt count must not
+  // become a giant allocation).
+  if (reader.remaining() < static_cast<size_t>(count) * 12) {
+    return reader.Truncated(static_cast<size_t>(count) * 12);
+  }
   table->clear();
   table->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -754,28 +531,14 @@ support::Status ParseChecksumsSection(Reader& reader, ripper::ChecksumTable* tab
 support::Status SaveModelArtifact(const CompiledModel& model, const ArtifactMeta& meta,
                                   const std::string& path) {
   support::TraceSpan span("model.artifact_save", "model");
-  const desc::CatalogSnapshot snapshot = model.catalog().Snapshot();
-
   std::string payload;
-  payload.reserve(model.dag().node_count() * 128 + model.catalog().forest().total_nodes() * 40 +
-                  snapshot.core_text.size() + model.static_prompt().size() + 4096);
-  {
-    const std::string body = BuildDagSection(model.dag());
-    PutSection(payload, kSectionDag, model.dag().node_count(), body);
-  }
-  {
-    const std::string body = BuildForestSection(model.catalog().forest());
-    PutSection(payload, kSectionForest, model.catalog().forest().total_nodes(), body);
-  }
-  {
-    const std::string body = BuildCatalogSection(snapshot);
-    PutSection(payload, kSectionCatalog, snapshot.core_ids.size(), body);
-  }
-  PutSection(payload, kSectionPrompt, 1, BuildPromptSection(model));
-  PutSection(payload, kSectionStats, 1, BuildStatsSection(model.stats()));
+  payload.reserve(model.ripped().node_count() * 128 + 4096);
+  PutSection(payload, kSectionGraph, model.ripped().node_count(),
+             BuildGraphSection(model.ripped()));
+  PutSection(payload, kSectionStats, 1, BuildStatsSection(model.stats().rip));
   PutSection(payload, kSectionOptions, 1, BuildOptionsSection(model.options()));
-  // Written even when empty (a model compiled without a table): readers then
-  // load an empty table and the delta ripper falls back to a full rip.
+  // Written even when empty (a model compiled without a table): a delta rip
+  // against the loaded model then falls back to a full rip.
   PutSection(payload, kSectionChecksums, model.subtree_checksums().size(),
              BuildChecksumsSection(model.subtree_checksums()));
 
@@ -804,6 +567,118 @@ support::Status SaveModelArtifact(const CompiledModel& model, const ArtifactMeta
   return support::WriteFileBytes(path, bytes);
 }
 
+support::Result<LoadedModelArtifact> ParseModelArtifact(const std::string& bytes,
+                                                        const std::string& name,
+                                                        const ModelingOptions& runtime_options,
+                                                        const ArtifactMeta* expect) {
+  Header header;
+  if (support::Status st = ParseHeader(bytes, name, &header); !st.ok()) {
+    return st;
+  }
+  if (expect != nullptr && (header.meta.app_kind != expect->app_kind ||
+                            header.meta.app_version != expect->app_version)) {
+    return support::FailedPreconditionError(
+               "artifact '" + name + "' is for (" + header.meta.app_kind + ", " +
+               header.meta.app_version + "), expected (" + expect->app_kind + ", " +
+               expect->app_version + ")")
+        .WithDetail(ArtifactDetail(name, expect->app_kind + "-" + expect->app_version));
+  }
+  // The checksum gates all section parsing, so flipped bytes report as
+  // corruption, never as a structural error.
+  if (support::Status st = VerifyChecksum(bytes, header, name); !st.ok()) {
+    return st;
+  }
+
+  topo::NavGraph graph;
+  ripper::RipStats rip;
+  ModelingOptions options = runtime_options;
+  ripper::ChecksumTable checksums;
+  bool have[kLastRequiredSection + 1] = {};
+  Reader payload(bytes.data() + header.payload_offset, header.payload_len, name);
+  while (payload.remaining() > 0) {
+    uint32_t id = 0;
+    uint64_t items = 0;
+    size_t len = 0;
+    if (support::Status st = payload.ReadU32(&id); !st.ok()) {
+      return st;
+    }
+    if (support::Status st = payload.ReadU64(&items); !st.ok()) {
+      return st;
+    }
+    if (support::Status st = payload.ReadSize(&len); !st.ok()) {
+      return st;
+    }
+    if (payload.remaining() < len) {
+      return payload.Truncated(len);
+    }
+    Reader body(payload.cursor(), len, name);
+    (void)payload.Skip(len);
+    if (id < 1 || id > kLastRequiredSection) {
+      // Unknown section from an additive producer: skip (forward compat
+      // within a format version; the checksum already vouched for the
+      // bytes).
+      continue;
+    }
+    if (have[id]) {
+      return support::InvalidArgumentError(support::Format(
+          "artifact '%s' repeats the '%s' section", name.c_str(), SectionName(id)));
+    }
+    have[id] = true;
+    support::Status st;
+    switch (id) {
+      case kSectionGraph:
+        st = ParseGraphSection(body, name, &graph);
+        break;
+      case kSectionStats:
+        st = ParseStatsSection(body, &rip);
+        break;
+      case kSectionOptions:
+        st = ParseOptionsSection(body, &options);
+        break;
+      case kSectionChecksums:
+        st = ParseChecksumsSection(body, &checksums);
+        break;
+    }
+    if (!st.ok()) {
+      return st;
+    }
+    if (body.remaining() != 0) {
+      return support::InvalidArgumentError(
+          support::Format("artifact '%s': section %s body length mismatch (declared %zu, "
+                          "parsed %zu)",
+                          name.c_str(), SectionName(id), len, len - body.remaining()));
+    }
+  }
+  for (uint32_t id = 1; id <= kLastRequiredSection; ++id) {
+    if (!have[id]) {
+      return support::InvalidArgumentError("artifact '" + name + "' is missing the '" +
+                                           SectionName(id) + "' section")
+          .WithDetail(ArtifactDetail(name, std::string("section=") + SectionName(id)));
+    }
+  }
+
+  // The compile recurses as deep as the longest root path and materializes
+  // the whole forest (whose size the stored threshold drives), so both are
+  // bounded before untrusted bytes are compiled.
+  const topo::ForestShape shape = topo::MeasureForest(graph, options.externalize_threshold);
+  if (shape.longest_root_path > kMaxArtifactGraphDepth) {
+    return InvalidGraph(name, support::Format("graph has a %d-edge root path; at most %d compile",
+                                              shape.longest_root_path, kMaxArtifactGraphDepth));
+  }
+  if (shape.nodes > kMaxArtifactForestNodes) {
+    return InvalidGraph(name, support::Format("graph would compile to a %llu-node forest; at "
+                                              "most %llu compile",
+                                              static_cast<unsigned long long>(shape.nodes),
+                                              static_cast<unsigned long long>(
+                                                  kMaxArtifactForestNodes)));
+  }
+
+  LoadedModelArtifact loaded;
+  loaded.meta = header.meta;
+  loaded.model = CompiledModel::Compile(std::move(graph), options, &rip, &checksums);
+  return loaded;
+}
+
 support::Result<LoadedModelArtifact> LoadModelArtifact(const std::string& path,
                                                        const ModelingOptions& runtime_options,
                                                        const ArtifactMeta* expect) {
@@ -813,203 +688,13 @@ support::Result<LoadedModelArtifact> LoadModelArtifact(const std::string& path,
   if (!bytes.ok()) {
     return bytes.status();
   }
-  Header header;
-  if (support::Status st = ParseHeader(*bytes, path, &header); !st.ok()) {
-    return st;
+  support::Result<LoadedModelArtifact> loaded =
+      ParseModelArtifact(*bytes, path, runtime_options, expect);
+  if (loaded.ok()) {
+    support::CountMetric("model.artifact_loads");
+    support::ObserveMetric("model.artifact_load_ms",
+                           static_cast<double>(support::TraceNowUs() - load_start_us) / 1000.0);
   }
-  if (expect != nullptr && (header.meta.app_kind != expect->app_kind ||
-                            header.meta.app_version != expect->app_version)) {
-    return support::FailedPreconditionError(
-               "artifact '" + path + "' is for (" + header.meta.app_kind + ", " +
-               header.meta.app_version + "), expected (" + expect->app_kind + ", " +
-               expect->app_version + ")")
-        .WithDetail(ArtifactDetail(path, expect->app_kind + "-" + expect->app_version));
-  }
-  const char* payload = bytes->data() + header.payload_offset;
-  const size_t payload_len = header.payload_len;
-
-  // Scan the section table first — framing only, no body parsing. With the
-  // spans known up front, the DAG section (by far the largest body) can
-  // parse on a worker thread while this thread checksums the payload and
-  // parses the remaining sections; all of it reads the same immutable byte
-  // buffer.
-  struct SectionSpan {
-    uint32_t id = 0;
-    size_t offset = 0;
-    size_t len = 0;
-  };
-  std::vector<SectionSpan> spans;
-  {
-    Reader scan(payload, payload_len, path);
-    support::Status scan_st;
-    while (scan_st.ok() && scan.remaining() > 0) {
-      SectionSpan s;
-      uint64_t items = 0;
-      size_t body_len = 0;
-      scan_st = scan.ReadU32(&s.id);
-      if (scan_st.ok()) {
-        scan_st = scan.ReadU64(&items);
-      }
-      if (scan_st.ok()) {
-        scan_st = scan.ReadSize(&body_len);
-      }
-      if (!scan_st.ok()) {
-        break;
-      }
-      if (scan.remaining() < body_len) {
-        scan_st = scan.Truncated(body_len);
-        break;
-      }
-      s.offset = scan.pos();
-      s.len = body_len;
-      (void)scan.Skip(body_len);
-      spans.push_back(s);
-    }
-    if (!scan_st.ok()) {
-      // A mangled section table usually *is* flipped bytes; report the
-      // checksum verdict first so corruption reads as corruption, not as a
-      // structural bug in the writer.
-      if (support::Status cst = VerifyChecksum(*bytes, header, path); !cst.ok()) {
-        return cst;
-      }
-      return scan_st;
-    }
-  }
-
-  std::unique_ptr<topo::NavGraph> dag;
-  topo::ForestParts forest_parts;
-  desc::CatalogSnapshot snapshot;
-  CompiledModel::LoadedParts parts;
-  parts.options = runtime_options;
-
-  // Parses one section body from its slice, enforcing the declared length.
-  auto parse_one = [&](const SectionSpan& s) -> support::Status {
-    Reader reader(payload + s.offset, s.len, path);
-    support::Status st;
-    switch (s.id) {
-      case kSectionDag:
-        st = ParseDagSection(reader, path, &dag);
-        break;
-      case kSectionForest:
-        st = ParseForestSection(reader, &forest_parts);
-        break;
-      case kSectionCatalog:
-        st = ParseCatalogSection(reader, &snapshot);
-        break;
-      case kSectionPrompt:
-        st = reader.ReadSize(&parts.usage_hint_tokens);
-        if (st.ok()) {
-          st = reader.ReadStr(&parts.static_prompt);
-        }
-        if (st.ok()) {
-          st = reader.ReadSize(&parts.static_prompt_tokens);
-        }
-        break;
-      case kSectionStats:
-        st = ParseStatsSection(reader, &parts.stats);
-        break;
-      case kSectionOptions:
-        st = ParseOptionsSection(reader, &parts.options);
-        break;
-      case kSectionChecksums:
-        st = ParseChecksumsSection(reader, &parts.subtree_checksums);
-        break;
-      default:
-        // Unknown section from an additive producer: skip (forward compat
-        // within a format version; the checksum already vouched for the
-        // bytes).
-        return support::Status::Ok();
-    }
-    if (!st.ok()) {
-      return st;
-    }
-    if (reader.remaining() != 0) {
-      return support::InvalidArgumentError(
-          support::Format("artifact '%s': section %s body length mismatch (declared %zu, "
-                          "parsed %zu)",
-                          path.c_str(), SectionName(s.id) ? SectionName(s.id) : "?", s.len,
-                          s.len - reader.remaining()));
-    }
-    return support::Status::Ok();
-  };
-
-  // The DAG body dominates parse time. With a spare core, hand it to a
-  // worker thread and overlap it with the checksum and the other sections
-  // (the worker writes only `dag`; everything shared is read-only payload).
-  // On a single-CPU host the two threads would just timeshare the core —
-  // stay sequential there, which also keeps checksum-before-parse ordering
-  // for free.
-  const SectionSpan* dag_span = nullptr;
-  for (const SectionSpan& s : spans) {
-    if (s.id == kSectionDag) {
-      dag_span = &s;
-      break;
-    }
-  }
-  const bool overlap_dag = dag_span != nullptr && std::thread::hardware_concurrency() > 1;
-  support::Status dag_st;
-  std::thread dag_worker;
-  if (overlap_dag) {
-    dag_worker = std::thread([&] { dag_st = parse_one(*dag_span); });
-  }
-  support::Status checksum_st = VerifyChecksum(*bytes, header, path);
-  support::Status other_st;
-  if (checksum_st.ok()) {
-    for (const SectionSpan& s : spans) {
-      if (s.id == kSectionDag) {
-        continue;  // handled by the worker or below (first span wins)
-      }
-      other_st = parse_one(s);
-      if (!other_st.ok()) {
-        break;
-      }
-    }
-  }
-  if (dag_worker.joinable()) {
-    dag_worker.join();
-  } else if (checksum_st.ok() && other_st.ok() && dag_span != nullptr) {
-    dag_st = parse_one(*dag_span);
-  }
-  // Corruption taxonomy: a checksum mismatch outranks any parse error — the
-  // bytes are bad, not the structure.
-  if (!checksum_st.ok()) {
-    return checksum_st;
-  }
-  if (!other_st.ok()) {
-    return other_st;
-  }
-  if (!dag_st.ok()) {
-    return dag_st;
-  }
-
-  bool have[kLastRequiredSection + 1] = {};
-  for (const SectionSpan& s : spans) {
-    if (s.id >= 1 && s.id <= kLastRequiredSection) {
-      have[s.id] = true;
-    }
-  }
-  for (uint32_t id = 1; id <= kLastRequiredSection; ++id) {
-    if (!have[id]) {
-      return support::InvalidArgumentError("artifact '" + path + "' is missing the '" +
-                                           SectionName(id) + "' section")
-          .WithDetail(ArtifactDetail(path, std::string("section=") + SectionName(id)));
-    }
-  }
-
-  // Index fixup: rebuild the forest and catalog around the loaded DAG.
-  support::Result<topo::Forest> forest = topo::Forest::FromParts(std::move(forest_parts));
-  if (!forest.ok()) {
-    return forest.status();
-  }
-  parts.dag = std::move(dag);
-  parts.catalog = desc::TopologyCatalog::FromSnapshot(
-      parts.dag.get(), std::move(*forest), parts.options.describe, std::move(snapshot));
-
-  LoadedModelArtifact loaded;
-  loaded.meta = header.meta;
-  loaded.model = CompiledModel::FromLoadedParts(std::move(parts));
-  support::ObserveMetric("model.artifact_load_ms",
-                         static_cast<double>(support::TraceNowUs() - load_start_us) / 1000.0);
   span.AddArg("bytes", static_cast<int64_t>(bytes->size()));
   return loaded;
 }

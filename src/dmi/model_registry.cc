@@ -100,7 +100,8 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
   }
 
   // Resolve the baseline: memo first, then a cold artifact load. A missing
-  // baseline is not an error — the remodel callback full-rips from nothing.
+  // baseline is not an error; the remodel callback decides what to rip
+  // against.
   std::shared_ptr<const CompiledModel> baseline;
   if (auto it = memo_.find({app_kind, old_version}); it != memo_.end()) {
     baseline = it->second;

@@ -5,16 +5,17 @@
 // Acquire() resolves a key through three tiers, cheapest first:
 //   1. memo hit   — the model is already in this process; shared_ptr copy.
 //   2. cold load  — a checksum-verified artifact exists in the model
-//                   directory; read + index fixup, no pipeline stages.
+//                   directory; its stored rip is validated and compiled
+//                   (CompiledModel::Compile), no rip runs.
 //   3. compile    — the caller-supplied compile callback runs the full
-//                   pipeline; the result is saved through to the store so
-//                   every later process takes tier 2.
+//                   pipeline (rip + compile); the result is saved through
+//                   to the store so every later process takes tier 2.
 //
 // Refresh() is the live-versioning half (DESIGN.md §15): it remodels an old
-// version into a new one (delta rip + incremental recompile) and publishes
-// the result atomically — in-flight sessions keep their shared_ptr to the
-// old build, new acquires see the new one, and Prune() reclaims superseded
-// versions once nothing holds them.
+// version into a new one (delta rip against the old model's graph, then
+// Compile) and publishes the result atomically — in-flight sessions keep
+// their shared_ptr to the old build, new acquires see the new one, and
+// Prune() reclaims superseded versions once nothing holds them.
 //
 // Keys are strings (not workload::AppKind) so dmi_core stays independent of
 // the workload layer; callers pass AppKindName(kind).
@@ -64,9 +65,9 @@ class ModelRegistry {
   };
 
   // Remodels (app_kind, old_version) into new_version, typically by delta
-  // ripping against the baseline model's checksum table. `baseline` is the
-  // memoized/loaded model for the old version, or null when the registry has
-  // never seen it (the callback then full-rips).
+  // ripping against the baseline model's graph and checksum table.
+  // `baseline` is the memoized/loaded model for the old version, or null
+  // when the registry has never seen it.
   using RemodelFn =
       std::function<support::Result<Remodeled>(const std::shared_ptr<const CompiledModel>& baseline)>;
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <functional>
-#include <string_view>
-#include <unordered_set>
 
 namespace topo {
 
-NavGraph::NavGraph() : index_once_(std::make_unique<std::once_flag>()) {
+NavGraph::NavGraph() {
   NodeInfo root;
   root.control_id = "[Root]|Pane|";
   root.name = "[Root]";
@@ -19,37 +16,8 @@ NavGraph::NavGraph() : index_once_(std::make_unique<std::once_flag>()) {
   index_by_id_[nodes_[0].control_id] = 0;
 }
 
-NavGraph::NavGraph(const NavGraph& other)
-    : nodes_(other.nodes_),
-      adjacency_(other.adjacency_),
-      index_by_id_(other.index_by_id_),
-      index_once_(std::make_unique<std::once_flag>()) {}
-
-NavGraph& NavGraph::operator=(const NavGraph& other) {
-  if (this != &other) {
-    nodes_ = other.nodes_;
-    adjacency_ = other.adjacency_;
-    index_by_id_ = other.index_by_id_;
-    index_once_ = std::make_unique<std::once_flag>();
-  }
-  return *this;
-}
-
-void NavGraph::EnsureIndex() const {
-  std::call_once(*index_once_, [this] {
-    if (!index_by_id_.empty()) {
-      return;  // built eagerly (AddNode path) or copied from a built graph
-    }
-    index_by_id_.reserve(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      index_by_id_.emplace(nodes_[i].control_id, static_cast<int>(i));
-    }
-  });
-}
-
 int NavGraph::AddNode(const NodeInfo& info) {
   assert(!info.control_id.empty());
-  EnsureIndex();
   auto it = index_by_id_.find(info.control_id);
   if (it != index_by_id_.end()) {
     return it->second;
@@ -62,7 +30,6 @@ int NavGraph::AddNode(const NodeInfo& info) {
 }
 
 int NavGraph::FindNode(const std::string& control_id) const {
-  EnsureIndex();
   auto it = index_by_id_.find(control_id);
   return it == index_by_id_.end() ? -1 : it->second;
 }
@@ -180,71 +147,6 @@ NavGraph NavGraph::Canonicalized() const {
     std::sort(succ.begin(), succ.end());
   }
   return out;
-}
-
-support::Result<NavGraph> NavGraph::FromParts(std::vector<NodeInfo> nodes,
-                                              std::vector<std::vector<int>> adjacency) {
-  if (nodes.empty() || nodes.size() != adjacency.size()) {
-    return support::InvalidArgumentError("graph parts misaligned: " +
-                                         std::to_string(nodes.size()) + " nodes vs " +
-                                         std::to_string(adjacency.size()) + " adjacency rows");
-  }
-  const int count = static_cast<int>(nodes.size());
-  for (const auto& row : adjacency) {
-    for (int to : row) {
-      if (to < 0 || to >= count) {
-        return support::InvalidArgumentError("graph edge target out of range: " +
-                                             std::to_string(to));
-      }
-    }
-  }
-  // Uniqueness check without materializing the string-keyed index: the
-  // eager map rebuild costs ~4x the whole rest of an artifact's DAG parse,
-  // so it is deferred until the first lookup (EnsureIndex, call_once) —
-  // most loaded graphs are only ever walked by index. 64-bit hashes go into a flat
-  // open-addressed probe table; a hash ever seen twice (real duplicate or
-  // collision) takes the exact slow path.
-  size_t cap = 16;
-  while (cap < nodes.size() * 2) {
-    cap <<= 1;
-  }
-  std::vector<uint64_t> table(cap, 0);
-  bool need_exact = false;
-  for (int i = 0; i < count && !need_exact; ++i) {
-    const std::string& id = nodes[static_cast<size_t>(i)].control_id;
-    uint64_t h = std::hash<std::string_view>{}(id);
-    h += (h == 0);  // 0 marks an empty slot
-    for (size_t slot = h & (cap - 1);; slot = (slot + 1) & (cap - 1)) {
-      if (table[slot] == 0) {
-        table[slot] = h;
-        break;
-      }
-      if (table[slot] == h) {
-        need_exact = true;
-        break;
-      }
-    }
-  }
-  if (need_exact) {
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(nodes.size());
-    for (int i = 0; i < count; ++i) {
-      if (!seen.insert(nodes[static_cast<size_t>(i)].control_id).second) {
-        return support::InvalidArgumentError("duplicate control id at node " +
-                                             std::to_string(i));
-      }
-    }
-  }
-  for (int i = 0; i < count; ++i) {
-    if (nodes[static_cast<size_t>(i)].control_id.empty()) {
-      return support::InvalidArgumentError("empty control id at node " + std::to_string(i));
-    }
-  }
-  NavGraph graph;
-  graph.nodes_ = std::move(nodes);
-  graph.adjacency_ = std::move(adjacency);
-  graph.index_by_id_.clear();
-  return graph;
 }
 
 jsonv::Value NavGraph::ToJson() const {

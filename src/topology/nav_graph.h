@@ -7,14 +7,11 @@
 #ifndef SRC_TOPOLOGY_NAV_GRAPH_H_
 #define SRC_TOPOLOGY_NAV_GRAPH_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/json/json.h"
-#include "src/support/status.h"
 #include "src/uia/control_type.h"
 
 namespace topo {
@@ -43,14 +40,6 @@ class NavGraph {
 
   // Creates a graph containing only the virtual root.
   NavGraph();
-
-  // Copies share no state; the copy gets its own lazy-index flag so a graph
-  // copied before its index materialized builds one independently. (Needed
-  // because std::once_flag itself is neither copyable nor movable.)
-  NavGraph(const NavGraph& other);
-  NavGraph& operator=(const NavGraph& other);
-  NavGraph(NavGraph&&) = default;
-  NavGraph& operator=(NavGraph&&) = default;
 
   // Adds a node (deduplicated by control_id); returns its index.
   int AddNode(const NodeInfo& info);
@@ -94,28 +83,10 @@ class NavGraph {
   // byte). Models persist as `.dmim` artifacts, never as this JSON.
   jsonv::Value ToJson() const;
 
-  // Bulk reconstruction from parallel node/adjacency arrays (the binary
-  // model-artifact load path, DESIGN.md §14): nodes[0] must be the virtual
-  // root. Unlike AddNode/AddEdge this adopts the arrays wholesale and
-  // validates shape (aligned arrays, unique control ids via sorted hashes,
-  // in-range edge targets) instead of deduplicating. The string-keyed index
-  // is NOT materialized eagerly (the map rebuild costs ~4x the rest of the
-  // DAG parse); the first FindNode/AddNode/MergeFrom on such a graph builds
-  // it once (call_once, safe under concurrent readers) and lookups are O(1)
-  // from then on.
-  static support::Result<NavGraph> FromParts(std::vector<NodeInfo> nodes,
-                                             std::vector<std::vector<int>> adjacency);
-
  private:
-  // Builds index_by_id_ from nodes_ if it was skipped (FromParts). Safe to
-  // call from concurrent FindNode readers; mutating paths (AddNode) are
-  // single-threaded by contract, as before.
-  void EnsureIndex() const;
-
   std::vector<NodeInfo> nodes_;
   std::vector<std::vector<int>> adjacency_;
-  mutable std::unordered_map<std::string, int> index_by_id_;
-  mutable std::unique_ptr<std::once_flag> index_once_;
+  std::unordered_map<std::string, int> index_by_id_;
 };
 
 }  // namespace topo

@@ -3,23 +3,34 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <unordered_set>
 
 #include "src/support/strings.h"
 
 namespace topo {
 namespace {
 
-// Iterative DFS classifying back-edges (edge to a node on the current stack).
+// Iterative DFS from the root, recording which nodes it reaches and the order
+// in which they finish. A back-edge (an edge to a node on the current stack)
+// is exactly an edge whose target finishes no earlier than its source: its
+// target is an ancestor. Every other edge of a reached node points at a node
+// that finished first, so the post-order lists each node after all of its
+// successors in the DAG that Decycle keeps.
 struct DfsClassification {
-  std::vector<std::pair<int, int>> back_edges;
   std::vector<bool> reachable;
+  std::vector<int> post_order;
+  std::vector<int> finish;  // position in post_order; -1 if unreachable
+
+  // Whether Decycle keeps the edge from -> to of a reached node.
+  bool Keeps(int from, int to) const {
+    return finish[static_cast<size_t>(to)] < finish[static_cast<size_t>(from)];
+  }
 };
 
 DfsClassification ClassifyEdges(const NavGraph& graph) {
   const size_t n = graph.node_count();
   DfsClassification out;
   out.reachable.assign(n, false);
+  out.finish.assign(n, -1);
   enum class Color { kWhite, kGray, kBlack };
   std::vector<Color> color(n, Color::kWhite);
   // Explicit stack of (node, next-successor-index).
@@ -32,21 +43,16 @@ DfsClassification ClassifyEdges(const NavGraph& graph) {
     const auto& succ = graph.successors(node);
     if (next >= succ.size()) {
       color[static_cast<size_t>(node)] = Color::kBlack;
+      out.finish[static_cast<size_t>(node)] = static_cast<int>(out.post_order.size());
+      out.post_order.push_back(node);
       stack.pop_back();
       continue;
     }
     const int to = succ[next++];
-    switch (color[static_cast<size_t>(to)]) {
-      case Color::kWhite:
-        color[static_cast<size_t>(to)] = Color::kGray;
-        out.reachable[static_cast<size_t>(to)] = true;
-        stack.emplace_back(to, 0);
-        break;
-      case Color::kGray:
-        out.back_edges.emplace_back(node, to);
-        break;
-      case Color::kBlack:
-        break;  // forward/cross edge: fine in a DAG
+    if (color[static_cast<size_t>(to)] == Color::kWhite) {
+      color[static_cast<size_t>(to)] = Color::kGray;
+      out.reachable[static_cast<size_t>(to)] = true;
+      stack.emplace_back(to, 0);
     }
   }
   return out;
@@ -81,27 +87,56 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
   return a > kCloneCountSaturated - b ? kCloneCountSaturated : a + b;
 }
 
+// Pass 1 of the selective externalization, over the DAG made of `graph`'s
+// edges that `keeps` accepts: `bottom_up` lists its nodes, each after all of
+// its successors, and `indeg` holds their in-degrees in it. Decides which
+// merge nodes become shared subtrees and computes each node's *effective*
+// subtree size (externalized children count as a single reference node) and
+// height (the longest path down, in edges).
+struct Externalization {
+  std::vector<bool> externalized;
+  std::vector<uint64_t> eff_size;
+  std::vector<int> height;
+};
+
+template <typename Keeps>
+Externalization PlanExternalization(const NavGraph& graph, const std::vector<int>& bottom_up,
+                                    const std::vector<int>& indeg, uint64_t cost_threshold,
+                                    const Keeps& keeps) {
+  const size_t n = graph.node_count();
+  Externalization plan;
+  plan.externalized.assign(n, false);
+  plan.eff_size.assign(n, 0);
+  plan.height.assign(n, 0);
+  for (int node : bottom_up) {
+    const size_t u = static_cast<size_t>(node);
+    uint64_t size = 1;
+    for (int to : graph.successors(node)) {
+      if (!keeps(node, to)) {
+        continue;
+      }
+      const size_t v = static_cast<size_t>(to);
+      // An externalized child is a single reference node; any other is cloned.
+      size = SaturatingAdd(size, plan.externalized[v] ? 1 : plan.eff_size[v]);
+      plan.height[u] = std::max(plan.height[u], plan.height[v] + 1);
+    }
+    plan.eff_size[u] = size;
+    const int d = indeg[u];
+    if (d > 1) {
+      const uint64_t clone_cost = static_cast<uint64_t>(d - 1) * size;
+      if (clone_cost > cost_threshold) {
+        plan.externalized[u] = true;
+      }
+    }
+  }
+  return plan;
+}
+
 }  // namespace
 
 DecycleResult Decycle(const NavGraph& graph) {
-  DfsClassification cls = ClassifyEdges(graph);
-  // Hash-set back-edge lookup: O(1) per edge instead of a linear scan over
-  // every back edge for every edge (O(E·B) on menu-heavy graphs).
-  std::unordered_set<uint64_t> back_edge_keys;
-  back_edge_keys.reserve(cls.back_edges.size());
-  auto edge_key = [](int from, int to) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-           static_cast<uint32_t>(to);
-  };
-  for (const auto& [f, t] : cls.back_edges) {
-    back_edge_keys.insert(edge_key(f, t));
-  }
-  auto is_back_edge = [&](int from, int to) {
-    return back_edge_keys.count(edge_key(from, to)) > 0;
-  };
-
+  const DfsClassification cls = ClassifyEdges(graph);
   DecycleResult result;
-  result.removed_back_edges = cls.back_edges.size();
   // Re-add reachable nodes (order-preserving), then non-back edges.
   std::vector<int> remap(graph.node_count(), -1);
   remap[NavGraph::kRootIndex] = NavGraph::kRootIndex;
@@ -112,21 +147,48 @@ DecycleResult Decycle(const NavGraph& graph) {
       ++result.unreachable_dropped;
     }
   }
+  // A reached node's successors are all reached.
   for (size_t from = 0; from < graph.node_count(); ++from) {
     if (!cls.reachable[from]) {
       continue;
     }
     for (int to : graph.successors(static_cast<int>(from))) {
-      if (!cls.reachable[static_cast<size_t>(to)]) {
-        continue;
-      }
-      if (is_back_edge(static_cast<int>(from), to)) {
+      if (!cls.Keeps(static_cast<int>(from), to)) {
+        ++result.removed_back_edges;
         continue;
       }
       result.dag.AddEdge(remap[from], remap[static_cast<size_t>(to)]);
     }
   }
   return result;
+}
+
+ForestShape MeasureForest(const NavGraph& graph, uint64_t cost_threshold) {
+  // Measured on `graph` itself, through the DFS Decycle runs, so nothing is
+  // copied: the post-order lists every node after its kept successors.
+  const DfsClassification cls = ClassifyEdges(graph);
+  const auto keeps = [&cls](int from, int to) { return cls.Keeps(from, to); };
+  std::vector<int> indeg(graph.node_count(), 0);
+  for (int node : cls.post_order) {
+    for (int to : graph.successors(node)) {
+      if (keeps(node, to)) {
+        ++indeg[static_cast<size_t>(to)];
+      }
+    }
+  }
+  const Externalization plan =
+      PlanExternalization(graph, cls.post_order, indeg, cost_threshold, keeps);
+  // The main tree is the root's effective subtree; each shared subtree is
+  // its externalized root's.
+  ForestShape shape;
+  shape.nodes = plan.eff_size[NavGraph::kRootIndex];
+  for (int node : cls.post_order) {
+    if (plan.externalized[static_cast<size_t>(node)]) {
+      shape.nodes = SaturatingAdd(shape.nodes, plan.eff_size[static_cast<size_t>(node)]);
+    }
+  }
+  shape.longest_root_path = plan.height[NavGraph::kRootIndex];
+  return shape;
 }
 
 uint64_t NaiveCloneCount(const NavGraph& dag) {
@@ -144,56 +206,13 @@ uint64_t NaiveCloneCount(const NavGraph& dag) {
   return f[NavGraph::kRootIndex];
 }
 
-support::Result<Forest> Forest::FromParts(ForestParts parts) {
-  if (parts.loc_by_id.size() != static_cast<size_t>(parts.max_id) + 1) {
-    return support::InvalidArgumentError(
-        "forest location table size " + std::to_string(parts.loc_by_id.size()) +
-        " disagrees with max_id " + std::to_string(parts.max_id));
-  }
-  if (parts.refs_by_subtree.size() != parts.shared.size()) {
-    return support::InvalidArgumentError(
-        "forest reverse-reference index covers " + std::to_string(parts.refs_by_subtree.size()) +
-        " subtrees but the forest has " + std::to_string(parts.shared.size()));
-  }
-  Forest forest;
-  forest.main_ = std::move(parts.main);
-  forest.shared_ = std::move(parts.shared);
-  forest.loc_by_id_ = std::move(parts.loc_by_id);
-  forest.all_refs_ = std::move(parts.all_refs);
-  forest.refs_by_subtree_ = std::move(parts.refs_by_subtree);
-  forest.max_id_ = parts.max_id;
-  return forest;
-}
-
 Forest SelectiveExternalize(const NavGraph& dag, uint64_t cost_threshold) {
   const std::vector<int> order = TopoOrder(dag);
-  const std::vector<int> indeg = dag.InDegrees();
+  const Externalization plan =
+      PlanExternalization(dag, std::vector<int>(order.rbegin(), order.rend()), dag.InDegrees(),
+                          cost_threshold, [](int, int) { return true; });
+  const std::vector<bool>& externalized = plan.externalized;
   const size_t n = dag.node_count();
-
-  // Pass 1 (reverse topological): decide externalization and compute the
-  // *effective* subtree size of each node — externalized children count as a
-  // single reference node.
-  std::vector<bool> externalized(n, false);
-  std::vector<uint64_t> eff_size(n, 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const int node = *it;
-    uint64_t size = 1;
-    for (int to : dag.successors(node)) {
-      if (externalized[static_cast<size_t>(to)]) {
-        size = SaturatingAdd(size, 1);  // reference node
-      } else {
-        size = SaturatingAdd(size, eff_size[static_cast<size_t>(to)]);
-      }
-    }
-    eff_size[static_cast<size_t>(node)] = size;
-    const int d = indeg[static_cast<size_t>(node)];
-    if (d > 1) {
-      const uint64_t clone_cost = static_cast<uint64_t>(d - 1) * size;
-      if (clone_cost > cost_threshold) {
-        externalized[static_cast<size_t>(node)] = true;
-      }
-    }
-  }
 
   // Shared-subtree index per externalized node, in topological order so the
   // serialized output is stable.

@@ -32,6 +32,7 @@ struct DecycleResult {
 // from the root. Preserves node indices/ids of reachable nodes.
 DecycleResult Decycle(const NavGraph& graph);
 
+
 // Size of the naive full-clone tree (every merge node duplicated along all
 // in-edges), computed without materializing. Saturates at kSaturated.
 inline constexpr uint64_t kCloneCountSaturated = UINT64_MAX;
@@ -65,31 +66,10 @@ struct ReferenceEntry {
   int subtree = -1;
 };
 
-// Raw forest state captured by the binary model-artifact writer and adopted
-// wholesale by the loader (DESIGN.md §14): the trees plus both precomputed
-// indexes, so a cold load re-derives nothing.
-struct ForestParts {
-  Tree main;
-  std::vector<Tree> shared;
-  std::vector<ForestLocation> loc_by_id;
-  std::vector<ReferenceEntry> all_refs;
-  std::vector<std::vector<int>> refs_by_subtree;
-  int max_id = 0;
-};
-
 class Forest {
  public:
   const Tree& main() const { return main_; }
   const std::vector<Tree>& shared() const { return shared_; }
-
-  // Adopts parts captured from an existing forest. Structural validity is
-  // the artifact checksum's job; this only rejects an index table whose size
-  // disagrees with max_id (the invariant every dense probe relies on).
-  static support::Result<Forest> FromParts(ForestParts parts);
-
-  // Raw access to the precomputed indexes, for the artifact writer.
-  const std::vector<ForestLocation>& LocationTable() const { return loc_by_id_; }
-  const std::vector<std::vector<int>>& RefsBySubtree() const { return refs_by_subtree_; }
 
   // Total nodes across main + shared trees (reference nodes included).
   size_t total_nodes() const;
@@ -146,6 +126,19 @@ class Forest {
   std::vector<std::vector<int>> refs_by_subtree_;
   int max_id_ = 0;
 };
+
+// The forest SelectiveExternalize(Decycle(graph).dag, cost_threshold) builds,
+// measured without building it or the DAG: its node count (saturating at
+// kCloneCountSaturated) and the longest root path of the DAG, which is the
+// deepest the later stages (forest cloning, serialization, core pruning)
+// recurse. Iterative and O(graph), however deep the graph or large the
+// forest — the artifact reader bounds both before it compiles untrusted
+// bytes.
+struct ForestShape {
+  uint64_t nodes = 0;
+  int longest_root_path = 0;
+};
+ForestShape MeasureForest(const NavGraph& graph, uint64_t cost_threshold);
 
 // The paper's cost-based selective externalization. Processes merge nodes in
 // reverse topological order; a node whose cloning cost

@@ -1,11 +1,14 @@
-// Binary model artifacts + registry (DESIGN.md §14): byte-identity of the
-// cold-load path, typed rejection of every corruption mode, registry
-// memoization / save-through / concurrent acquire, and checked writes.
+// Binary model artifacts + registry (DESIGN.md §14): a loaded model equals
+// the compiled one, typed rejection of every corruption mode (a seeded
+// mutation loop included), registry memoization / save-through / concurrent
+// acquire, and checked writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,9 +18,12 @@
 #include "src/dmi/model_artifact.h"
 #include "src/dmi/model_registry.h"
 #include "src/dmi/session.h"
+#include "src/gui/application.h"
 #include "src/ripper/ripper.h"
 #include "src/support/binio.h"
 #include "src/support/metrics.h"
+#include "src/support/rng.h"
+#include "src/topology/transform.h"
 
 namespace {
 
@@ -70,57 +76,92 @@ support::Status LoadBytesAs(const std::string& bytes, const std::string& name,
   return loaded.ok() ? support::Status::Ok() : loaded.status();
 }
 
+uint64_t Counter(const char* name) {
+  return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
+}
+
+// Every ModelingStats field: the rip counters come from the artifact, the
+// rest from compiling the stored graph.
+void ExpectSameStats(const dmi::ModelingStats& a, const dmi::ModelingStats& b) {
+  EXPECT_EQ(a.raw.nodes, b.raw.nodes);
+  EXPECT_EQ(a.raw.edges, b.raw.edges);
+  EXPECT_EQ(a.raw.merge_nodes, b.raw.merge_nodes);
+  EXPECT_EQ(a.raw.back_edges, b.raw.back_edges);
+  EXPECT_EQ(a.raw.max_depth, b.raw.max_depth);
+  EXPECT_EQ(a.back_edges_removed, b.back_edges_removed);
+  EXPECT_EQ(a.unreachable_dropped, b.unreachable_dropped);
+  EXPECT_EQ(a.forest_nodes, b.forest_nodes);
+  EXPECT_EQ(a.shared_subtrees, b.shared_subtrees);
+  EXPECT_EQ(a.references, b.references);
+  EXPECT_EQ(a.core_nodes, b.core_nodes);
+  EXPECT_EQ(a.core_tokens, b.core_tokens);
+  EXPECT_EQ(a.full_tokens, b.full_tokens);
+  EXPECT_EQ(a.rip.clicks, b.rip.clicks);
+  EXPECT_EQ(a.rip.captures, b.rip.captures);
+  EXPECT_EQ(a.rip.explored, b.rip.explored);
+  EXPECT_EQ(a.rip.external_recoveries, b.rip.external_recoveries);
+  EXPECT_EQ(a.rip.window_events, b.rip.window_events);
+  EXPECT_EQ(a.rip.contexts, b.rip.contexts);
+  EXPECT_EQ(a.rip.capture_rebuilds, b.rip.capture_rebuilds);
+  EXPECT_EQ(a.rip.capture_cache_hits, b.rip.capture_cache_hits);
+  EXPECT_EQ(a.rip.indexed_lookups, b.rip.indexed_lookups);
+  EXPECT_EQ(a.rip.simulated_ms, b.rip.simulated_ms);
+}
+
 // ----- byte identity --------------------------------------------------------
 
 TEST(ArtifactRoundTrip, ByteIdenticalModel) {
   const auto& compiled = WordModel();
   const std::string& bytes = WordArtifactBytes();
-  auto counter = [](const char* name) {
-    return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
-  };
-  const uint64_t model_builds = counter("model.builds");
-  const uint64_t token_builds = counter("describe.token_count_builds");
-  const uint64_t subtree_builds = counter("describe.serialize_subtree_builds");
-  std::shared_ptr<const dmi::CompiledModel> loaded;
-  ASSERT_TRUE(LoadBytesAs(bytes, "word_roundtrip.dmim", &loaded).ok());
+  const std::string dir = TempPath("registry_roundtrip");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(support::WriteFileBytes(dir + "/WordSim-1.dmim", bytes).ok());
+  const uint64_t model_builds = Counter("model.builds");
+  const uint64_t rip_clicks = Counter("rip.clicks");
+  const uint64_t rip_captures = Counter("rip.captures");
 
-  // The static prompt segment and every memoized serialization must be
-  // byte-identical — a loaded model must be indistinguishable to an agent.
+  // A registry cold load compiles the stored rip once and rips nothing.
+  dmi::ModelRegistry registry(dir);
+  auto acquired = registry.Acquire(
+      "WordSim", "1", WordOptions(),
+      []() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
+        return support::FailedPreconditionError("a cold load must not rip");
+      });
+  ASSERT_TRUE(acquired.ok()) << acquired.status().ToString();
+  const std::shared_ptr<const dmi::CompiledModel> loaded = *acquired;
+  EXPECT_EQ(registry.stats().artifact_loads, 1u);
+  EXPECT_EQ(registry.stats().compiles, 0u);
+  EXPECT_EQ(Counter("model.builds") - model_builds, 1u);
+  EXPECT_EQ(Counter("rip.clicks") - rip_clicks, 0u);
+  EXPECT_EQ(Counter("rip.captures") - rip_captures, 0u);
+
+  // The stored graph is the compiled one, so every surface an agent sees is
+  // byte-identical.
+  EXPECT_TRUE(loaded->ripped().ToJson().Dump() == compiled->ripped().ToJson().Dump());
   EXPECT_EQ(loaded->static_prompt(), compiled->static_prompt());
   EXPECT_EQ(loaded->static_prompt_tokens(), compiled->static_prompt_tokens());
   EXPECT_EQ(loaded->usage_hint_tokens(), compiled->usage_hint_tokens());
   EXPECT_EQ(loaded->catalog().CoreText(), compiled->catalog().CoreText());
   EXPECT_EQ(loaded->catalog().CoreTokens(), compiled->catalog().CoreTokens());
-  EXPECT_EQ(loaded->catalog().FullTokens(), compiled->catalog().FullTokens());
-  // FullText stays lazy on load; it composes from the seeded subtree texts
-  // and must reproduce the compiled model's bytes.
   EXPECT_EQ(loaded->catalog().FullText(), compiled->catalog().FullText());
+  EXPECT_EQ(loaded->catalog().FullTokens(), compiled->catalog().FullTokens());
   ASSERT_EQ(loaded->catalog().forest().shared().size(),
             compiled->catalog().forest().shared().size());
   for (size_t s = 0; s < compiled->catalog().forest().shared().size(); ++s) {
     EXPECT_EQ(loaded->catalog().SubtreeText(static_cast<int>(s)),
               compiled->catalog().SubtreeText(static_cast<int>(s)));
   }
+  ExpectSameStats(loaded->stats(), compiled->stats());
 
-  // Structure and stats.
-  EXPECT_EQ(loaded->dag().node_count(), compiled->dag().node_count());
-  EXPECT_EQ(loaded->stats().forest_nodes, compiled->stats().forest_nodes);
-  EXPECT_EQ(loaded->stats().core_tokens, compiled->stats().core_tokens);
-  EXPECT_EQ(loaded->stats().raw.nodes, compiled->stats().raw.nodes);
-  EXPECT_EQ(loaded->stats().rip.clicks, compiled->stats().rip.clicks);
-  EXPECT_EQ(loaded->stats().rip.simulated_ms, compiled->stats().rip.simulated_ms);
+  // The reader's forest bound measures what the compile then builds.
+  EXPECT_EQ(topo::MeasureForest(loaded->ripped(), loaded->options().externalize_threshold).nodes,
+            loaded->stats().forest_nodes);
 
   // Compile-time options travel with the artifact.
   EXPECT_EQ(loaded->options().prune.manual_exclude_names,
             compiled->options().prune.manual_exclude_names);
   EXPECT_EQ(loaded->options().externalize_threshold,
             compiled->options().externalize_threshold);
-
-  // The load reran none of the pipeline: the token counts and every subtree
-  // serialization read above came seeded from the artifact.
-  EXPECT_EQ(counter("model.builds") - model_builds, 0u);
-  EXPECT_EQ(counter("describe.token_count_builds") - token_builds, 0u);
-  EXPECT_EQ(counter("describe.serialize_subtree_builds") - subtree_builds, 0u);
 }
 
 TEST(ArtifactRoundTrip, LoadedModelServesSessions) {
@@ -160,8 +201,7 @@ TEST(ArtifactRoundTrip, InspectReportsSections) {
     names.push_back(section.name);
     section_bytes += section.bytes;
   }
-  EXPECT_EQ(names, (std::vector<std::string>{"dag", "forest", "catalog", "prompt", "stats",
-                                             "options", "checksums"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"graph", "stats", "options", "checksums"}));
   // Section frames are 20 bytes each; bodies account for the whole payload.
   EXPECT_EQ(section_bytes + names.size() * 20, info->payload_bytes);
 }
@@ -219,9 +259,10 @@ TEST(ArtifactCorruption, ForeignEndiannessIsFailedPrecondition) {
 }
 
 TEST(ArtifactCorruption, UnsupportedVersionIsUnimplemented) {
-  // A future version and the retired version 1 (no checksums section) are
-  // both rejected; the reader accepts exactly kArtifactFormatVersion.
-  for (const char version : {char{99}, char{1}}) {
+  // A future version and the retired versions 1 (no checksums section) and
+  // 2 (derived structures, no graph) are all rejected; the reader accepts
+  // exactly kArtifactFormatVersion.
+  for (const char version : {char{99}, char{1}, char{2}}) {
     std::string bytes = WordArtifactBytes();
     bytes[12] = version;  // format version lives right after the endian tag
     support::Status st = LoadBytesAs(bytes, "word_version.dmim");
@@ -302,15 +343,17 @@ TEST(RegistryTest, CompileSaveThroughThenColdLoad) {
 }
 
 TEST(RegistryTest, CorruptArtifactFallsBackAndHeals) {
-  // A flipped payload bit, and a version-1 file from before the checksums
-  // section became required: old stores need no migration code, because
-  // any rejected artifact costs one recompile and is then overwritten.
+  // A flipped payload bit, and files of the retired versions 1 and 2: old
+  // stores need no migration code, because any rejected artifact costs one
+  // recompile and is then overwritten.
   std::string flipped = WordArtifactBytes();
   flipped[flipped.size() / 3] ^= 0x10;
   std::string version_one = WordArtifactBytes();
   version_one[12] = 1;  // format version lives right after the endian tag
+  std::string version_two = WordArtifactBytes();
+  version_two[12] = 2;
   int store = 0;
-  for (const std::string& bytes : {flipped, version_one}) {
+  for (const std::string& bytes : {flipped, version_one, version_two}) {
     const std::string dir = TempPath("registry_store_b" + std::to_string(store++));
     std::filesystem::create_directories(dir);
     ASSERT_TRUE(support::WriteFileBytes(dir + "/WordSim-1.dmim", bytes).ok());
@@ -410,34 +453,335 @@ TEST(RegistryTest, NoStoreDegradesToMemo) {
   EXPECT_EQ(registry.stats().save_throughs, 0u);
 }
 
-// ----- part-level validation ------------------------------------------------
+// ----- untrusted bytes: hand-made graphs and seeded mutations ---------------
+//
+// A test-side writer of the v3 layout (model_artifact.h). Unlike
+// SaveModelArtifact it can write graphs no compile produces — repeated ids,
+// dangling edges, unknown control types, chains deeper than the loader
+// compiles — and it records where every length field sits, so the mutation
+// loop can rewrite them.
 
-TEST(FromPartsTest, NavGraphRejectsMisalignedParts) {
-  std::vector<topo::NodeInfo> nodes(2);
-  nodes[0].control_id = "a";
-  nodes[1].control_id = "b";
-  // Adjacency shorter than the node list.
-  auto misaligned = topo::NavGraph::FromParts(nodes, {{1}});
-  ASSERT_FALSE(misaligned.ok());
-  EXPECT_EQ(misaligned.status().code(), support::StatusCode::kInvalidArgument);
-  // Edge target out of range.
-  auto bad_edge = topo::NavGraph::FromParts(nodes, {{5}, {}});
-  ASSERT_FALSE(bad_edge.ok());
-  // Duplicate control id.
-  nodes[1].control_id = "a";
-  auto dup = topo::NavGraph::FromParts(nodes, {{}, {}});
-  ASSERT_FALSE(dup.ok());
+struct TestNode {
+  std::string id;
+  std::string name;
+  uint32_t type = static_cast<uint32_t>(uia::ControlType::kButton);
+};
+
+struct LengthField {
+  size_t offset = 0;
+  size_t width = 0;  // 4 or 8 bytes
+};
+
+class TestWriter {
+ public:
+  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void U32(uint32_t v) { out_.append(reinterpret_cast<const char*>(&v), sizeof(v)); }
+  void U64(uint64_t v) { out_.append(reinterpret_cast<const char*>(&v), sizeof(v)); }
+  void Len32(size_t v) {
+    fields_.push_back({out_.size(), 4});
+    U32(static_cast<uint32_t>(v));
+  }
+  void Len64(size_t v) {
+    fields_.push_back({out_.size(), 8});
+    U64(v);
+  }
+  void Str(const std::string& s) {
+    Len32(s.size());
+    out_ += s;
+  }
+  void Append(const TestWriter& other) {
+    for (LengthField f : other.fields_) {
+      f.offset += out_.size();
+      fields_.push_back(f);
+    }
+    out_ += other.out_;
+  }
+  void Section(uint32_t id, uint64_t items, const TestWriter& body) {
+    U32(id);
+    U64(items);
+    Len64(body.out_.size());
+    Append(body);
+  }
+  const std::string& bytes() const { return out_; }
+  const std::vector<LengthField>& fields() const { return fields_; }
+
+ private:
+  std::string out_;
+  std::vector<LengthField> fields_;
+};
+
+uint64_t PayloadChecksum(const char* data, size_t n) {
+  gsim::StateHash hash;
+  hash.MixBytes(data, n);
+  return hash.digest();
 }
 
-TEST(FromPartsTest, ForestRejectsInconsistentTables) {
-  topo::ForestParts parts;
-  parts.main.nodes.resize(1);
-  parts.main.nodes[0].id = 0;
-  parts.max_id = 0;
-  // loc_by_id must span max_id + 1 entries.
-  auto bad = topo::Forest::FromParts(parts);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), support::StatusCode::kInvalidArgument);
+struct TestArtifact {
+  std::string bytes;
+  std::vector<LengthField> fields;
+  size_t checksum_offset = 0;  // the payload starts 8 bytes later
+};
+
+// Node 0 must be the virtual root; rows[i] lists node i's successors.
+TestArtifact EncodeArtifact(
+    const std::vector<TestNode>& nodes, const std::vector<std::vector<int>>& rows,
+    uint64_t threshold = dmi::ModelingOptions{}.externalize_threshold) {
+  TestWriter graph;
+  graph.Len32(nodes.size());
+  for (const TestNode& node : nodes) {
+    graph.Str(node.id);
+    graph.Str(node.name);
+    graph.U32(node.type);
+    graph.Str("");  // description
+    graph.Str("");  // automation id
+  }
+  for (const std::vector<int>& row : rows) {
+    graph.Len32(row.size());
+    for (int to : row) {
+      graph.U32(static_cast<uint32_t>(to));
+    }
+  }
+  TestWriter stats;
+  for (int i = 0; i < 10; ++i) {
+    stats.U64(0);  // nine rip counters and the simulated milliseconds
+  }
+  const dmi::ModelingOptions defaults;
+  TestWriter options;
+  options.U8(defaults.augment_descriptions ? 1 : 0);
+  options.U64(threshold);
+  options.U32(static_cast<uint32_t>(defaults.prune.max_depth));
+  options.U64(defaults.prune.enumeration_limit);
+  options.Len32(0);  // no manual exclusions
+  options.U64(defaults.describe.max_description_tokens);
+  options.U8(defaults.describe.include_descriptions ? 1 : 0);
+  TestWriter checksums;
+  checksums.Len32(0);
+
+  TestWriter payload;
+  payload.Section(1, nodes.size(), graph);
+  payload.Section(2, 1, stats);
+  payload.Section(3, 1, options);
+  payload.Section(4, 0, checksums);
+
+  TestWriter file;
+  for (char c : dmi::kArtifactMagic) {
+    file.U8(static_cast<uint8_t>(c));
+  }
+  file.U32(dmi::kArtifactEndianTag);
+  file.U32(dmi::kArtifactFormatVersion);
+  file.Str("TestSim");
+  file.Str("1");
+  file.Len64(payload.bytes().size());
+  TestArtifact out;
+  out.checksum_offset = file.bytes().size();
+  file.U64(PayloadChecksum(payload.bytes().data(), payload.bytes().size()));
+  file.Append(payload);
+  out.bytes = file.bytes();
+  out.fields = file.fields();
+  return out;
+}
+
+// Recomputes the payload checksum in place, so a mutation reaches the
+// section parsers instead of stopping at the checksum.
+void Restamp(std::string& bytes, size_t checksum_offset) {
+  const size_t payload = checksum_offset + 8;
+  if (bytes.size() < payload) {
+    return;
+  }
+  const uint64_t sum = PayloadChecksum(bytes.data() + payload, bytes.size() - payload);
+  std::memcpy(&bytes[checksum_offset], &sum, sizeof(sum));
+}
+
+TestNode Root() {
+  topo::NavGraph graph;
+  const topo::NodeInfo& root = graph.node(topo::NavGraph::kRootIndex);
+  return {root.control_id, root.name, static_cast<uint32_t>(root.type)};
+}
+
+TestNode Node(const std::string& name, uia::ControlType type = uia::ControlType::kButton) {
+  return {name + "|" + std::string(uia::ControlTypeName(type)) + "|", name,
+          static_cast<uint32_t>(type)};
+}
+
+// A small graph with a merge node (Paste, reached from two menus) and a back
+// edge (Copy -> Edit Menu), so the compile decycles and externalizes.
+std::vector<TestNode> SmallNodes() {
+  return {Root(),
+          Node("Edit Menu", uia::ControlType::kMenuItem),
+          Node("View Menu", uia::ControlType::kMenuItem),
+          Node("Paste"),
+          Node("Copy"),
+          Node("Paste Special", uia::ControlType::kMenuItem)};
+}
+std::vector<std::vector<int>> SmallRows() { return {{1, 2}, {3, 4}, {3}, {5}, {1}, {}}; }
+
+support::Status ParseStatus(const std::string& bytes) {
+  auto parsed = dmi::ParseModelArtifact(bytes, "mutant", dmi::ModelingOptions{});
+  return parsed.ok() ? support::Status::Ok() : parsed.status();
+}
+
+TEST(ArtifactMutation, SeededMutationsReturnStatusOrModel) {
+  // The writer above is the format: for a valid graph it writes exactly what
+  // SaveModelArtifact writes.
+  const TestArtifact base = EncodeArtifact(SmallNodes(), SmallRows());
+  {
+    const std::vector<TestNode> nodes = SmallNodes();
+    topo::NavGraph graph;
+    for (size_t i = 1; i < nodes.size(); ++i) {
+      const TestNode& node = nodes[i];
+      topo::NodeInfo info;
+      info.control_id = node.id;
+      info.name = node.name;
+      info.type = static_cast<uia::ControlType>(node.type);
+      ASSERT_EQ(graph.AddNode(info), static_cast<int>(i));
+    }
+    const std::vector<std::vector<int>> rows = SmallRows();
+    for (size_t from = 0; from < rows.size(); ++from) {
+      for (int to : rows[from]) {
+        graph.AddEdge(static_cast<int>(from), to);
+      }
+    }
+    const std::string path = TempPath("small_graph.dmim");
+    ASSERT_TRUE(dmi::SaveModelArtifact(*dmi::CompiledModel::Compile(graph, dmi::ModelingOptions{}),
+                                       {"TestSim", "1"}, path)
+                    .ok());
+    auto saved = support::ReadFileBytes(path);
+    ASSERT_TRUE(saved.ok());
+    ASSERT_TRUE(*saved == base.bytes);
+    auto parsed = dmi::ParseModelArtifact(base.bytes, "small", dmi::ModelingOptions{});
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const dmi::CompiledModel& model = *parsed->model;
+    EXPECT_EQ(model.stats().back_edges_removed, 1u);
+    const topo::ForestShape shape =
+        topo::MeasureForest(model.ripped(), model.options().externalize_threshold);
+    EXPECT_EQ(shape.nodes, model.stats().forest_nodes);
+    EXPECT_EQ(shape.longest_root_path, 3);  // Edit Menu -> Paste -> Paste Special
+  }
+
+  // Hand-made graphs the writer never produces: each is a typed
+  // kInvalidArgument naming what is wrong.
+  struct Case {
+    const char* what;
+    std::vector<TestNode> nodes;
+    std::vector<std::vector<int>> rows;
+    const char* message;
+    uint64_t threshold = dmi::ModelingOptions{}.externalize_threshold;
+  };
+  std::vector<TestNode> repeated = SmallNodes();
+  repeated[4].id = repeated[3].id;
+  std::vector<TestNode> unknown_type = SmallNodes();
+  unknown_type[2].type = static_cast<uint32_t>(uia::kNumControlTypes);
+  std::vector<TestNode> chain = {Root()};
+  std::vector<std::vector<int>> chain_rows;
+  constexpr int kChainNodes = 100000;  // Compile would overflow the stack on it
+  for (int i = 1; i < kChainNodes; ++i) {
+    chain.push_back(Node("Step " + std::to_string(i)));
+    chain_rows.push_back({i});
+  }
+  chain_rows.emplace_back();
+  // Sixty diamonds in a row: with no externalization (an unbounded stored
+  // threshold) the forest would clone 2^60 paths.
+  std::vector<TestNode> ladder = {Root()};
+  std::vector<std::vector<int>> ladder_rows = {{1}};
+  for (int d = 0; d < 60; ++d) {
+    const int top = static_cast<int>(ladder.size());
+    ladder.push_back(Node("Top " + std::to_string(d)));
+    ladder.push_back(Node("Left " + std::to_string(d)));
+    ladder.push_back(Node("Right " + std::to_string(d)));
+    ladder_rows.push_back({top + 1, top + 2});
+    ladder_rows.push_back({top + 3});
+    ladder_rows.push_back({top + 3});
+  }
+  ladder.push_back(Node("Bottom"));
+  ladder_rows.emplace_back();
+  std::vector<std::vector<int>> short_rows = SmallRows();
+  short_rows.pop_back();
+  std::vector<std::vector<int>> dangling = SmallRows();
+  dangling[5] = {6};
+  const Case cases[] = {
+      {"misaligned rows", SmallNodes(), short_rows, "truncated"},
+      {"edge out of range", SmallNodes(), dangling, "out of range"},
+      {"repeated id", repeated, SmallRows(), "repeats control id"},
+      {"unknown control type", unknown_type, SmallRows(), "unknown control type"},
+      {"100,000-node chain", chain, chain_rows, "root path"},
+      {"diamond ladder, unbounded threshold", ladder, ladder_rows, "forest", ~uint64_t{0}},
+  };
+  for (const Case& c : cases) {
+    const support::Status st = ParseStatus(EncodeArtifact(c.nodes, c.rows, c.threshold).bytes);
+    ASSERT_FALSE(st.ok()) << c.what;
+    EXPECT_EQ(st.code(), support::StatusCode::kInvalidArgument) << c.what << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find(c.message), std::string::npos) << c.what << ": "
+                                                                << st.ToString();
+  }
+
+  // Seeded mutations of the valid artifact: flipped bytes, truncations and
+  // rewritten length fields, most re-stamped so they reach the section
+  // parsers. Each must come back as a model or a typed error, never a crash.
+  support::Rng rng(20260101);
+  std::map<support::StatusCode, int> outcomes;
+  int models = 0;
+  constexpr int kIterations = 2000;
+  for (int i = 0; i < kIterations; ++i) {
+    std::string bytes = base.bytes;
+    switch (rng.NextBelow(3)) {
+      case 0:
+        for (uint64_t n = 1 + rng.NextBelow(4); n > 0; --n) {
+          bytes[rng.NextBelow(bytes.size())] ^= static_cast<char>(1 + rng.NextBelow(255));
+        }
+        break;
+      case 1:
+        bytes.resize(rng.NextBelow(bytes.size()));
+        break;
+      default: {
+        const LengthField& field = base.fields[rng.NextBelow(base.fields.size())];
+        uint64_t value = 0;
+        if (field.width == 4) {
+          uint32_t narrow = 0;
+          std::memcpy(&narrow, &bytes[field.offset], 4);
+          value = narrow;
+        } else {
+          std::memcpy(&value, &bytes[field.offset], 8);
+        }
+        const uint64_t choices[] = {0, 1, value - 1, value + 1, value * 2, rng.Next(),
+                                    ~uint64_t{0}};
+        value = choices[rng.NextBelow(7)];
+        if (field.width == 4) {
+          const uint32_t narrow = static_cast<uint32_t>(value);
+          std::memcpy(&bytes[field.offset], &narrow, 4);
+        } else {
+          std::memcpy(&bytes[field.offset], &value, 8);
+        }
+        break;
+      }
+    }
+    if (rng.NextBelow(10) < 8) {
+      Restamp(bytes, base.checksum_offset);
+    }
+    auto parsed = dmi::ParseModelArtifact(bytes, "mutant", dmi::ModelingOptions{});
+    if (parsed.ok()) {
+      ++models;
+      // A model that loads is a usable model.
+      const dmi::CompiledModel& model = *parsed->model;
+      EXPECT_FALSE(model.static_prompt().empty());
+      (void)model.catalog().FullTokens();
+      for (int id : model.catalog().forest().AllIds()) {
+        (void)model.catalog().ExpandBranch(id);
+      }
+      (void)model.ResolveTargetByNames({"Paste"});
+    } else {
+      ++outcomes[parsed.status().code()];
+    }
+  }
+  // The loop reached every layer: the header, the checksum and the section
+  // parsers all rejected something, and some mutations still loaded.
+  EXPECT_GT(models, 0);
+  EXPECT_GT(outcomes[support::StatusCode::kInvalidArgument], 0);
+  EXPECT_GT(outcomes[support::StatusCode::kInternal], 0);
+  int total = models;
+  for (const auto& [code, n] : outcomes) {
+    total += n;
+  }
+  EXPECT_EQ(total, kIterations);
 }
 
 // ----- binio ----------------------------------------------------------------

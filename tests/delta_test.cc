@@ -1,8 +1,8 @@
 // Delta ripping + live model versioning (DESIGN.md §15): mutation-injection
 // byte-identity (a delta-ripped model must be indistinguishable from a
 // from-scratch rip of the updated build), checksum-table stability, the
-// registry's Refresh/Prune swap semantics, the FromParts lazy-index parity,
-// and the workers=4 zero-downtime concurrent swap.
+// registry's Refresh/Prune swap semantics, refreshes of artifact-loaded
+// models, and the workers=4 zero-downtime concurrent swap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,22 +126,16 @@ std::function<std::unique_ptr<gsim::Application>()> FactoryFor(const Mutator& mu
 
 // ----- baseline + scratch pipelines -----------------------------------------
 
-struct Baseline {
-  std::shared_ptr<const topo::NavGraph> graph;
-  ripper::ChecksumTable checksums;
-  std::shared_ptr<const dmi::CompiledModel> model;
-};
-
-Baseline BuildBaseline(const dmi::ModelingOptions& options) {
-  Baseline b;
+// The baseline model carries everything a delta rip needs: its ripped graph
+// (ripped()) and the app's checksum table (subtree_checksums()).
+std::shared_ptr<const dmi::CompiledModel> BuildBaseline(const dmi::ModelingOptions& options) {
   apps::WordSim app;
-  b.checksums = ripper::ComputeSubtreeChecksums(app);
+  const ripper::ChecksumTable checksums = ripper::ComputeSubtreeChecksums(app);
   ripper::GuiRipper rip(app, options.ripper_config);
   // Canonical layout, matching the runner's offline pipeline and the delta
   // contract (DeltaRip emits canonicalized graphs).
-  b.graph = std::make_shared<topo::NavGraph>(rip.Rip(options.contexts).Canonicalized());
-  b.model = dmi::CompiledModel::Compile(*b.graph, options, &rip.stats(), &b.checksums);
-  return b;
+  return dmi::CompiledModel::Compile(rip.Rip(options.contexts).Canonicalized(), options,
+                                     &rip.stats(), &checksums);
 }
 
 std::string ArtifactBytesOf(const dmi::CompiledModel& model, const std::string& name) {
@@ -153,32 +147,29 @@ std::string ArtifactBytesOf(const dmi::CompiledModel& model, const std::string& 
   return bytes.ok() ? *bytes : std::string();
 }
 
-// The correctness bar: delta rip + incremental recompile of the mutated build
-// must be byte-identical — serialized topology AND artifact bytes — to a
-// from-scratch rip+compile of the same build. `scratch_stats_out` receives the
+// The correctness bar: delta rip + compile of the mutated build must be
+// byte-identical — serialized topology AND artifact bytes — to a from-scratch
+// rip+compile of the same build. `scratch_stats_out` receives the
 // from-scratch rip's counters, the work the delta path exists to avoid.
 void ExpectDeltaMatchesScratch(const Mutator& mutate, const std::string& tag,
                                ripper::DeltaRipResult* delta_out = nullptr,
-                               dmi::CompiledModel::RecompileCounters* counters_out = nullptr,
                                ripper::RipStats* scratch_stats_out = nullptr) {
   const dmi::ModelingOptions options = WordOptions();
-  const Baseline baseline = BuildBaseline(options);
+  const std::shared_ptr<const dmi::CompiledModel> baseline = BuildBaseline(options);
 
   ripper::DeltaRipOptions delta_options;
   delta_options.config = options.ripper_config;
   delta_options.extra_contexts = options.contexts;
   delta_options.app_factory = FactoryFor(mutate);
   support::Result<ripper::DeltaRipResult> delta =
-      ripper::DeltaRip(delta_options, *baseline.graph, baseline.checksums);
+      ripper::DeltaRip(delta_options, baseline->ripped(), baseline->subtree_checksums());
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_FALSE(delta->full_fallback) << tag << ": delta path fell back to a full rip";
   EXPECT_GT(delta->nodes_reused, 0u) << tag;
   EXPECT_GT(delta->partitions_total, 0u) << tag;
 
-  dmi::CompiledModel::RecompileCounters counters;
   const std::shared_ptr<const dmi::CompiledModel> delta_model =
-      dmi::CompiledModel::RecompileDelta(*baseline.model, delta->graph, options, &delta->stats,
-                                         &delta->checksums, &counters);
+      dmi::CompiledModel::Compile(delta->graph, options, &delta->stats, &delta->checksums);
 
   // From-scratch reference over an identically mutated instance. The delta's
   // own RipStats are injected into the reference compile so the artifact's
@@ -211,9 +202,6 @@ void ExpectDeltaMatchesScratch(const Mutator& mutate, const std::string& tag,
   if (delta_out != nullptr) {
     *delta_out = std::move(*delta);
   }
-  if (counters_out != nullptr) {
-    *counters_out = counters;
-  }
   if (scratch_stats_out != nullptr) {
     *scratch_stats_out = scratch_rip.stats();
   }
@@ -227,9 +215,8 @@ bool Contains(const std::vector<std::string>& v, const std::string& key) {
 
 TEST(DeltaRip, RenameMenuEntryIsByteIdentical) {
   ripper::DeltaRipResult delta;
-  dmi::CompiledModel::RecompileCounters counters;
   ripper::RipStats scratch;
-  ExpectDeltaMatchesScratch(RenameMenuEntry, "rename", &delta, &counters, &scratch);
+  ExpectDeltaMatchesScratch(RenameMenuEntry, "rename", &delta, &scratch);
   // The rename lives in the References ribbon partition; nothing else moved.
   EXPECT_EQ(delta.diff.changed, std::vector<std::string>{"main:Ribbon Tabs/References"});
   EXPECT_TRUE(delta.diff.added.empty());
@@ -238,10 +225,6 @@ TEST(DeltaRip, RenameMenuEntryIsByteIdentical) {
   EXPECT_GT(delta.stats.clicks, 0u);
   EXPECT_LE(delta.stats.clicks * 5, scratch.clicks)
       << delta.stats.clicks << " delta vs " << scratch.clicks << " full clicks";
-  // Node-count-preserving mutation: forest ids stay stable, so the recompile
-  // carries memoized shared-subtree serializations over.
-  EXPECT_GT(counters.subtrees_total, 0u);
-  EXPECT_GT(counters.subtrees_reused, 0u);
 }
 
 TEST(DeltaRip, AddDialogIsByteIdentical) {
@@ -273,7 +256,7 @@ TEST(DeltaRip, DeleteSubtreeIsByteIdentical) {
 TEST(DeltaRip, CombinedMutationsAreByteIdentical) {
   ripper::DeltaRipResult delta;
   ripper::RipStats scratch;
-  ExpectDeltaMatchesScratch(Combined(), "combined", &delta, nullptr, &scratch);
+  ExpectDeltaMatchesScratch(Combined(), "combined", &delta, &scratch);
   EXPECT_FALSE(delta.diff.Empty());
   EXPECT_GT(delta.nodes_reripped, 0u);
   // Four mutations touch four partitions: still at most a third of the clicks.
@@ -283,7 +266,7 @@ TEST(DeltaRip, CombinedMutationsAreByteIdentical) {
 
 TEST(DeltaRip, EmptyBaselineTableFallsBackToFullRip) {
   const dmi::ModelingOptions options = WordOptions();
-  const Baseline baseline = BuildBaseline(options);
+  const std::shared_ptr<const dmi::CompiledModel> baseline = BuildBaseline(options);
   ripper::DeltaRipOptions delta_options;
   delta_options.config = options.ripper_config;
   delta_options.extra_contexts = options.contexts;
@@ -291,7 +274,7 @@ TEST(DeltaRip, EmptyBaselineTableFallsBackToFullRip) {
   // A model saved with no checksum table has no baseline to diff against,
   // so the delta path degrades to a full rip instead of erroring.
   support::Result<ripper::DeltaRipResult> delta =
-      ripper::DeltaRip(delta_options, *baseline.graph, ripper::ChecksumTable{});
+      ripper::DeltaRip(delta_options, baseline->ripped(), ripper::ChecksumTable{});
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_TRUE(delta->full_fallback);
   EXPECT_EQ(delta->nodes_reused, 0u);
@@ -359,8 +342,8 @@ void ExpectPpointDeltaMatchesModelPipeline(const Mutator& mutate, const topo::Na
 }
 
 TEST(DeltaRip, PowerPointEmptyTableFallbackMatchesModelPipeline) {
-  // An artifact-backed runner refreshes with an empty table (a cold-loaded
-  // model keeps no raw graph), so this fallback is every --model-dir refresh.
+  // A baseline with no checksum table (a model compiled without one) takes
+  // the full-rip fallback, which must rip exactly as the model pipeline does.
   ExpectPpointDeltaMatchesModelPipeline(nullptr, topo::NavGraph(), ripper::ChecksumTable{},
                                         /*expect_fallback=*/true);
 }
@@ -396,59 +379,87 @@ TEST(DeltaRip, ChecksumTableIsInstanceStable) {
   EXPECT_FALSE(ripper::DiffChecksumTables(ta, tc).Empty());
 }
 
-// ----- FromParts lazy index parity ------------------------------------------
-
-TEST(NavGraphLazyIndex, LoadedAndCompiledFindNodeAgree) {
-  const dmi::ModelingOptions options = WordOptions();
-  const Baseline baseline = BuildBaseline(options);
-  const std::string path = ::testing::TempDir() + "/lazy_index.dmim";
-  ASSERT_TRUE(dmi::SaveModelArtifact(*baseline.model, dmi::ArtifactMeta{"WordSim", "1"}, path).ok());
-  auto loaded = dmi::LoadModelArtifact(path, options);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  // The loaded DAG was built through FromParts (index skipped at parse time);
-  // its lazily built index must answer exactly like the compiled graph's
-  // eagerly built one, for every id and for misses.
-  const topo::NavGraph& compiled = baseline.model->dag();
-  const topo::NavGraph& cold = loaded->model->dag();
-  ASSERT_EQ(cold.node_count(), compiled.node_count());
-  for (size_t i = 0; i < compiled.node_count(); ++i) {
-    const std::string& id = compiled.node(static_cast<int>(i)).control_id;
-    EXPECT_EQ(cold.FindNode(id), compiled.FindNode(id)) << id;
+TEST(DeltaRip, ArtifactBackedRefreshReusesItsBaseline) {
+  // A model cold-loaded from a .dmim keeps the ripped graph it was compiled
+  // from, so a --model-dir runner refreshes against it exactly as an
+  // in-process runner does.
+  const workload::AppKind kind = workload::AppKind::kPpoint;
+  const std::string dir = TempDirFor("delta_artifact_refresh");
+  size_t baseline_nodes = 0;
+  uint64_t full_rip_clicks = 0;
+  {
+    TaskRunner writer;
+    writer.SetModelDir(dir);
+    baseline_nodes = writer.modeling_stats(kind).raw.nodes;  // rip, compile, save
+    full_rip_clicks = writer.rip_stats(kind).clicks;
   }
-  EXPECT_EQ(cold.FindNode("no|such|node"), -1);
-  EXPECT_EQ(compiled.FindNode("no|such|node"), -1);
+  ASSERT_GT(full_rip_clicks, 0u);
+
+  TaskRunner runner;
+  runner.SetModelDir(dir);
+  // An unchanged build: the cold-loaded baseline is spliced whole, every
+  // node but the virtual root reused, and nothing is re-ripped.
+  ASSERT_TRUE(runner.RefreshModel(kind, "2", PpointFactoryFor(nullptr)).ok());
+  dmi::ModelRegistry::Stats stats = runner.model_registry()->stats();
+  EXPECT_EQ(stats.artifact_loads, 1u);
+  EXPECT_EQ(stats.compiles, 0u);
+  EXPECT_EQ(stats.delta_nodes_reused, baseline_nodes - 1);  // 4,181 nodes
+  EXPECT_EQ(runner.modeling_stats(kind).rip.clicks, 0u);
+
+  // A renamed control takes the delta path (a fallback reuses no node and
+  // spends a full rip's clicks) and publishes the model a cold build of the
+  // same build compiles to.
+  ASSERT_TRUE(runner.RefreshModel(kind, "3", PpointFactoryFor(RenameResetPicture)).ok());
+  stats = runner.model_registry()->stats();
+  EXPECT_GT(stats.delta_nodes_reused, baseline_nodes - 1);
+  EXPECT_GT(runner.rip_stats(kind).clicks, 0u);
+  EXPECT_LT(runner.rip_stats(kind).clicks, full_rip_clicks);
+  auto published = runner.mutable_model_registry()->Acquire(
+      "PpointSim", "3", TaskRunner::DefaultModelingOptions(kind), [] {
+        return support::Result<std::shared_ptr<const dmi::CompiledModel>>(
+            support::FailedPreconditionError("memo hit expected"));
+      });
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+
+  const dmi::ModelingOptions options = TaskRunner::DefaultModelingOptions(kind);
+  std::unique_ptr<gsim::Application> cold_app = PpointFactoryFor(RenameResetPicture)();
+  ripper::GuiRipper cold_rip(*cold_app, options.ripper_config);
+  const auto cold = dmi::CompiledModel::Compile(cold_rip.Rip(options.contexts).Canonicalized(),
+                                                options);
+  EXPECT_EQ((*published)->static_prompt_tokens(), cold->static_prompt_tokens());
+  EXPECT_TRUE((*published)->static_prompt() == cold->static_prompt());
 }
 
 // ----- registry refresh + prune ---------------------------------------------
 
 TEST(ModelRegistrySwap, RefreshPublishesAtomicallyAndPruneReclaims) {
   const dmi::ModelingOptions options = WordOptions();
-  Baseline baseline = BuildBaseline(options);
+  std::shared_ptr<const dmi::CompiledModel> baseline = BuildBaseline(options);
   dmi::ModelRegistry registry(TempDirFor("delta_registry"));
   support::FlightRecorder recorder(/*run_id=*/77, /*capacity=*/32);
   registry.SetFlightRecorder(&recorder);
 
   auto v1 = registry.Acquire("WordSim", "1", options,
                              [&] { return support::Result<std::shared_ptr<const dmi::CompiledModel>>(
-                                       baseline.model); });
+                                       baseline); });
   ASSERT_TRUE(v1.ok());
   std::shared_ptr<const dmi::CompiledModel> old_model = *v1;
   const std::string old_prompt = old_model->static_prompt();
 
   auto remodel = [&](const std::shared_ptr<const dmi::CompiledModel>& reg_baseline)
       -> support::Result<dmi::ModelRegistry::Remodeled> {
-    EXPECT_EQ(reg_baseline.get(), baseline.model.get());
+    EXPECT_EQ(reg_baseline.get(), baseline.get());
     ripper::DeltaRipOptions delta_options;
     delta_options.config = options.ripper_config;
     delta_options.extra_contexts = options.contexts;
     delta_options.app_factory = FactoryFor(RenameMenuEntry);
-    auto delta = ripper::DeltaRip(delta_options, *baseline.graph, reg_baseline->subtree_checksums());
+    auto delta = ripper::DeltaRip(delta_options, reg_baseline->ripped(),
+                                  reg_baseline->subtree_checksums());
     if (!delta.ok()) {
       return delta.status();
     }
-    auto model = dmi::CompiledModel::RecompileDelta(*reg_baseline, delta->graph, options,
-                                                    &delta->stats, &delta->checksums);
+    auto model = dmi::CompiledModel::Compile(std::move(delta->graph), options, &delta->stats,
+                                             &delta->checksums);
     return dmi::ModelRegistry::Remodeled{std::move(model), delta->nodes_reused};
   };
   auto v2 = registry.Refresh("WordSim", "1", "2", options, remodel);
@@ -476,7 +487,7 @@ TEST(ModelRegistrySwap, RefreshPublishesAtomicallyAndPruneReclaims) {
   // Zero-downtime: the old version's model is untouched while held...
   EXPECT_EQ(old_model->static_prompt(), old_prompt);
   v1->reset();
-  baseline.model.reset();  // the test's own baseline ref; old_model remains
+  baseline.reset();  // the test's own baseline ref; old_model remains
   EXPECT_EQ(registry.Prune("WordSim"), 0u);  // old_model still holds v1
   old_model.reset();
   EXPECT_EQ(registry.Prune("WordSim"), 1u);  // now unreferenced and superseded

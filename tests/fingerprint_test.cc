@@ -3,7 +3,7 @@
 // Runs the eight Table 3 settings at seed 1 with 3 repeats (the Fig 5b, Fig 6
 // and §5.4 tables are computed from its GPT-5-medium rows) and the four
 // --policy presets at bench_ablation_faults' setting (GUI+DMI, GPT-5 medium,
-// seed 1, 2 repeats). It pins a 64-bit FNV-1a digest over every run's result
+// seed 1, 2 repeats), each preset with a success-rate floor. It pins a 64-bit FNV-1a digest over every run's result
 // fields (the run id and flight recorder are left out: they identify one
 // execution, not its outcome) and, next to it, the readable values the
 // benches print. Any change that moves a simulated-plane number fails here
@@ -172,16 +172,29 @@ TEST(ReproductionFingerprint, PaperSuitesArePinned) {
   AppendFailures(&values, "dmi", dmi_row);
 
   // ----- policy presets (bench_ablation_faults) --------------------------------------
-  for (const char* preset : {"none", "typical", "harsh", "hostile"}) {
+  // Each preset also keeps a success floor a few runs under its pinned count,
+  // so the robustness layer stays guarded if the digest is ever re-pinned: a
+  // visit executor that skips its last click drops every preset to 0.093,
+  // and fuzzy matching switched off drops Typical to 0.370.
+  struct Preset {
+    const char* policy;
+    double floor;
+  };
+  const Preset presets[] = {
+      {"none", 0.52}, {"typical", 0.50}, {"harsh", 0.46}, {"hostile", 0.49}};
+  for (const Preset& preset : presets) {
     dmi::ServiceConfig service;
     service.mode = "dmi";
     service.model = "gpt5";
-    service.policy = preset;
+    service.policy = preset.policy;
     service.seed = 1;
     service.repeats = 2;
     const SuiteResult r = RunSetting(runner, tasks, service);
     MixSuite(digest, r);
-    Appendf(&values, "preset %s: %d/%d successes\n", preset, Successes(r), r.TotalRuns());
+    Appendf(&values, "preset %s: %d/%d successes\n", preset.policy, Successes(r),
+            r.TotalRuns());
+    EXPECT_EQ(r.TotalRuns(), 2 * static_cast<int>(tasks.size())) << preset.policy;
+    EXPECT_GE(r.SuccessRate(), preset.floor) << preset.policy;
   }
 
   char new_digest[32];

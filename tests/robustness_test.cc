@@ -558,37 +558,6 @@ TEST(HostileSuite, FullSuiteCompletesWithStructuredFailures) {
   EXPECT_GT(result.SuccessRate(), 0.4);
 }
 
-// The fault-domain ablation's setting (GUI+DMI, GPT-5 medium, seed 1, two
-// trials per task) under each robustness preset. Every run is seeded, so the
-// rates are exact; the floors sit a few runs under today's 34, 33, 30 and 32
-// successes of 54 and fail when the robustness layer stops absorbing the
-// injected faults.
-TEST(HostileSuite, FaultPresetsHoldTheirSuccessFloors) {
-  struct Level {
-    const char* policy;
-    double floor;
-  };
-  const Level levels[] = {
-      {"none", 0.52},
-      {"typical", 0.50},
-      {"harsh", 0.46},
-      {"hostile", 0.49},
-  };
-  const auto tasks = workload::BuildOsworldWSuite();
-  for (const Level& level : levels) {
-    dmi::ServiceConfig service;
-    service.mode = "dmi";
-    service.model = "gpt5";
-    service.seed = 1;
-    service.repeats = 2;
-    service.policy = level.policy;
-    const agentsim::SuiteResult result =
-        Runner().RunSuite(tasks, agentsim::RunConfigFromService(service));
-    EXPECT_EQ(result.TotalRuns(), 2 * static_cast<int>(tasks.size())) << level.policy;
-    EXPECT_GE(result.SuccessRate(), level.floor) << level.policy;
-  }
-}
-
 TEST(HostileSuite, SerialParallelAndPooledUnpooledRunsAgree) {
   // Determinism under injection: trial seeds are derived from (task, trial),
   // injectors and retry RNGs from the trial seed, so worker count and app

@@ -2,8 +2,7 @@
 //
 // Rips one of the bundled applications into a UI Navigation Graph, runs the
 // decycle/externalize pipeline, prints the modeling statistics, and saves
-// the compiled model as a binary artifact (compile once, cold-load
-// everywhere, DESIGN.md §14).
+// the model as a binary artifact (rip once, load everywhere, DESIGN.md §14).
 //
 // Usage:
 //   dmi_modeler --app word|excel|ppoint [--out model.dmim] [--app-version V]
@@ -15,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/agent/task_runner.h"
 #include "src/apps/excel_sim.h"
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
   ripper::GuiRipper rip(*scratch, options.ripper_config);
   // Canonical layout, like the runner's pipeline: artifacts written here
   // must line up node-for-node as delta-rip baselines.
-  const topo::NavGraph graph = rip.Rip(options.contexts).Canonicalized();
+  topo::NavGraph graph = rip.Rip(options.contexts).Canonicalized();
   const ripper::RipStats& rip_stats = rip.stats();
   std::printf("  %zu controls, %zu edges | %llu clicks, %llu captures, %llu explored, "
               "%.1f min simulated UIA time\n",
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
               rip_stats.simulated_ms / 60000.0);
 
   std::shared_ptr<const dmi::CompiledModel> model =
-      dmi::CompiledModel::Compile(graph, options, &rip_stats, &checksums);
+      dmi::CompiledModel::Compile(std::move(graph), options, &rip_stats, &checksums);
   const dmi::ModelingStats& s = model->stats();
   std::printf("pipeline: %zu back-edges removed | forest %zu nodes, %zu shared subtrees, "
               "%zu refs | core %zu nodes / %zu tokens (full %zu tokens)\n",

@@ -16,12 +16,10 @@
 # recorder writes from the visit executor and the batch scheduler. The
 # model-artifact tests (artifact_test) cover the registry: eight threads
 # Acquire the same (kind, version) concurrently — exactly one cold load,
-# everyone else memoized — plus the loader's parse-worker overlap on
-# multi-core hosts. The delta tests (delta_test) exercise the live-versioning
-# path: a RefreshModel landing mid-suite while four workers resolve models,
-# lease pooled apps across the generation bump, and read the old build's
-# shared model — plus the FromParts lazy index built under concurrent
-# FindNode readers. The serving tests (serve_test) put the whole stack behind
+# everyone else memoized. The delta tests (delta_test) exercise the
+# live-versioning path: a RefreshModel landing mid-suite while four workers
+# resolve models, lease pooled apps across the generation bump, and read the
+# old build's shared model. The serving tests (serve_test) put the whole stack behind
 # the SessionManager: worker threads racing admission/quota accounting against
 # Submit, a Shutdown draining the queue while a session is mid-run, and the
 # ServeLoop's response writer fed from every worker at once.
@@ -37,4 +35,4 @@ cmake --build "$build_dir" --target support_test agent_test integration_test \
     describe_test pool_test batch_test robustness_test telemetry_test artifact_test \
     delta_test serve_test
 ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'Trace|Metrics|ThreadPool|Runner|Observability|Catalog|Serialize|Pool|CompiledModel|SuiteEquivalence|Robustness|Deadline|Retry|Hostile|Batch|SharedPrefix|Telemetry|Flight|Labeled|CausalSort|Artifact|Registry|Delta|LazyIndex|ModelRegistrySwap|ConcurrentSwap|Admission|Drain|ServeEquivalence|ServeLoop'
+    -R 'Trace|Metrics|ThreadPool|Runner|Observability|Catalog|Serialize|Pool|CompiledModel|SuiteEquivalence|Robustness|Deadline|Retry|Hostile|Batch|SharedPrefix|Telemetry|Flight|Labeled|CausalSort|Artifact|Registry|Delta|ModelRegistrySwap|ConcurrentSwap|Admission|Drain|ServeEquivalence|ServeLoop'
