@@ -3,7 +3,7 @@
 //
 // ServiceConfig is the only configuration surface; RunConfig is the agent
 // layer's resolved view of it. Every front end (dmi_run, dmi_serve, the paper
-// benches, the examples) fills in a ServiceConfig and calls
+// report, the examples) fills in a ServiceConfig and calls
 // RunConfigFromService once: mode/model names become enums, the --policy
 // preset table sets the hazard level, retry schedules, run deadline and
 // metrics label, the instability override replaces just the hazard level,

@@ -226,14 +226,6 @@ const dmi::ModelingStats& TaskRunner::modeling_stats(workload::AppKind kind) {
   return ModelFor(kind)->stats();
 }
 
-const ripper::RipStats& TaskRunner::rip_stats(workload::AppKind kind) {
-  return ModelFor(kind)->stats().rip;
-}
-
-size_t TaskRunner::CoreTopologyTokens(workload::AppKind kind) {
-  return ModelFor(kind)->stats().core_tokens;
-}
-
 RunResult TaskRunner::RunOnce(const workload::Task& task, const RunConfig& config,
                               uint64_t seed) {
   // Allocate the run id unconditionally (one relaxed fetch_add): it keys the
@@ -455,120 +447,87 @@ double SuiteResult::SuccessRate() const {
   return 1.0 - static_cast<double>(FailedRuns()) / total;
 }
 
-double SuiteResult::AvgStepsSuccessful() const {
+namespace {
+
+// Mean of `value` over the suite's successful runs (of the tasks in `only`,
+// when given); 0 when there are none.
+template <typename Value>
+double MeanOverSuccesses(const SuiteResult& suite, Value value,
+                         const std::set<std::string>* only = nullptr) {
   double sum = 0;
   int n = 0;
-  for (const TaskRecord& r : records) {
-    for (const RunResult& run : r.runs) {
-      if (run.success) {
-        sum += run.llm_calls;
-        ++n;
-      }
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
-}
-
-double SuiteResult::AvgTimeSuccessful() const {
-  double sum = 0;
-  int n = 0;
-  for (const TaskRecord& r : records) {
-    for (const RunResult& run : r.runs) {
-      if (run.success) {
-        sum += run.sim_time_s;
-        ++n;
-      }
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
-}
-
-double SuiteResult::AvgPromptTokensSuccessful() const {
-  double sum = 0;
-  int n = 0;
-  for (const TaskRecord& r : records) {
-    for (const RunResult& run : r.runs) {
-      if (run.success) {
-        sum += static_cast<double>(run.prompt_tokens);
-        ++n;
-      }
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
-}
-
-double SuiteResult::AvgTotalTokensSuccessful() const {
-  double sum = 0;
-  int n = 0;
-  for (const TaskRecord& r : records) {
-    for (const RunResult& run : r.runs) {
-      if (run.success) {
-        sum += static_cast<double>(run.prompt_tokens + run.output_tokens);
-        ++n;
-      }
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
-}
-
-double SuiteResult::OneShotShare(int core_calls) const {
-  int successes = 0;
-  int one_shot = 0;
-  for (const TaskRecord& r : records) {
-    for (const RunResult& run : r.runs) {
-      if (run.success) {
-        ++successes;
-        if (run.core_calls <= core_calls) {
-          ++one_shot;
-        }
-      }
-    }
-  }
-  return successes == 0 ? 0.0 : static_cast<double>(one_shot) / successes;
-}
-
-std::set<std::string> SuiteResult::SolvedTasks() const {
-  std::set<std::string> solved;
-  for (const TaskRecord& r : records) {
-    int wins = 0;
-    for (const RunResult& run : r.runs) {
-      wins += run.success ? 1 : 0;
-    }
-    if (wins * 2 > static_cast<int>(r.runs.size())) {
-      solved.insert(r.task_id);
-    }
-  }
-  return solved;
-}
-
-std::set<std::string> SuiteResult::SolvableTasks() const {
-  std::set<std::string> solvable;
-  for (const TaskRecord& r : records) {
-    for (const RunResult& run : r.runs) {
-      if (run.success) {
-        solvable.insert(r.task_id);
-        break;
-      }
-    }
-  }
-  return solvable;
-}
-
-double SuiteResult::AvgStepsOnTasks(const std::set<std::string>& ids) const {
-  double sum = 0;
-  int n = 0;
-  for (const TaskRecord& r : records) {
-    if (ids.count(r.task_id) == 0) {
+  for (const TaskRecord& r : suite.records) {
+    if (only != nullptr && only->count(r.task_id) == 0) {
       continue;
     }
     for (const RunResult& run : r.runs) {
       if (run.success) {
-        sum += run.llm_calls;
+        sum += value(run);
         ++n;
       }
     }
   }
   return n == 0 ? 0.0 : sum / n;
+}
+
+// Ids of the tasks whose count of successful runs passes `solved(wins, runs)`.
+template <typename Solved>
+std::set<std::string> TasksWhere(const SuiteResult& suite, Solved solved) {
+  std::set<std::string> ids;
+  for (const TaskRecord& r : suite.records) {
+    int wins = 0;
+    for (const RunResult& run : r.runs) {
+      wins += run.success ? 1 : 0;
+    }
+    if (solved(wins, static_cast<int>(r.runs.size()))) {
+      ids.insert(r.task_id);
+    }
+  }
+  return ids;
+}
+
+}  // namespace
+
+double SuiteResult::AvgStepsSuccessful() const {
+  return MeanOverSuccesses(*this, [](const RunResult& run) { return run.llm_calls; });
+}
+
+double SuiteResult::AvgTimeSuccessful() const {
+  return MeanOverSuccesses(*this, [](const RunResult& run) { return run.sim_time_s; });
+}
+
+double SuiteResult::AvgPromptTokensSuccessful() const {
+  return MeanOverSuccesses(
+      *this, [](const RunResult& run) { return static_cast<double>(run.prompt_tokens); });
+}
+
+double SuiteResult::AvgTotalTokensSuccessful() const {
+  return MeanOverSuccesses(*this, [](const RunResult& run) {
+    return static_cast<double>(run.prompt_tokens + run.output_tokens);
+  });
+}
+
+double SuiteResult::AvgUiActionsSuccessful() const {
+  return MeanOverSuccesses(
+      *this, [](const RunResult& run) { return static_cast<double>(run.ui_actions); });
+}
+
+double SuiteResult::OneShotShare(int core_calls) const {
+  return MeanOverSuccesses(*this, [core_calls](const RunResult& run) {
+    return run.core_calls <= core_calls ? 1.0 : 0.0;
+  });
+}
+
+std::set<std::string> SuiteResult::SolvedTasks() const {
+  return TasksWhere(*this, [](int wins, int runs) { return wins * 2 > runs; });
+}
+
+std::set<std::string> SuiteResult::SolvableTasks() const {
+  return TasksWhere(*this, [](int wins, int) { return wins > 0; });
+}
+
+double SuiteResult::AvgStepsOnTasks(const std::set<std::string>& ids) const {
+  return MeanOverSuccesses(*this, [](const RunResult& run) { return run.llm_calls; }, &ids);
 }
 
 std::map<FailureCause, int> SuiteResult::FailureDistribution() const {

@@ -99,6 +99,7 @@ struct SuiteResult {
   double AvgTimeSuccessful() const;
   double AvgPromptTokensSuccessful() const;
   double AvgTotalTokensSuccessful() const;
+  double AvgUiActionsSuccessful() const;
   // Share of successful runs completed in <= `core_calls` core LLM calls
   // (core 1 == the paper's "4 steps" one-shot completion).
   double OneShotShare(int core_calls = 1) const;
@@ -135,12 +136,13 @@ class TaskRunner {
   BatchScheduler& batch_scheduler() { return batch_scheduler_; }
   BatchScheduler::Stats batch_stats() const { return batch_scheduler_.stats(); }
 
-  // Offline-phase results for §5.2 reporting.
+  // The kind's model, built on first use (rip + compile, or an artifact
+  // load). Shared ownership: callers copy the pointer out and keep using the
+  // model even if RefreshModel republishes the kind mid-run.
+  std::shared_ptr<const dmi::CompiledModel> ModelFor(workload::AppKind kind);
+
+  // Offline-phase results (§5.2): ModelFor(kind)->stats().
   const dmi::ModelingStats& modeling_stats(workload::AppKind kind);
-  const ripper::RipStats& rip_stats(workload::AppKind kind);
-  // Serialized core-topology token count (the knowledge blob in the §5.5
-  // ablation and the context overhead in §5.4).
-  size_t CoreTopologyTokens(workload::AppKind kind);
 
   // The modeling configuration shared by all settings.
   static dmi::ModelingOptions DefaultModelingOptions(workload::AppKind kind);
@@ -174,10 +176,6 @@ class TaskRunner {
   workload::AppPool& app_pool() { return app_pool_; }
 
  private:
-  // Shared-ownership lookup: callers copy the pointer out and keep using the
-  // model even if RefreshModel republishes the kind mid-run.
-  std::shared_ptr<const dmi::CompiledModel> ModelFor(workload::AppKind kind);
-
   // The uninstrumented run body; RunOnce wraps it in the run's trace scope +
   // span and publishes the result onto the agent.* counters/histograms.
   // `run_id` keys the run's flight recorder (and the installed TraceContext).

@@ -20,7 +20,7 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Acquire(
     const ModelingOptions& runtime_options, const CompileFn& compile) {
   support::TraceSpan span("registry.acquire", "model");
   span.AddArg("app", app_kind + "-" + app_version);
-  const std::pair<std::string, std::string> key(app_kind, app_version);
+  const Key key(app_kind, app_version);
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = memo_.find(key); it != memo_.end()) {
     ++stats_.memo_hits;
@@ -28,34 +28,8 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Acquire(
     return it->second;
   }
 
-  const std::string path = ArtifactPath(app_kind, app_version);
-  if (!path.empty()) {
-    ArtifactMeta expect{app_kind, app_version};
-    support::Result<LoadedModelArtifact> loaded =
-        LoadModelArtifact(path, runtime_options, &expect);
-    if (loaded.ok()) {
-      ++stats_.artifact_loads;
-      support::CountMetric("registry.artifact_loads");
-      memo_.emplace(key, loaded->model);
-      return loaded->model;
-    }
-    if (loaded.status().code() != support::StatusCode::kNotFound) {
-      // A present-but-unusable artifact is worth a log line — it means a
-      // stale or corrupt store — but never blocks the run: the compile
-      // fallback rebuilds and the save-through replaces it. The line is
-      // emitted once per (kind, version): when the compile fallback also
-      // fails (read-only store, broken pipeline), every session re-enters
-      // this path, and a serving daemon would otherwise spam one warning per
-      // admitted session for the same broken artifact.
-      ++stats_.load_errors;
-      support::CountMetric("registry.load_errors");
-      if (load_error_logged_.insert(key).second) {
-        ++stats_.load_errors_logged;
-        support::LogMessage(support::LogLevel::kWarning,
-                            "registry: artifact rejected, recompiling: " +
-                                loaded.status().ToString());
-      }
-    }
+  if (std::shared_ptr<const CompiledModel> loaded = LoadLocked(key, runtime_options)) {
+    return loaded;
   }
 
   support::Result<std::shared_ptr<const CompiledModel>> model = compile();
@@ -64,7 +38,7 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Acquire(
   }
   ++stats_.compiles;
   support::CountMetric("registry.compiles");
-  if (!path.empty()) {
+  if (const std::string path = ArtifactPath(app_kind, app_version); !path.empty()) {
     ArtifactMeta meta{app_kind, app_version};
     support::Status saved = SaveModelArtifact(**model, meta, path);
     if (saved.ok()) {
@@ -78,10 +52,43 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Acquire(
     }
   }
   memo_.emplace(key, *model);
-  if (latest_.find(app_kind) == latest_.end()) {
-    latest_.emplace(app_kind, app_version);
-  }
+  latest_.emplace(app_kind, app_version);  // a kind's first version is its latest
   return *model;
+}
+
+std::shared_ptr<const CompiledModel> ModelRegistry::LoadLocked(
+    const Key& key, const ModelingOptions& runtime_options) {
+  const std::string path = ArtifactPath(key.first, key.second);
+  if (path.empty()) {
+    return nullptr;
+  }
+  ArtifactMeta expect{key.first, key.second};
+  support::Result<LoadedModelArtifact> loaded = LoadModelArtifact(path, runtime_options, &expect);
+  if (loaded.ok()) {
+    ++stats_.artifact_loads;
+    support::CountMetric("registry.artifact_loads");
+    memo_.emplace(key, loaded->model);
+    latest_.emplace(key.first, key.second);
+    return loaded->model;
+  }
+  if (loaded.status().code() != support::StatusCode::kNotFound) {
+    // A present-but-unusable artifact is worth a log line — it means a
+    // stale or corrupt store — but never blocks the run: the compile
+    // fallback rebuilds and the save-through replaces it. The line is
+    // emitted once per (kind, version): when the compile fallback also
+    // fails (read-only store, broken pipeline), every session re-enters
+    // this path, and a serving daemon would otherwise spam one warning per
+    // admitted session for the same broken artifact.
+    ++stats_.load_errors;
+    support::CountMetric("registry.load_errors");
+    if (load_error_logged_.insert(key).second) {
+      ++stats_.load_errors_logged;
+      support::LogMessage(support::LogLevel::kWarning,
+                          "registry: artifact rejected, recompiling: " +
+                              loaded.status().ToString());
+    }
+  }
+  return nullptr;
 }
 
 support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
@@ -90,7 +97,7 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
     const RemodelFn& remodel) {
   support::TraceSpan span("registry.refresh", "model");
   span.AddArg("app", app_kind + ": " + old_version + " -> " + new_version);
-  const std::pair<std::string, std::string> new_key(app_kind, new_version);
+  const Key new_key(app_kind, new_version);
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = memo_.find(new_key); it != memo_.end()) {
     ++stats_.memo_hits;
@@ -99,19 +106,15 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
     return it->second;
   }
 
-  // Resolve the baseline: memo first, then a cold artifact load. A missing
-  // baseline is not an error; the remodel callback decides what to rip
-  // against.
+  // Resolve the baseline: memo first, then a cold artifact load, which is
+  // counted and memoized like Acquire's. A missing baseline is not an error;
+  // the remodel callback decides what to rip against.
+  const Key old_key(app_kind, old_version);
   std::shared_ptr<const CompiledModel> baseline;
-  if (auto it = memo_.find({app_kind, old_version}); it != memo_.end()) {
+  if (auto it = memo_.find(old_key); it != memo_.end()) {
     baseline = it->second;
-  } else if (const std::string path = ArtifactPath(app_kind, old_version); !path.empty()) {
-    ArtifactMeta expect{app_kind, old_version};
-    support::Result<LoadedModelArtifact> loaded =
-        LoadModelArtifact(path, runtime_options, &expect);
-    if (loaded.ok()) {
-      baseline = loaded->model;
-    }
+  } else {
+    baseline = LoadLocked(old_key, runtime_options);
   }
 
   support::Result<Remodeled> remodeled = remodel(baseline);

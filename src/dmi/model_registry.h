@@ -130,14 +130,24 @@ class ModelRegistry {
   }
 
  private:
+  using Key = std::pair<std::string, std::string>;  // (app kind, app version)
+
+  // The one artifact-load path, for Acquire and Refresh alike (mu_ held):
+  // loads the key's artifact, counts artifact_loads or load_errors (warning
+  // once per key), memoizes the model and makes it the kind's latest if the
+  // kind has none. Null when there is no store, no file, or a rejected one.
+  std::shared_ptr<const CompiledModel> LoadLocked(const Key& key,
+                                                  const ModelingOptions& runtime_options);
+
   const std::string model_dir_;
   mutable std::mutex mu_;
-  std::map<std::pair<std::string, std::string>, std::shared_ptr<const CompiledModel>> memo_;
-  // Latest published version per kind: set by the first Acquire of a kind
-  // and advanced by every Refresh. Prune keeps only this version.
+  std::map<Key, std::shared_ptr<const CompiledModel>> memo_;
+  // Latest published version per kind: set by the first model a kind
+  // resolves to (compiled or loaded) and advanced by every Refresh. Prune
+  // keeps only this version.
   std::map<std::string, std::string> latest_;
   // Keys whose artifact-rejection warning has already been emitted.
-  std::set<std::pair<std::string, std::string>> load_error_logged_;
+  std::set<Key> load_error_logged_;
   support::FlightRecorder* flight_ = nullptr;  // borrowed; may be null
   Stats stats_;
 };

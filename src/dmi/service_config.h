@@ -3,7 +3,7 @@
 //
 // Every run or serving set-up outside the tests is a ServiceConfig: dmi_run
 // and dmi_serve parse their command lines into one (ApplyFlag handles the
-// shared flag vocabulary), the paper benches and examples fill one in, and
+// shared flag vocabulary), the paper report and the examples fill one in, and
 // serve::SessionManager takes one. Validate() checks it once, and
 // agentsim::RunConfigFromService resolves it once into the RunConfig the
 // agent layer reads; the --policy presets are a table inside that resolver.
@@ -41,7 +41,7 @@ struct ServiceConfig {
   int repeats = 3;
   int step_cap = 30;
 
-  // ----- §5.6 robustness toggles (ablation benches; no flag) -----------------
+  // ----- §5.6 robustness toggles (the paper report's ablation; no flag) ------
   bool enable_nonleaf_filter = true;
   bool enable_fuzzy_match = true;
   bool enable_retry = true;

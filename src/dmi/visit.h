@@ -34,7 +34,7 @@ class FlightRecorder;
 namespace dmi {
 
 struct VisitConfig {
-  // Robustness toggles (ablated in bench_ablation_robustness).
+  // Robustness toggles (dmi_paper's robustness ablation switches them off).
   bool enable_nonleaf_filter = true;
   bool enable_fuzzy_match = true;
   bool enable_retry = true;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "src/support/strings.h"
 
@@ -26,6 +27,20 @@ std::string Value::GetString(std::string_view key, std::string fallback) const {
     return v->as_string();
   }
   return fallback;
+}
+
+int64_t Value::as_int() const {
+  if (!is_double()) {
+    return int_;
+  }
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (double_ >= kTwoTo63) {
+    return std::numeric_limits<int64_t>::max();
+  }
+  if (double_ < -kTwoTo63) {
+    return std::numeric_limits<int64_t>::min();
+  }
+  return std::isnan(double_) ? 0 : static_cast<int64_t>(double_);
 }
 
 int64_t Value::GetInt(std::string_view key, int64_t fallback) const {

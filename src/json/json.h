@@ -49,7 +49,9 @@ class Value {
   bool is_object() const { return type_ == Type::kObject; }
 
   bool as_bool() const { return bool_; }
-  int64_t as_int() const { return is_double() ? static_cast<int64_t>(double_) : int_; }
+  // A double converts toward zero, saturating outside int64's range (a wire
+  // request may say 1e300); NaN reads 0.
+  int64_t as_int() const;
   double as_double() const { return is_int() ? static_cast<double>(int_) : double_; }
   const std::string& as_string() const { return string_; }
   const Array& as_array() const { return array_; }

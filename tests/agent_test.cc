@@ -327,7 +327,7 @@ TEST(RunnerTest, ModelingStatsMatchPaperShape) {
     EXPECT_GT(s.core_tokens, 1000u);
     EXPECT_LT(s.core_tokens, 40000u);
     // Automated modeling < 3 hours of simulated wall time (§5.2).
-    EXPECT_LT(Runner().rip_stats(kind).simulated_ms, 3.0 * 3600.0 * 1000.0);
+    EXPECT_LT(s.rip.simulated_ms, 3.0 * 3600.0 * 1000.0);
   }
 }
 

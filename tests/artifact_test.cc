@@ -453,6 +453,58 @@ TEST(RegistryTest, NoStoreDegradesToMemo) {
   EXPECT_EQ(registry.stats().save_throughs, 0u);
 }
 
+TEST(RegistryTest, RefreshCountsAndMemoizesTheLoadedBaseline) {
+  // A fresh registry (≈ a fresh process) refreshes from a version that is
+  // only on disk. The baseline load is Acquire's load: counted once and
+  // memoized, so acquiring that version afterwards reads no file.
+  const std::string dir = TempPath("registry_store_refresh");
+  std::filesystem::create_directories(dir);
+  (void)std::remove((dir + "/WordSim-2.dmim").c_str());
+  ASSERT_TRUE(support::WriteFileBytes(dir + "/WordSim-1.dmim", WordArtifactBytes()).ok());
+
+  dmi::ModelRegistry registry(dir);
+  std::shared_ptr<const dmi::CompiledModel> baseline;
+  auto refreshed = registry.Refresh(
+      "WordSim", "1", "2", WordOptions(),
+      [&](const std::shared_ptr<const dmi::CompiledModel>& old)
+          -> support::Result<dmi::ModelRegistry::Remodeled> {
+        baseline = old;
+        return dmi::ModelRegistry::Remodeled{WordModel(), 0};
+      });
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_NE(baseline, nullptr);
+  EXPECT_EQ(registry.stats().artifact_loads, 1u);
+
+  auto again = registry.Acquire(
+      "WordSim", "1", WordOptions(),
+      []() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
+        return support::UnavailableError("must not compile");
+      });
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->get(), baseline.get());
+  EXPECT_EQ(registry.stats().artifact_loads, 1u);
+  EXPECT_EQ(registry.stats().memo_hits, 1u);
+}
+
+TEST(RegistryTest, PruneKeepsAColdLoadedLatestVersion) {
+  // A cold-loaded version is its kind's latest, exactly like a compiled one:
+  // Prune must not drop the only version, even when nothing holds it.
+  const std::string dir = TempPath("registry_store_prune");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(support::WriteFileBytes(dir + "/WordSim-1.dmim", WordArtifactBytes()).ok());
+
+  dmi::ModelRegistry registry(dir);
+  auto no_compile = []() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
+    return support::UnavailableError("must not compile");
+  };
+  ASSERT_TRUE(registry.Acquire("WordSim", "1", WordOptions(), no_compile).ok());
+  EXPECT_EQ(registry.Prune("WordSim"), 0u);
+  ASSERT_TRUE(registry.Acquire("WordSim", "1", WordOptions(), no_compile).ok());
+  EXPECT_EQ(registry.stats().artifact_loads, 1u);
+  EXPECT_EQ(registry.stats().memo_hits, 1u);
+  EXPECT_EQ(registry.stats().pruned, 0u);
+}
+
 // ----- untrusted bytes: hand-made graphs and seeded mutations ---------------
 //
 // A test-side writer of the v3 layout (model_artifact.h). Unlike

@@ -391,7 +391,7 @@ TEST(DeltaRip, ArtifactBackedRefreshReusesItsBaseline) {
     TaskRunner writer;
     writer.SetModelDir(dir);
     baseline_nodes = writer.modeling_stats(kind).raw.nodes;  // rip, compile, save
-    full_rip_clicks = writer.rip_stats(kind).clicks;
+    full_rip_clicks = writer.modeling_stats(kind).rip.clicks;
   }
   ASSERT_GT(full_rip_clicks, 0u);
 
@@ -412,8 +412,8 @@ TEST(DeltaRip, ArtifactBackedRefreshReusesItsBaseline) {
   ASSERT_TRUE(runner.RefreshModel(kind, "3", PpointFactoryFor(RenameResetPicture)).ok());
   stats = runner.model_registry()->stats();
   EXPECT_GT(stats.delta_nodes_reused, baseline_nodes - 1);
-  EXPECT_GT(runner.rip_stats(kind).clicks, 0u);
-  EXPECT_LT(runner.rip_stats(kind).clicks, full_rip_clicks);
+  EXPECT_GT(runner.modeling_stats(kind).rip.clicks, 0u);
+  EXPECT_LT(runner.modeling_stats(kind).rip.clicks, full_rip_clicks);
   auto published = runner.mutable_model_registry()->Acquire(
       "PpointSim", "3", TaskRunner::DefaultModelingOptions(kind), [] {
         return support::Result<std::shared_ptr<const dmi::CompiledModel>>(
@@ -543,7 +543,7 @@ TEST(ConcurrentSwap, InFlightRunsFinishOnOldModelNewLeasesSeeNewBuild) {
   runner.mutable_model_registry()->SetFlightRecorder(&recorder);
   // Force the v1 model build, then grab its shared_ptr the way an in-flight
   // session would hold it.
-  (void)runner.CoreTopologyTokens(workload::AppKind::kWord);
+  (void)runner.modeling_stats(workload::AppKind::kWord);
   auto held = runner.mutable_model_registry()->Acquire(
       "WordSim", "1", TaskRunner::DefaultModelingOptions(workload::AppKind::kWord), [] {
         return support::Result<std::shared_ptr<const dmi::CompiledModel>>(
@@ -577,7 +577,7 @@ TEST(ConcurrentSwap, InFlightRunsFinishOnOldModelNewLeasesSeeNewBuild) {
   lease.Release();
 
   // And new model resolutions see version 2.
-  EXPECT_NE(runner.CoreTopologyTokens(workload::AppKind::kWord), 0u);
+  EXPECT_NE(runner.modeling_stats(workload::AppKind::kWord).core_tokens, 0u);
 
   // Robust suite fields are deterministic across the swap: every (task,
   // trial) is independently seeded and the mutation is behaviorally

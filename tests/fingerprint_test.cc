@@ -1,29 +1,27 @@
-// Reproduction fingerprint: the paper suites' results, pinned bit for bit.
+// Reproduction fingerprint: the paper report's values, pinned bit for bit.
 //
-// Runs the eight Table 3 settings at seed 1 with 3 repeats (the Fig 5b, Fig 6
-// and §5.4 tables are computed from its GPT-5-medium rows) and the four
-// --policy presets at bench_ablation_faults' setting (GUI+DMI, GPT-5 medium,
-// seed 1, 2 repeats), each preset with a success-rate floor. It pins a 64-bit FNV-1a digest over every run's result
-// fields (the run id and flight recorder are left out: they identify one
-// execution, not its outcome) and, next to it, the readable values the
-// benches print. Any change that moves a simulated-plane number fails here
-// and prints every new value, so the movement has to be declared and
-// re-pinned.
+// Builds agentsim::BuildPaperReport() — what tools/dmi_paper prints — and
+// pins it twice. A 64-bit FNV-1a digest covers every run result of the eight
+// Table 3 suites (seed 1, 3 repeats) and the four --policy presets (GUI+DMI,
+// GPT-5 medium, seed 1, 2 repeats); the run id and flight recorder are left
+// out, since they identify one execution, not its outcome. Next to it, the
+// readable values of every section: Table 1, §5.2, Fig 4, Table 3, Fig 5b,
+// §5.4, Fig 6, the threshold sweep, the robustness grid and the presets with
+// their robust.* counters and success floors. Any change that moves a
+// simulated-plane number fails here and prints every new value, so the
+// movement has to be declared and re-pinned.
 //
 // The digest depends on the trial seeds, which TaskRunner::RunSuite and the
 // instability injector derive from std::hash<std::string>. Its values are
 // libstdc++'s until seeding moves to a portable hash.
 #include <cstdarg>
 #include <cstdio>
-#include <set>
+#include <iterator>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/agent/service_adapter.h"
-#include "src/agent/task_runner.h"
-#include "src/dmi/service_config.h"
+#include "src/agent/paper_report.h"
 #include "src/gui/application.h"
 #include "src/workload/tasks.h"
 
@@ -67,7 +65,7 @@ void MixSuite(gsim::StateHash& h, const SuiteResult& suite) {
 }
 
 void Appendf(std::string* out, const char* format, ...) {
-  char buf[256];
+  char buf[512];
   va_list args;
   va_start(args, format);
   std::vsnprintf(buf, sizeof(buf), format, args);
@@ -75,19 +73,18 @@ void Appendf(std::string* out, const char* format, ...) {
   *out += buf;
 }
 
-int Successes(const SuiteResult& suite) { return suite.TotalRuns() - suite.FailedRuns(); }
+const char* YesNo(bool ok) { return ok ? "yes" : "no"; }
 
-void AppendFailures(std::string* out, const char* label, const SuiteResult& suite) {
-  Appendf(out, "fig6 %s: %d failures\n", label, suite.FailedRuns());
-  for (const auto& [cause, n] : suite.FailureDistribution()) {
+void AppendFailures(std::string* out, const char* label, const agentsim::FailureBreakdown& b) {
+  Appendf(out, "fig6 %s: %d failures\n", label, b.failures);
+  for (const auto& [cause, n] : b.causes) {
     Appendf(out, "  %s: %d\n", std::string(agentsim::FailureCauseName(cause)).c_str(), n);
   }
 }
 
-SuiteResult RunSetting(agentsim::TaskRunner& runner, const std::vector<workload::Task>& tasks,
-                       const dmi::ServiceConfig& service) {
-  EXPECT_TRUE(service.Validate().ok()) << service.mode << "/" << service.model;
-  return runner.RunSuite(tasks, agentsim::RunConfigFromService(service));
+void AppendForest(std::string* out, const agentsim::ForestMeasure& f) {
+  Appendf(out, "forest %zu shared %zu refs %zu ids/access %.4f %s\n", f.nodes, f.shared,
+          f.references, f.ids_per_access, f.unique_paths ? "unique" : "BROKEN");
 }
 
 // Pinned at the tree that introduced this test. A change that moves them
@@ -122,79 +119,190 @@ constexpr const char* kPinnedValues =
     "preset none: 34/54 successes\n"
     "preset typical: 33/54 successes\n"
     "preset harsh: 30/54 successes\n"
-    "preset hostile: 32/54 successes\n";
+    "preset hostile: 32/54 successes\n"
+    "preset none robust: click retries 0, interaction retries 0, deadline skips 0, faults 0\n"
+    "preset typical robust: click retries 0, interaction retries 0, deadline skips 0, faults 0\n"
+    "preset harsh robust: click retries 0, interaction retries 0, deadline skips 0, faults 0\n"
+    "preset hostile robust: click retries 66, interaction retries 2, deadline skips 0, faults 70\n"
+    "table1 task1: gui 6 clicks verified yes, dmi 1 call verified yes\n"
+    "table1 task2: gui 2.24 drag iterations ends at 80.3%, dmi ends at 80.0% ok yes\n"
+    "s52 WordSim: raw 4181 edges 4187 merges 4 cycles 1 forest 4200 shared 2 refs 7 core 1386\n"
+    "s52 WordSim rip: clicks 12120 captures 7153 explored 4022 contexts 1 recoveries 0 cache-hit "
+        "42.0% simulated 2026640 ms\n"
+    "s54 WordSim: core 11592 tokens (8.36 per control), full 32642 tokens\n"
+    "s52 ExcelSim: raw 3538 edges 3540 merges 3 cycles 0 forest 3560 shared 1 refs 2 core 1123\n"
+    "s52 ExcelSim rip: clicks 7143 captures 5198 explored 2600 contexts 3 recoveries 0 cache-hit "
+        "36.6% simulated 1273000 ms\n"
+    "s54 ExcelSim: core 10173 tokens (9.06 per control), full 28178 tokens\n"
+    "s52 PpointSim: raw 4182 edges 4187 merges 3 cycles 1 forest 4191 shared 1 refs 5 core 843\n"
+    "s52 PpointSim rip: clicks 10822 captures 7699 explored 4019 contexts 2 recoveries 0 cache-hit "
+        "37.9% simulated 1914560 ms\n"
+    "s54 PpointSim: core 7840 tokens (9.30 per control), full 31897 tokens\n"
+    "s52 WordSim without blocklist: 2 recoveries, simulated 2087280 ms\n"
+    "s54 gpt5 per success: gui total 45215.8 per-call 6193.3, dmi total 38505.6 per-call 8779.8, "
+        "dmi fewer tokens yes\n"
+    "fig4 figure4: nodes 9 edges 10 naive 16 forest 16 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "fig4 diamonds30: nodes 91 edges 120 naive 4294967293 forest 290 shared 9 refs 72 ids/access "
+        "2.0000 unique\n"
+    "fig4 WordSim: nodes 4181 edges 4187 naive 5137 forest 4200 shared 2 refs 7 ids/access 1.0802 "
+        "unique\n"
+    "fig4 ExcelSim: nodes 3538 edges 3540 naive 3850 forest 3560 shared 1 refs 2 ids/access 1.0880 "
+        "unique\n"
+    "fig4 PpointSim: nodes 4182 edges 4187 naive 5354 forest 4191 shared 1 refs 5 ids/access "
+        "1.0723 unique\n"
+    "sweep WordSim: dag 4181 naive 5137\n"
+    "  t=0: forest 4190 shared 3 refs 9 ids/access 1.0832 unique\n"
+    "  t=2: forest 4190 shared 3 refs 9 ids/access 1.0832 unique\n"
+    "  t=8: forest 4190 shared 3 refs 9 ids/access 1.0832 unique\n"
+    "  t=24: forest 4200 shared 2 refs 7 ids/access 1.0802 unique\n"
+    "  t=128: forest 4265 shared 1 refs 4 ids/access 1.0718 unique\n"
+    "  t=4096: forest 5137 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "  t=1000000: forest 5137 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "sweep ExcelSim: dag 3538 naive 3850\n"
+    "  t=0: forest 3544 shared 3 refs 6 ids/access 1.0940 unique\n"
+    "  t=2: forest 3544 shared 3 refs 6 ids/access 1.0940 unique\n"
+    "  t=8: forest 3544 shared 3 refs 6 ids/access 1.0940 unique\n"
+    "  t=24: forest 3560 shared 1 refs 2 ids/access 1.0880 unique\n"
+    "  t=128: forest 3560 shared 1 refs 2 ids/access 1.0880 unique\n"
+    "  t=4096: forest 3850 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "  t=1000000: forest 3850 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "sweep PpointSim: dag 4182 naive 5354\n"
+    "  t=0: forest 4189 shared 2 refs 7 ids/access 1.0731 unique\n"
+    "  t=2: forest 4189 shared 2 refs 7 ids/access 1.0731 unique\n"
+    "  t=8: forest 4191 shared 1 refs 5 ids/access 1.0723 unique\n"
+    "  t=24: forest 4191 shared 1 refs 5 ids/access 1.0723 unique\n"
+    "  t=128: forest 4191 shared 1 refs 5 ids/access 1.0723 unique\n"
+    "  t=4096: forest 5354 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "  t=1000000: forest 5354 shared 0 refs 0 ids/access 1.0000 unique\n"
+    "robust full DMI (all on): none 34/54 3.971 actions typical 33/54 3.879 actions harsh 30/54 "
+        "4.067 actions\n"
+    "robust no non-leaf filter: none 34/54 4.029 actions typical 33/54 3.970 actions harsh 31/54 "
+        "4.548 actions\n"
+    "robust no fuzzy matching: none 34/54 3.971 actions typical 20/54 3.300 actions harsh 13/54 "
+        "3.154 actions\n"
+    "robust no retries: none 34/54 3.971 actions typical 33/54 3.939 actions harsh 28/54 3.357 "
+        "actions\n"
+    "robust all off: none 34/54 4.029 actions typical 20/54 3.350 actions harsh 11/54 2.364 "
+        "actions\n";
 
 TEST(ReproductionFingerprint, PaperSuitesArePinned) {
-  const std::vector<workload::Task> tasks = workload::BuildOsworldWSuite();
-  agentsim::TaskRunner runner;
+  const agentsim::PaperReport report = agentsim::BuildPaperReport();
   gsim::StateHash digest;
   std::string values;
 
-  // ----- Table 3 (Fig 5a, Fig 5b, Fig 6, §5.4) -------------------------------------
-  struct Setting {
-    const char* mode;
-    const char* model;
-  };
-  const Setting table3[] = {
-      {"gui", "gpt5"},    {"forest", "gpt5"}, {"dmi", "gpt5"},   {"gui", "gpt5min"},
-      {"dmi", "gpt5min"}, {"gui", "mini"},    {"forest", "mini"}, {"dmi", "mini"},
-  };
-  std::vector<SuiteResult> rows;
-  for (const Setting& s : table3) {
-    dmi::ServiceConfig service;
-    service.mode = s.mode;
-    service.model = s.model;
-    service.seed = 1;
-    service.repeats = 3;
-    rows.push_back(RunSetting(runner, tasks, service));
-    const SuiteResult& r = rows.back();
-    MixSuite(digest, r);
+  // ----- Table 3 (Fig 5a, Fig 5b, Fig 6, §5.4, §5.5) -------------------------------
+  for (const agentsim::SettingRow& row : report.table3) {
+    MixSuite(digest, row.suite);
+    const agentsim::SuiteSummary& s = row.summary;
     Appendf(&values, "table3 %s/%s: SR %.1f%% (%d/%d) steps %.3f time %.1f prompt %.1f\n",
-            s.mode, s.model, 100.0 * r.SuccessRate(), Successes(r), r.TotalRuns(),
-            r.AvgStepsSuccessful(), r.AvgTimeSuccessful(), r.AvgPromptTokensSuccessful());
+            row.mode, row.model, 100.0 * s.success_rate, s.successes, s.runs, s.steps,
+            s.time_s, s.prompt_tokens);
   }
-
-  const SuiteResult& gui = rows[0];
-  const SuiteResult& forest = rows[1];
-  const SuiteResult& dmi_row = rows[2];
-  std::set<std::string> common;
-  for (const std::string& id : gui.SolvedTasks()) {
-    if (forest.SolvedTasks().count(id) > 0 && dmi_row.SolvedTasks().count(id) > 0) {
-      common.insert(id);
-    }
-  }
+  const agentsim::StepAnalysis& fig5b = report.fig5b;
   Appendf(&values, "fig5b: intersection %zu, normalized steps %.3f / %.3f / %.3f\n",
-          common.size(), gui.AvgStepsOnTasks(common), forest.AvgStepsOnTasks(common),
-          dmi_row.AvgStepsOnTasks(common));
-  Appendf(&values, "fig5b: one-shot %.1f%% of %d successes\n", 100.0 * dmi_row.OneShotShare(),
-          Successes(dmi_row));
-  AppendFailures(&values, "gui", gui);
-  AppendFailures(&values, "dmi", dmi_row);
+          fig5b.intersection, fig5b.gui_steps, fig5b.forest_steps, fig5b.dmi_steps);
+  Appendf(&values, "fig5b: one-shot %.1f%% of %d successes\n", 100.0 * fig5b.one_shot_share,
+          report.table3[2].summary.successes);
+  AppendFailures(&values, "gui", report.gui_failures);
+  AppendFailures(&values, "dmi", report.dmi_failures);
 
-  // ----- policy presets (bench_ablation_faults) --------------------------------------
+  // ----- policy presets ------------------------------------------------------------
   // Each preset also keeps a success floor a few runs under its pinned count,
   // so the robustness layer stays guarded if the digest is ever re-pinned: a
   // visit executor that skips its last click drops every preset to 0.093,
   // and fuzzy matching switched off drops Typical to 0.370.
-  struct Preset {
+  struct Floor {
     const char* policy;
     double floor;
   };
-  const Preset presets[] = {
-      {"none", 0.52}, {"typical", 0.50}, {"harsh", 0.46}, {"hostile", 0.49}};
-  for (const Preset& preset : presets) {
-    dmi::ServiceConfig service;
-    service.mode = "dmi";
-    service.model = "gpt5";
-    service.policy = preset.policy;
-    service.seed = 1;
-    service.repeats = 2;
-    const SuiteResult r = RunSetting(runner, tasks, service);
-    MixSuite(digest, r);
-    Appendf(&values, "preset %s: %d/%d successes\n", preset.policy, Successes(r),
-            r.TotalRuns());
-    EXPECT_EQ(r.TotalRuns(), 2 * static_cast<int>(tasks.size())) << preset.policy;
-    EXPECT_GE(r.SuccessRate(), preset.floor) << preset.policy;
+  const Floor floors[] = {{"none", 0.52}, {"typical", 0.50}, {"harsh", 0.46}, {"hostile", 0.49}};
+  const int tasks = static_cast<int>(workload::BuildOsworldWSuite().size());
+  ASSERT_EQ(report.presets.size(), std::size(floors));
+  for (size_t i = 0; i < report.presets.size(); ++i) {
+    const agentsim::PresetRow& row = report.presets[i];
+    MixSuite(digest, row.suite);
+    Appendf(&values, "preset %s: %d/%d successes\n", row.policy, row.summary.successes,
+            row.summary.runs);
+    EXPECT_STREQ(row.policy, floors[i].policy);
+    EXPECT_EQ(row.summary.runs, 2 * tasks) << row.policy;
+    EXPECT_GE(row.summary.success_rate, floors[i].floor) << row.policy;
+  }
+  for (const agentsim::PresetRow& row : report.presets) {
+    Appendf(&values,
+            "preset %s robust: click retries %llu, interaction retries %llu, deadline skips "
+            "%llu, faults %llu\n",
+            row.policy, static_cast<unsigned long long>(row.click_retries),
+            static_cast<unsigned long long>(row.interaction_retries),
+            static_cast<unsigned long long>(row.deadline_skips),
+            static_cast<unsigned long long>(row.faults));
+  }
+
+  // ----- Table 1 -------------------------------------------------------------------
+  const agentsim::Table1Result& t1 = report.table1;
+  Appendf(&values, "table1 task1: gui %d clicks verified %s, dmi 1 call verified %s\n",
+          t1.gui_clicks, YesNo(t1.gui_verified), YesNo(t1.dmi_verified));
+  Appendf(&values,
+          "table1 task2: gui %.2f drag iterations ends at %.1f%%, dmi ends at %.1f%% ok %s\n",
+          t1.drag_iterations, t1.gui_scroll_percent, t1.dmi_scroll_percent,
+          YesNo(t1.dmi_scroll_ok));
+
+  // ----- §5.2 and §5.4's per-app costs -----------------------------------------------
+  for (const agentsim::AppModel& app : report.apps) {
+    const dmi::ModelingStats& s = app.stats;
+    const char* name = workload::AppKindName(app.kind);
+    Appendf(&values,
+            "s52 %s: raw %zu edges %zu merges %zu cycles %zu forest %zu shared %zu refs %zu "
+            "core %zu\n",
+            name, s.raw.nodes, s.raw.edges, s.raw.merge_nodes, s.back_edges_removed,
+            s.forest_nodes, s.shared_subtrees, s.references, s.core_nodes);
+    Appendf(&values,
+            "s52 %s rip: clicks %llu captures %llu explored %llu contexts %llu recoveries "
+            "%llu cache-hit %.1f%% simulated %.0f ms\n",
+            name, static_cast<unsigned long long>(s.rip.clicks),
+            static_cast<unsigned long long>(s.rip.captures),
+            static_cast<unsigned long long>(s.rip.explored),
+            static_cast<unsigned long long>(s.rip.contexts),
+            static_cast<unsigned long long>(s.rip.external_recoveries),
+            100.0 * s.rip.CaptureHitRate(), s.rip.simulated_ms);
+    Appendf(&values, "s54 %s: core %zu tokens (%.2f per control), full %zu tokens\n", name,
+            s.core_tokens, app.tokens_per_control, s.full_tokens);
+  }
+  const ripper::RipStats& without = report.word_without_blocklist;
+  Appendf(&values, "s52 WordSim without blocklist: %llu recoveries, simulated %.0f ms\n",
+          static_cast<unsigned long long>(without.external_recoveries), without.simulated_ms);
+  const agentsim::SuiteSummary& gui = report.table3[0].summary;  // GPT-5 medium
+  const agentsim::SuiteSummary& dmi = report.table3[2].summary;
+  Appendf(&values,
+          "s54 gpt5 per success: gui total %.1f per-call %.1f, dmi total %.1f per-call %.1f, "
+          "dmi fewer tokens %s\n",
+          gui.total_tokens, gui.prompt_per_call, dmi.total_tokens, dmi.prompt_per_call,
+          YesNo(report.dmi_fewer_tokens));
+
+  // ----- Fig 4 and the threshold sweep ---------------------------------------------
+  for (const agentsim::TopologyRow& row : report.fig4) {
+    Appendf(&values, "fig4 %s: nodes %zu edges %zu naive %llu ", row.name.c_str(), row.nodes,
+            row.edges, static_cast<unsigned long long>(row.naive_clone));
+    AppendForest(&values, row.forest);
+  }
+  for (const agentsim::TopologyRow& app : report.fig4) {
+    if (app.sweep.empty()) {
+      continue;
+    }
+    Appendf(&values, "sweep %s: dag %zu naive %llu\n", app.name.c_str(), app.dag_nodes,
+            static_cast<unsigned long long>(app.naive_clone));
+    for (const auto& [threshold, forest] : app.sweep) {
+      Appendf(&values, "  t=%llu: ", static_cast<unsigned long long>(threshold));
+      AppendForest(&values, forest);
+    }
+  }
+
+  // ----- robustness grid -------------------------------------------------------------
+  for (const agentsim::RobustnessRow& row : report.robustness) {
+    Appendf(&values, "robust %s:", row.variant);
+    for (const auto& [level, s] : row.cells) {
+      Appendf(&values, " %s %d/%d %.3f actions", level, s.successes, s.runs, s.ui_actions);
+    }
+    values += "\n";
   }
 
   char new_digest[32];

@@ -1,14 +1,18 @@
-// The serving layer (DESIGN.md §16): versioned wire schema, the unified
+// The serving layer (DESIGN.md §16): versioned wire schema, seeded mutations
+// of the daemon's input path (frame decode + request parse), the unified
 // ServiceConfig surface, SessionManager admission control / tenant quotas /
 // graceful drain, field-identity of served sessions with direct runs, and
 // the stdio frame loop end to end.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "src/serve/session_manager.h"
 #include "src/serve/wire.h"
 #include "src/support/metrics.h"
+#include "src/support/rng.h"
 
 namespace {
 
@@ -225,6 +230,114 @@ TEST(RequestSchemaTest, RoundTripAndTypedRejections) {
   auto taskless = serve::ParseRequest(R"({"schema_version":1,"tenant":"acme"})");
   ASSERT_FALSE(taskless.ok());
   EXPECT_EQ(taskless.status().code(), support::StatusCode::kInvalidArgument);
+}
+
+// ----- untrusted bytes: seeded wire mutations -------------------------------
+
+// Decodes every frame in `bytes` and parses each payload as a request, the
+// daemon's input path. Returns how the buffer ended: "request" when it held
+// only parseable requests, else the first frame error, partial frame or
+// request error. Every outcome is typed, and the offset never passes the end.
+std::string DecodeAll(const std::string& bytes) {
+  std::string outcome = "request";
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    const size_t before = offset;
+    support::Result<std::optional<std::string>> frame = serve::DecodeFrame(bytes, &offset);
+    EXPECT_LE(offset, bytes.size());
+    if (!frame.ok()) {
+      EXPECT_EQ(frame.status().code(), support::StatusCode::kInvalidArgument);
+      EXPECT_EQ(offset, before);
+      return "frame error";
+    }
+    if (!frame->has_value()) {
+      EXPECT_EQ(offset, before);
+      return "partial frame";
+    }
+    EXPECT_GT(offset, before);
+    support::Result<Request> request = serve::ParseRequest(**frame);
+    if (!request.ok()) {
+      EXPECT_EQ(request.status().code(), support::StatusCode::kInvalidArgument)
+          << request.status().ToString();
+      outcome = "request error";
+    }
+  }
+  return outcome;
+}
+
+TEST(WireMutation, SeededMutationsReturnStatusOrRequest) {
+  std::vector<std::string> bases;
+  for (const Request& request : {MakeRequest(1, "acme", "W3", 1),
+                                 MakeRequest(123456789, "tenant-b", "E2", 987654321),
+                                 MakeRequest(7, "", "P1", 0)}) {
+    std::string frame;
+    serve::AppendFrame(frame, serve::RequestJson(request).Dump());
+    bases.push_back(frame);
+  }
+  // Two frames back to back, so a damaged length desynchronizes the next.
+  bases.push_back(bases[0] + bases[1]);
+
+  // Seeded mutations: bytes set to any value (control bytes and bytes
+  // >= 0x80 included), truncations, and length prefixes rewritten to the
+  // decoder's edge values.
+  support::Rng rng(20261019);
+  std::map<std::string, int> outcomes;
+  constexpr int kIterations = 2000;
+  for (int i = 0; i < kIterations; ++i) {
+    std::string bytes = bases[rng.NextBelow(bases.size())];
+    switch (rng.NextBelow(3)) {
+      case 0:
+        for (uint64_t n = 1 + rng.NextBelow(4); n > 0; --n) {
+          bytes[rng.NextBelow(bytes.size())] = static_cast<char>(rng.NextBelow(256));
+        }
+        break;
+      case 1:
+        bytes.resize(rng.NextBelow(bytes.size()));
+        break;
+      default: {
+        const uint32_t length = static_cast<uint32_t>(bytes.size() - 4);
+        const uint32_t choices[] = {0,
+                                    length - 1,
+                                    length + 1,
+                                    serve::kMaxFramePayload,
+                                    serve::kMaxFramePayload + 1,
+                                    0xFFFFFFFFu};
+        const uint32_t value = choices[rng.NextBelow(std::size(choices))];
+        for (int b = 0; b < 4; ++b) {
+          bytes[static_cast<size_t>(b)] = static_cast<char>((value >> (8 * b)) & 0xff);
+        }
+        break;
+      }
+    }
+    ++outcomes[DecodeAll(bytes)];
+  }
+  // The loop reached every outcome, and nothing else.
+  EXPECT_GT(outcomes["request"], 0);
+  EXPECT_GT(outcomes["request error"], 0);
+  EXPECT_GT(outcomes["partial frame"], 0);
+  EXPECT_GT(outcomes["frame error"], 0);
+  EXPECT_EQ(outcomes.size(), 4u);
+
+  // Nesting: 256 levels (the request object and 255 arrays) parse; one more
+  // is a typed error.
+  auto nested = [](int arrays) {
+    return R"({"schema_version":1,"task":"W3","x":)" + std::string(arrays, '[') + "0" +
+           std::string(arrays, ']') + "}";
+  };
+  auto deep = serve::ParseRequest(nested(255));
+  ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_EQ(deep->task_id, "W3");
+  auto too_deep = serve::ParseRequest(nested(256));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), support::StatusCode::kInvalidArgument);
+
+  // Integers out of int64's range saturate instead of converting undefined.
+  auto huge = serve::ParseRequest(R"({"schema_version":1,"task":"W3","seed":1e300})");
+  ASSERT_TRUE(huge.ok());
+  EXPECT_EQ(huge->seed, static_cast<uint64_t>(INT64_MAX));
+  auto version = serve::ParseRequest(R"({"schema_version":-1e300,"task":"W3"})");
+  ASSERT_FALSE(version.ok());
+  EXPECT_EQ(version.status().code(), support::StatusCode::kInvalidArgument);
 }
 
 // ----- ServiceConfig --------------------------------------------------------

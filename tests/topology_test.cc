@@ -347,39 +347,57 @@ TEST_P(ThresholdSweep, RandomDagsValidateClean) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(0, 2, 8, 24, 128, 4096));
 
-// Note: forest size is NOT strictly monotone in the threshold — externalizing
-// a tiny merge node (subtree + one ref per in-edge) can cost slightly more
-// than cloning it. The real invariants: the forest never exceeds the naive
-// clone count, reaches it exactly at a huge threshold, and stays within a
-// small constant of the DAG size at practical thresholds (linear growth).
-TEST(ExternalizeTest, SizeBoundsAcrossThresholds) {
-  support::Rng rng(777);
+// A random tree over `nodes` nodes plus `extra_edges` forward edges.
+NavGraph RandomForwardGraph(int nodes, int extra_edges, uint64_t seed, const std::string& prefix) {
+  support::Rng rng(seed);
   NavGraph g;
   std::vector<int> ids;
-  for (int i = 0; i < 80; ++i) {
-    ids.push_back(g.AddNode(Node("S" + std::to_string(i))));
+  for (int i = 0; i < nodes; ++i) {
+    ids.push_back(g.AddNode(Node(prefix + std::to_string(i))));
   }
   for (size_t i = 0; i < ids.size(); ++i) {
     int parent = i == 0 ? 0 : ids[rng.NextBelow(i)];
     g.AddEdge(parent, ids[i]);
   }
-  for (int e = 0; e < 60; ++e) {
+  for (int e = 0; e < extra_edges; ++e) {
     size_t i = rng.NextBelow(ids.size() - 1);
     size_t j = i + 1 + rng.NextBelow(ids.size() - i - 1);
     g.AddEdge(ids[i], ids[j]);
   }
-  auto dag = Decycle(g).dag;
-  const uint64_t naive = topo::NaiveCloneCount(dag);
-  for (uint64_t threshold : {0ULL, 2ULL, 8ULL, 32ULL, 128ULL}) {
-    size_t total = SelectiveExternalize(dag, threshold).total_nodes();
-    EXPECT_LE(total, naive) << "threshold " << threshold;
-    EXPECT_GE(total, dag.node_count()) << "threshold " << threshold;
-    // Linear growth at practical thresholds (paper §3.2 "ensures linear
-    // node growth"): stays within a small constant of the DAG size.
-    if (threshold <= 32) {
-      EXPECT_LE(total, 8 * dag.node_count()) << "threshold " << threshold;
+  return g;
+}
+
+// Note: forest size is NOT strictly monotone in the threshold — externalizing
+// a tiny merge node (subtree + one ref per in-edge) can cost slightly more
+// than cloning it. The real invariants: the forest never exceeds the naive
+// clone count, reaches it exactly at a huge threshold, and stays within a
+// small constant of the DAG size at practical thresholds (linear growth, from
+// 80 to 8,192 nodes), and MeasureForest predicts its size without building it.
+TEST(ExternalizeTest, SizeBoundsAcrossThresholds) {
+  std::vector<NavGraph> graphs;
+  graphs.push_back(RandomForwardGraph(80, 60, 777, "S"));
+  for (int n : {256, 1024, 8192}) {
+    graphs.push_back(RandomForwardGraph(n, n / 2, 42, "N"));
+  }
+  for (const NavGraph& g : graphs) {
+    auto dag = Decycle(g).dag;
+    const uint64_t naive = topo::NaiveCloneCount(dag);
+    for (uint64_t threshold : {0ULL, 2ULL, 8ULL, 32ULL, 128ULL}) {
+      const size_t total = SelectiveExternalize(dag, threshold).total_nodes();
+      const std::string at =
+          std::to_string(g.node_count()) + " nodes, threshold " + std::to_string(threshold);
+      EXPECT_LE(total, naive) << at;
+      EXPECT_GE(total, dag.node_count()) << at;
+      EXPECT_EQ(topo::MeasureForest(g, threshold).nodes, total) << at;
+      // Linear growth at practical thresholds (paper §3.2 "ensures linear
+      // node growth"): stays within a small constant of the DAG size.
+      if (threshold <= 32) {
+        EXPECT_LE(total, 8 * dag.node_count()) << at;
+      }
     }
   }
+  const NavGraph dag = Decycle(graphs.front()).dag;
+  const uint64_t naive = topo::NaiveCloneCount(dag);
   EXPECT_EQ(SelectiveExternalize(dag, naive + 1).total_nodes(), naive);
 }
 

@@ -2,7 +2,7 @@
 //
 // Runs the OSWorld-W-like suite (or one task) under a chosen interface and
 // model profile, printing per-task results and the aggregate metrics — the
-// same machinery behind the Table 3 bench, exposed for exploration.
+// same machinery behind dmi_paper's Table 3, exposed for exploration.
 //
 // Usage:
 //   dmi_run [--mode gui|forest|dmi] [--model gpt5|gpt5min|mini]
@@ -15,7 +15,7 @@
 //           [--model-dir dir] [--app-version V]
 //
 // Every shared knob parses through dmi::ServiceConfig — the same
-// configuration surface dmi_serve, the benches and the examples use — which
+// configuration surface dmi_serve, dmi_paper and the examples use — which
 // agentsim::RunConfigFromService resolves once into the agent layer's
 // RunConfig (DESIGN.md §16). Binary-local flags (--task, the export paths)
 // stay here.
