@@ -12,6 +12,7 @@
 #include "src/dmi/interaction.h"
 #include "src/dmi/service_config.h"
 #include "src/dmi/session.h"
+#include "src/gui/application.h"
 #include "src/gui/input.h"
 #include "src/gui/screen.h"
 #include "src/support/metrics.h"
@@ -242,8 +243,12 @@ PaperReport BuildPaperReport() {
        {workload::AppKind::kWord, workload::AppKind::kExcel, workload::AppKind::kPpoint}) {
     const std::shared_ptr<const dmi::CompiledModel> model = runner.ModelFor(kind);
     const dmi::ModelingStats& stats = model->stats();
-    report.apps.push_back({kind, stats, static_cast<double>(stats.core_tokens) /
-                                            static_cast<double>(stats.core_nodes)});
+    gsim::StateHash graph;
+    graph.Mix(model->ripped().ToJson().Dump());
+    report.apps.push_back({kind, stats,
+                           static_cast<double>(stats.core_tokens) /
+                               static_cast<double>(stats.core_nodes),
+                           graph.digest()});
     report.fig4.push_back(MeasureTopology(workload::AppKindName(kind), model->ripped(),
                                           {0, 2, 8, 24, 128, 4096, 1000000}));
   }

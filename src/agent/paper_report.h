@@ -77,6 +77,7 @@ struct AppModel {
   workload::AppKind kind = workload::AppKind::kWord;
   dmi::ModelingStats stats;
   double tokens_per_control = 0;  // core tokens / core controls
+  uint64_t graph_digest = 0;      // gsim::StateHash of ripped().ToJson().Dump()
 };
 
 // One Table 3 setting (§5.3): labels, ServiceConfig and LlmProfile names.

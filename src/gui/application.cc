@@ -100,8 +100,6 @@ Window* Application::TopWindow() {
   return open_window_stack_.back();
 }
 
-std::vector<Window*> Application::OpenWindows() { return open_window_stack_; }
-
 bool Application::IsAttached(const Control& control) const {
   const Control* node = &control;
   while (true) {

@@ -120,7 +120,7 @@ class Application {
 
   // Topmost open window (modal dialogs stack above the main window).
   Window* TopWindow();
-  std::vector<Window*> OpenWindows();
+  const std::vector<Window*>& OpenWindows() const { return open_window_stack_; }
 
   // True if the control sits on an open window with every popup host on its
   // ancestor chain open (i.e. it can actually be clicked right now).

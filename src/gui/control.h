@@ -100,6 +100,8 @@ class Control final : public uia::Element {
 
   // The true (structural) name, unaffected by instability injection.
   const std::string& TrueName() const { return name_; }
+  // AutomationId() without the copy.
+  const std::string& automation_id() const { return automation_id_; }
 
   // Dynamic renaming: some applications relabel controls at runtime in ways
   // no offline model can predict (paper §6 "(In)accurate navigation

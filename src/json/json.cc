@@ -261,9 +261,6 @@ class Parser {
   }
 
   support::Result<Value> ParseValue() {
-    if (depth_ > kMaxDepth) {
-      return Error("nesting too deep");
-    }
     if (pos_ >= text_.size()) {
       return Error("unexpected end of input");
     }
@@ -428,7 +425,9 @@ class Parser {
 
   support::Result<Value> ParseArray() {
     Consume('[');
-    ++depth_;
+    if (++depth_ > kMaxDepth) {
+      return Error("nesting too deep");
+    }
     Array items;
     SkipWhitespace();
     if (Consume(']')) {
@@ -455,7 +454,9 @@ class Parser {
 
   support::Result<Value> ParseObject() {
     Consume('{');
-    ++depth_;
+    if (++depth_ > kMaxDepth) {
+      return Error("nesting too deep");
+    }
     Object members;
     SkipWhitespace();
     if (Consume('}')) {
@@ -489,6 +490,8 @@ class Parser {
     }
   }
 
+  // Nested containers allowed, counted on container entry: 256 parse, 257 do
+  // not, whatever the innermost container holds.
   static constexpr int kMaxDepth = 256;
 
   std::string_view text_;

@@ -58,12 +58,12 @@ GuiRipper::~GuiRipper() {
   }
 }
 
-const std::vector<VisibleEntry>& GuiRipper::CaptureVisible() {
+std::span<const VisibleEntry> GuiRipper::CaptureVisible() {
   ++stats_.captures;
   stats_.simulated_ms += kCaptureMs;
   if (config_.use_visible_index) {
     bool rebuilt = false;
-    const std::vector<VisibleEntry>& entries = index_.Visible(&rebuilt);
+    const std::span<const VisibleEntry> entries = index_.Visible(&rebuilt);
     if (rebuilt) {
       ++stats_.capture_rebuilds;
     } else {
@@ -150,25 +150,28 @@ gsim::Control* GuiRipper::FindVisibleById(const std::string& control_id, bool en
 }
 
 void GuiRipper::AddRevealedEdges(topo::NavGraph& graph, int from_node,
-                                 const std::vector<VisibleEntry>& fresh) {
+                                 std::span<const VisibleEntry* const> fresh) {
   // Index the fresh set by element pointer so containment can be checked and
   // the already-synthesized id of a fresh ancestor can be reused.
   std::unordered_map<const gsim::Control*, const std::string*> fresh_ids;
   fresh_ids.reserve(fresh.size());
-  for (const auto& e : fresh) {
-    fresh_ids.emplace(e.control, &e.control_id);
+  for (const VisibleEntry* e : fresh) {
+    fresh_ids.emplace(e->control, &e->control_id);
   }
-  // First materialize all nodes, then wire edges.
-  for (const auto& e : fresh) {
-    graph.AddNode(MakeNodeInfo(e));
+  // First materialize all nodes, then wire edges. A control seen before
+  // keeps its node, so only a new one pays for its NodeInfo.
+  for (const VisibleEntry* e : fresh) {
+    if (graph.FindNode(e->control_id) < 0) {
+      graph.AddNode(MakeNodeInfo(*e));
+    }
   }
-  for (const auto& e : fresh) {
-    const int node = graph.FindNode(e.control_id);
+  for (const VisibleEntry* e : fresh) {
+    const int node = graph.FindNode(e->control_id);
     // Walk up the accessibility parent chain to the nearest *also fresh*
     // ancestor; containment edge from it. Without one, this element roots a
     // revealed subtree: the click points at it.
     const std::string* parent_id = nullptr;
-    for (const uia::Element* p = e.control->Parent(); p != nullptr; p = p->Parent()) {
+    for (const uia::Element* p = e->control->Parent(); p != nullptr; p = p->Parent()) {
       auto it = fresh_ids.find(static_cast<const gsim::Control*>(p));
       if (it != fresh_ids.end()) {
         parent_id = it->second;
@@ -181,6 +184,21 @@ void GuiRipper::AddRevealedEdges(topo::NavGraph& graph, int from_node,
       graph.AddEdge(from_node, node);
     }
   }
+}
+
+void GuiRipper::SnapshotIds(std::span<const VisibleEntry> capture) {
+  before_arena_.clear();
+  for (const VisibleEntry& e : capture) {
+    before_arena_ += e.control_id;
+  }
+  // The views are taken once the arena has stopped growing.
+  before_ids_.Clear();
+  size_t begin = 0;
+  for (const VisibleEntry& e : capture) {
+    before_ids_.Add(std::string_view(before_arena_).substr(begin, e.control_id.size()));
+    begin += e.control_id.size();
+  }
+  before_ids_.Build();
 }
 
 bool GuiRipper::ReplayPath(const std::vector<std::string>& path, const RipContext& context) {
@@ -226,11 +244,15 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
   // reconstructs the deep navigation structure (Figure 4's merge-node
   // substructures) instead of a flat fan-out; controls under the active tab's
   // panel automatically scope beneath that TabItem via containment.
-  // The capture reference stays valid here: nothing mutates the UI between
-  // the capture and its uses.
-  const std::vector<VisibleEntry>& initial = CaptureVisible();
+  // The capture span stays valid here: nothing mutates the UI between the
+  // capture and its uses.
+  const std::span<const VisibleEntry> initial = CaptureVisible();
   std::deque<WorkItem> work;
-  AddRevealedEdges(graph, topo::NavGraph::kRootIndex, initial);
+  fresh_.clear();
+  for (const VisibleEntry& entry : initial) {
+    fresh_.push_back(&entry);
+  }
+  AddRevealedEdges(graph, topo::NavGraph::kRootIndex, fresh_);
   for (const auto& entry : initial) {
     if (!IsExplorable(*entry.control) || explored_.count(entry.control_id) > 0) {
       continue;
@@ -243,7 +265,7 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
 
   // DFS (stack discipline via front-insertion).
   while (!work.empty() && explored_.size() < config_.max_explored) {
-    WorkItem item = work.front();
+    WorkItem item = std::move(work.front());
     work.pop_front();
     if (explored_.count(item.control_id) > 0) {
       continue;
@@ -262,10 +284,7 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
     }
     // Snapshot only the id *set* of the pre-click capture — the entry buffer
     // itself is recycled by the post-click capture.
-    std::set<std::string> before_ids;
-    for (const auto& e : CaptureVisible()) {
-      before_ids.insert(e.control_id);
-    }
+    SnapshotIds(CaptureVisible());
     ++stats_.clicks;
     stats_.simulated_ms += kClickMs;
     if (!app_->Click(*target).ok()) {
@@ -277,27 +296,27 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
       app_->ResetUiState();
       continue;
     }
-    const std::vector<VisibleEntry>& after = CaptureVisible();
+    const std::span<const VisibleEntry> after = CaptureVisible();
 
     const int from_node = graph.FindNode(item.control_id);
     if (from_node < 0) {
       continue;  // should not happen: node added when first seen
     }
-    std::vector<std::string> next_path = item.path;
-    next_path.push_back(item.control_id);
+    std::vector<std::string> next_path = std::move(item.path);
+    next_path.push_back(std::move(item.control_id));
     const int next_depth = static_cast<int>(next_path.size());
 
-    std::vector<VisibleEntry> fresh;
-    for (const auto& e : after) {
-      if (before_ids.count(e.control_id) == 0) {
-        fresh.push_back(e);
+    fresh_.clear();
+    for (const VisibleEntry& e : after) {
+      if (before_ids_.Find(e.control_id) == IdTable::kNone) {
+        fresh_.push_back(&e);
       }
     }
-    AddRevealedEdges(graph, from_node, fresh);
-    for (const auto& e : fresh) {
-      if (next_depth <= config_.max_depth && IsExplorable(*e.control) &&
-          explored_.count(e.control_id) == 0) {
-        work.push_front(WorkItem{e.control_id, next_path});
+    AddRevealedEdges(graph, from_node, fresh_);
+    for (const VisibleEntry* e : fresh_) {
+      if (next_depth <= config_.max_depth && IsExplorable(*e->control) &&
+          explored_.count(e->control_id) == 0) {
+        work.push_front(WorkItem{e->control_id, next_path});
       }
     }
   }

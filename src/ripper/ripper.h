@@ -22,7 +22,9 @@
 
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/gui/application.h"
@@ -101,8 +103,8 @@ class GuiRipper {
 
  private:
   // All currently visible (attached, on-screen) controls, by identifier.
-  // The reference stays valid only until the next capture or UI mutation.
-  const std::vector<VisibleEntry>& CaptureVisible();
+  // The span stays valid only until the next capture or UI mutation.
+  std::span<const VisibleEntry> CaptureVisible();
 
   // Whether exploration should click this control.
   bool IsExplorable(const gsim::Control& control) const;
@@ -112,7 +114,11 @@ class GuiRipper {
   // Adds nodes and edges for a set of newly revealed controls: the click
   // (from_node) points at subtree roots; containment wires the rest.
   void AddRevealedEdges(topo::NavGraph& graph, int from_node,
-                        const std::vector<VisibleEntry>& fresh);
+                        std::span<const VisibleEntry* const> fresh);
+
+  // Copies the capture's ids into before_arena_ and indexes them in
+  // before_ids_, reusing both buffers.
+  void SnapshotIds(std::span<const VisibleEntry> capture);
 
   // Navigates to the state where `path` (control ids) has been clicked.
   // Returns false if replay failed (UI changed under us).
@@ -127,10 +133,16 @@ class GuiRipper {
   gsim::Application* app_;
   RipperConfig config_;
   RipStats stats_;
-  std::set<std::string> explored_;
+  std::unordered_set<std::string> explored_;
   VisibleIndex index_;
   // Backing storage for uncached captures (mirrors the index's entry buffer).
   std::vector<VisibleEntry> scratch_entries_;
+  // The pre-click capture's ids, end to end, and their table: the capture
+  // itself is rewritten by the post-click capture.
+  std::string before_arena_;
+  IdTable before_ids_;
+  // The entries a click revealed, pointing into the post-click capture.
+  std::vector<const VisibleEntry*> fresh_;
 };
 
 }  // namespace ripper

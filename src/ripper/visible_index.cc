@@ -2,9 +2,8 @@
 
 #include <functional>
 
-#include "src/ripper/identifier.h"
 #include "src/support/metrics.h"
-#include "src/uia/element.h"
+#include "src/uia/control_type.h"
 
 namespace ripper {
 namespace {
@@ -23,6 +22,44 @@ const std::string& PrimaryOf(const std::string& automation_id, const std::string
 
 }  // namespace
 
+void IdTable::Build() {
+  size_t buckets = 16;
+  while (buckets < 2 * keys_.size()) {
+    buckets *= 2;
+  }
+  heads_.assign(buckets, kNone);
+  next_.resize(keys_.size());
+  // Inserting at the heads in reverse leaves every chain in Add order.
+  for (size_t i = keys_.size(); i-- > 0;) {
+    uint32_t& head = heads_[Bucket(keys_[i])];
+    next_[i] = head;
+    head = static_cast<uint32_t>(i);
+  }
+}
+
+size_t IdTable::Bucket(std::string_view id) const {
+  return std::hash<std::string_view>{}(id) & (heads_.size() - 1);
+}
+
+uint32_t IdTable::Find(std::string_view id) const {
+  if (heads_.empty()) {
+    return kNone;
+  }
+  uint32_t i = heads_[Bucket(id)];
+  while (i != kNone && keys_[i] != id) {
+    i = next_[i];
+  }
+  return i;
+}
+
+uint32_t IdTable::FindNext(uint32_t i) const {
+  uint32_t j = next_[i];
+  while (j != kNone && keys_[j] != keys_[i]) {
+    j = next_[j];
+  }
+  return j;
+}
+
 VisibleIndex::~VisibleIndex() {
   // One registry touch per index lifetime; zero tallies stay off the registry
   // so unused indexes don't mint counters.
@@ -40,72 +77,93 @@ VisibleIndex::~VisibleIndex() {
   }
 }
 
+const std::string& VisibleIndex::NameOf(const gsim::Control& control) {
+  const gsim::Application* app = control.application();
+  if (app == nullptr || app->instability() == nullptr) {
+    return control.TrueName();
+  }
+  name_ = control.Name();
+  return name_;
+}
+
+size_t VisibleIndex::WriteId(const gsim::Control& control, const std::string& name,
+                             size_t path_begin, std::string& id) const {
+  id.assign(PrimaryOf(control.automation_id(), name));
+  id += '|';
+  id += uia::ControlTypeName(control.Type());
+  id += '|';
+  const size_t path_offset = id.size();
+  id.append(path_, path_begin);
+  return path_offset;
+}
+
+gsim::Control* VisibleIndex::Descend(gsim::Control& control, size_t path_begin,
+                                     const std::string* target) {
+  // The visit order, pruning and id strings are identical to the legacy
+  // Walk + SynthesizeControlId capture; only the cost differs.
+  if (control.IsOffscreen()) {
+    return nullptr;  // prune, exactly as the legacy capture walk does
+  }
+  const std::string& name = NameOf(control);
+  if (target == nullptr) {
+    if (size_ == entries_.size()) {
+      entries_.emplace_back();
+    }
+    VisibleEntry& entry = entries_[size_++];
+    entry.control = &control;
+    entry.path_offset = WriteId(control, name, path_begin, entry.control_id);
+  } else {
+    WriteId(control, name, path_begin, id_);
+    if (id_ == *target) {
+      return &control;
+    }
+  }
+  // The children's ancestor path is this one plus this control's name. A
+  // child whose public Parent() is null (window roots, floating shared
+  // surfaces) restarts its path at "" — matching uia::AncestorPath, which
+  // stops at the first null parent.
+  const size_t end = path_.size();
+  if (end > path_begin) {
+    path_ += '/';
+  }
+  path_ += name.empty() ? std::string_view("[Unnamed]") : std::string_view(name);
+  auto descend_child = [&](gsim::Control& child) {
+    return Descend(child, child.Parent() == nullptr ? path_.size() : path_begin, target);
+  };
+  gsim::Control* found = nullptr;
+  for (gsim::Control* child : control.StaticChildren()) {
+    if ((found = descend_child(*child)) != nullptr) {
+      break;
+    }
+  }
+  if (found == nullptr && control.popup_open() && control.popup() != nullptr) {
+    found = descend_child(*control.popup());
+  }
+  path_.resize(end);
+  return found;
+}
+
 bool VisibleIndex::Refresh() {
   const uint64_t generation = app_->ui_generation();
   if (valid_ && generation == cached_generation_) {
     return false;
   }
-  // by_id_ holds views into entries_; drop it before touching the strings.
-  by_id_.clear();
-  const size_t last_size = entries_.size();
-  entries_.clear();
-  entries_.reserve(last_size);
-
-  // One pre-order walk with incremental ancestor-path synthesis. The visit
-  // order, pruning and id strings are identical to the legacy
-  // Walk + SynthesizeControlId capture; only the cost differs.
-  std::function<void(uia::Element&, const std::string&)> descend =
-      [&](uia::Element& e, const std::string& ancestor_path) {
-        if (e.IsOffscreen()) {
-          return;  // prune, exactly as the legacy capture walk does
-        }
-        std::string name = e.Name();
-        if (e.RuntimeId() != 0) {  // the synthetic desktop root is skipped
-          VisibleEntry entry;
-          entry.control_id = PrimaryOf(e.AutomationId(), name) + "|" +
-                             std::string(uia::ControlTypeName(e.Type())) + "|" +
-                             ancestor_path;
-          entry.control = static_cast<gsim::Control*>(&e);
-          entry.path_offset = entry.control_id.size() - ancestor_path.size();
-          entries_.push_back(std::move(entry));
-        }
-        // A child whose public Parent() is null (window roots, floating
-        // shared surfaces) restarts its path at "" — matching
-        // uia::AncestorPath, which stops at the first null parent.
-        std::string child_path;
-        bool child_path_built = false;
-        for (uia::Element* child : e.Children()) {
-          const std::string* path = &child_path;
-          if (child->Parent() == nullptr) {
-            static const std::string kEmpty;
-            path = &kEmpty;
-          } else if (!child_path_built) {
-            child_path = ancestor_path;
-            if (!child_path.empty()) {
-              child_path += '/';
-            }
-            child_path += name.empty() ? "[Unnamed]" : name;
-            child_path_built = true;
-          }
-          descend(*child, *path);
-        }
-      };
   // The desktop root's children are the open windows' roots, topmost last,
   // and each root's public Parent() is null, so every window's paths start
   // empty. Descending the windows directly skips the root and marks where
   // the top window's entries begin.
+  size_ = 0;
   top_begin_ = 0;
+  path_.clear();
   for (gsim::Window* window : app_->OpenWindows()) {
-    top_begin_ = entries_.size();
-    descend(window->root(), "");
+    top_begin_ = size_;
+    Descend(window->root(), 0, nullptr);
   }
-
-  // Second pass: entries_ no longer reallocates, so views into its id
-  // strings are stable for the lifetime of this generation.
-  by_id_.reserve(entries_.size());
-  for (VisibleEntry& entry : entries_) {
-    by_id_[std::string_view(entry.control_id)].push_back(entry.control);
+  by_id_.Clear();
+  for (size_t i = 0; i < size_; ++i) {
+    by_id_.Add(entries_[i].control_id);
   }
+  by_id_.Build();
 
   valid_ = true;
   cached_generation_ = generation;
@@ -113,7 +171,12 @@ bool VisibleIndex::Refresh() {
   return true;
 }
 
-const std::vector<VisibleEntry>& VisibleIndex::Visible(bool* rebuilt) {
+gsim::Control* VisibleIndex::First(const std::string& control_id) const {
+  const uint32_t i = by_id_.Find(control_id);
+  return i == IdTable::kNone ? nullptr : entries_[i].control;
+}
+
+std::span<const VisibleEntry> VisibleIndex::Visible(bool* rebuilt) {
   const bool did = Refresh();
   if (!did) {
     ++capture_hits_;
@@ -121,63 +184,27 @@ const std::vector<VisibleEntry>& VisibleIndex::Visible(bool* rebuilt) {
   if (rebuilt != nullptr) {
     *rebuilt = did;
   }
-  return entries_;
+  return std::span<const VisibleEntry>(entries_.data(), size_);
 }
 
 gsim::Control* VisibleIndex::FindById(const std::string& control_id) {
   ++lookups_;
-  const uint64_t generation = app_->ui_generation();
-  if (valid_ && generation == cached_generation_) {
+  if (valid_ && app_->ui_generation() == cached_generation_) {
     ++capture_hits_;
-    auto it = by_id_.find(std::string_view(control_id));
-    if (it == by_id_.end() || it->second.empty()) {
-      return nullptr;
-    }
-    return it->second.front();
+    return First(control_id);
   }
   // Cold single lookup: an early-terminating walk beats paying for a full
   // rebuild that the next mutation would discard anyway (replay-heavy rip
   // loops look up exactly once per UI state). The cache stays stale; the
   // next capture rebuilds it.
   ++cold_walks_;
-  gsim::Control* found = nullptr;
-  std::function<void(uia::Element&, const std::string&)> descend =
-      [&](uia::Element& e, const std::string& ancestor_path) {
-        if (found != nullptr || e.IsOffscreen()) {
-          return;
-        }
-        std::string name = e.Name();
-        if (e.RuntimeId() != 0) {
-          std::string id = PrimaryOf(e.AutomationId(), name) + "|" +
-                           std::string(uia::ControlTypeName(e.Type())) + "|" + ancestor_path;
-          if (id == control_id) {
-            found = static_cast<gsim::Control*>(&e);
-            return;
-          }
-        }
-        std::string child_path;
-        bool child_path_built = false;
-        for (uia::Element* child : e.Children()) {
-          if (found != nullptr) {
-            return;
-          }
-          const std::string* path = &child_path;
-          if (child->Parent() == nullptr) {
-            static const std::string kEmpty;
-            path = &kEmpty;
-          } else if (!child_path_built) {
-            child_path = ancestor_path;
-            if (!child_path.empty()) {
-              child_path += '/';
-            }
-            child_path += name.empty() ? "[Unnamed]" : name;
-            child_path_built = true;
-          }
-          descend(*child, *path);
-        }
-      };
-  descend(app_->AccessibilityRoot(), "");
-  return found;
+  path_.clear();
+  for (gsim::Window* window : app_->OpenWindows()) {
+    if (gsim::Control* found = Descend(window->root(), 0, &control_id)) {
+      return found;
+    }
+  }
+  return nullptr;
 }
 
 gsim::Control* VisibleIndex::FindByIdEnsureFresh(const std::string& control_id,
@@ -190,16 +217,12 @@ gsim::Control* VisibleIndex::FindByIdEnsureFresh(const std::string& control_id,
     *rebuilt = did;
   }
   ++lookups_;
-  auto it = by_id_.find(std::string_view(control_id));
-  if (it == by_id_.end() || it->second.empty()) {
-    return nullptr;
-  }
-  return it->second.front();
+  return First(control_id);
 }
 
 std::span<const VisibleEntry> VisibleIndex::TopWindowEntries() {
   Refresh();
-  return std::span<const VisibleEntry>(entries_).subspan(top_begin_);
+  return std::span<const VisibleEntry>(entries_.data() + top_begin_, size_ - top_begin_);
 }
 
 gsim::Control* VisibleIndex::FindByIdInWindow(const std::string& control_id,
@@ -208,13 +231,9 @@ gsim::Control* VisibleIndex::FindByIdInWindow(const std::string& control_id,
     ++capture_hits_;
   }
   ++lookups_;
-  auto it = by_id_.find(std::string_view(control_id));
-  if (it == by_id_.end()) {
-    return nullptr;
-  }
-  for (gsim::Control* control : it->second) {
-    if (control->window() == window) {
-      return control;
+  for (uint32_t i = by_id_.Find(control_id); i != IdTable::kNone; i = by_id_.FindNext(i)) {
+    if (entries_[i].control->window() == window) {
+      return entries_[i].control;
     }
   }
   return nullptr;

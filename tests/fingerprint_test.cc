@@ -5,11 +5,12 @@
 // Table 3 suites (seed 1, 3 repeats) and the four --policy presets (GUI+DMI,
 // GPT-5 medium, seed 1, 2 repeats); the run id and flight recorder are left
 // out, since they identify one execution, not its outcome. Next to it, the
-// readable values of every section: Table 1, §5.2, Fig 4, Table 3, Fig 5b,
-// §5.4, Fig 6, the threshold sweep, the robustness grid and the presets with
-// their robust.* counters and success floors. Any change that moves a
-// simulated-plane number fails here and prints every new value, so the
-// movement has to be declared and re-pinned.
+// readable values of every section: Table 1, §5.2 (with a digest of each
+// app's full-depth ripped graph), Fig 4, Table 3, Fig 5b, §5.4, Fig 6, the
+// threshold sweep, the robustness grid and the presets with their robust.*
+// counters and success floors. Any change that moves a simulated-plane
+// number fails here and prints every new value, so the movement has to be
+// declared and re-pinned.
 //
 // The digest depends on the trial seeds, which TaskRunner::RunSuite and the
 // instability injector derive from std::hash<std::string>. Its values are
@@ -129,14 +130,17 @@ constexpr const char* kPinnedValues =
     "s52 WordSim: raw 4181 edges 4187 merges 4 cycles 1 forest 4200 shared 2 refs 7 core 1386\n"
     "s52 WordSim rip: clicks 12120 captures 7153 explored 4022 contexts 1 recoveries 0 cache-hit "
         "42.0% simulated 2026640 ms\n"
+    "s52 WordSim graph digest 0x1204a215bb4380a2\n"
     "s54 WordSim: core 11592 tokens (8.36 per control), full 32642 tokens\n"
     "s52 ExcelSim: raw 3538 edges 3540 merges 3 cycles 0 forest 3560 shared 1 refs 2 core 1123\n"
     "s52 ExcelSim rip: clicks 7143 captures 5198 explored 2600 contexts 3 recoveries 0 cache-hit "
         "36.6% simulated 1273000 ms\n"
+    "s52 ExcelSim graph digest 0xc9f674c8a5a77dc2\n"
     "s54 ExcelSim: core 10173 tokens (9.06 per control), full 28178 tokens\n"
     "s52 PpointSim: raw 4182 edges 4187 merges 3 cycles 1 forest 4191 shared 1 refs 5 core 843\n"
     "s52 PpointSim rip: clicks 10822 captures 7699 explored 4019 contexts 2 recoveries 0 cache-hit "
         "37.9% simulated 1914560 ms\n"
+    "s52 PpointSim graph digest 0x2b533582e7ced486\n"
     "s54 PpointSim: core 7840 tokens (9.30 per control), full 31897 tokens\n"
     "s52 WordSim without blocklist: 2 recoveries, simulated 2087280 ms\n"
     "s54 gpt5 per success: gui total 45215.8 per-call 6193.3, dmi total 38505.6 per-call 8779.8, "
@@ -264,6 +268,8 @@ TEST(ReproductionFingerprint, PaperSuitesArePinned) {
             static_cast<unsigned long long>(s.rip.contexts),
             static_cast<unsigned long long>(s.rip.external_recoveries),
             100.0 * s.rip.CaptureHitRate(), s.rip.simulated_ms);
+    Appendf(&values, "s52 %s graph digest 0x%016llx\n", name,
+            static_cast<unsigned long long>(app.graph_digest));
     Appendf(&values, "s54 %s: core %zu tokens (%.2f per control), full %zu tokens\n", name,
             s.core_tokens, app.tokens_per_control, s.full_tokens);
   }

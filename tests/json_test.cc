@@ -1,3 +1,5 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/json/json.h"
@@ -88,6 +90,33 @@ TEST(JsonParseTest, DeepNestingRejected) {
   std::string deep(300, '[');
   deep += std::string(300, ']');
   EXPECT_FALSE(Parse(deep).ok());
+}
+
+// The bound counts nested containers, not values: 256 parse and 257 do not,
+// whether the innermost container is empty or holds a scalar.
+TEST(JsonTest, NestingBoundCountsContainers) {
+  auto arrays = [](int n, const std::string& inner) {
+    return std::string(n, '[') + inner + std::string(n, ']');
+  };
+  auto objects = [](int n, const std::string& inner) {
+    std::string doc;
+    for (int i = 0; i < n - 1; ++i) {
+      doc += R"({"k":)";
+    }
+    doc += "{" + (inner.empty() ? std::string() : R"("k":)" + inner) + "}";
+    return doc + std::string(n - 1, '}');
+  };
+  for (const std::string inner : {"", "0"}) {
+    SCOPED_TRACE("innermost holds '" + inner + "'");
+    EXPECT_TRUE(Parse(arrays(256, inner)).ok());
+    EXPECT_TRUE(Parse(objects(256, inner)).ok());
+    for (const std::string& doc : {arrays(257, inner), objects(257, inner)}) {
+      auto r = Parse(doc);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), support::StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("nesting too deep"), std::string::npos);
+    }
+  }
 }
 
 TEST(JsonDumpTest, CompactRoundTrip) {

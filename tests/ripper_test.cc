@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,7 +22,64 @@
 #include "src/topology/validate.h"
 #include "src/uia/tree.h"
 
+// ----- allocation counting -----------------------------------------------------------
+
+// A test-only replacement of the global operator new: it counts this thread's
+// allocations while an AllocationCounter is alive, and is plain malloc
+// otherwise. Every non-aligned form is replaced, so that each new/delete pair
+// the library mixes (std::get_temporary_buffer's nothrow new is released by
+// a sized delete) goes through malloc and free, also under ASan, which
+// replaces the forms left out. The deletes stay out of line: inlined, GCC
+// would see free() called on operator new's pointers and warn of a mismatch.
 namespace {
+thread_local bool g_count_allocations = false;
+thread_local size_t g_allocations = 0;
+
+void* CountedMalloc(std::size_t size) noexcept {
+  if (g_count_allocations) {
+    ++g_allocations;
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedNew(std::size_t size) {
+  if (void* p = CountedMalloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedNew(size); }
+void* operator new[](std::size_t size) { return CountedNew(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+class AllocationCounter {
+ public:
+  AllocationCounter() : start_(g_allocations) { g_count_allocations = true; }
+  ~AllocationCounter() { g_count_allocations = false; }
+  size_t count() const { return g_allocations - start_; }
+
+ private:
+  size_t start_;
+};
 
 // ----- identifier synthesis --------------------------------------------------------
 
@@ -372,7 +431,7 @@ void ExpectTopSliceMatchesWalk(gsim::Application& app, const std::string& state)
     EXPECT_EQ(slice[i].control_id, ripper::SynthesizeControlId(*walked[i])) << "entry " << i;
     EXPECT_EQ(slice[i].ancestor_path(), uia::AncestorPath(*walked[i])) << "entry " << i;
   }
-  const std::vector<ripper::VisibleEntry>& all = index.Visible();
+  const std::span<const ripper::VisibleEntry> all = index.Visible();
   EXPECT_EQ(slice.data() + slice.size(), all.data() + all.size());
 }
 
@@ -486,7 +545,7 @@ void ExpectWarmLookupsNeverWalk() {
   gsim::Control* probe = nullptr;
   {
     ripper::VisibleIndex index(app);
-    const std::vector<ripper::VisibleEntry>& captured = index.Visible();
+    const std::span<const ripper::VisibleEntry> captured = index.Visible();
     ASSERT_FALSE(captured.empty());
     std::map<std::string, gsim::Control*> first;
     for (const ripper::VisibleEntry& entry : captured) {
@@ -528,6 +587,104 @@ TEST(VisibleIndexTest, WarmLookupsNeverWalkExcel) {
 
 TEST(VisibleIndexTest, WarmLookupsNeverWalkPpoint) {
   warm::ExpectWarmLookupsNeverWalk<apps::PpointSim>();
+}
+
+namespace warm {
+
+// Once a capture has sized the index's buffers, rebuilding an unchanged UI
+// state reuses them: ids are rewritten in place, ancestor paths share one
+// buffer and the id table keeps its arrays, so the rebuild allocates nothing.
+template <typename App>
+void ExpectWarmRebuildAllocatesNothing() {
+  App app;
+  ripper::VisibleIndex index(app);
+  const size_t entries = index.Visible().size();
+  app.BumpUiGeneration();
+  bool rebuilt = false;
+  size_t allocations = 0;
+  size_t rebuilt_entries = 0;
+  {
+    AllocationCounter counter;
+    rebuilt_entries = index.Visible(&rebuilt).size();
+    allocations = counter.count();
+  }
+  EXPECT_TRUE(rebuilt);
+  EXPECT_EQ(rebuilt_entries, entries);
+  EXPECT_EQ(allocations, 0u) << "rebuilding " << entries << " entries";
+}
+
+}  // namespace warm
+
+TEST(VisibleIndexTest, WarmRebuildAllocatesNothingWord) {
+  warm::ExpectWarmRebuildAllocatesNothing<apps::WordSim>();
+}
+
+TEST(VisibleIndexTest, WarmRebuildAllocatesNothingExcel) {
+  warm::ExpectWarmRebuildAllocatesNothing<apps::ExcelSim>();
+}
+
+TEST(VisibleIndexTest, WarmRebuildAllocatesNothingPpoint) {
+  warm::ExpectWarmRebuildAllocatesNothing<apps::PpointSim>();
+}
+
+// ----- non-unique ids --------------------------------------------------------------
+
+// Non-unique ids (paper §5.7): two same-named buttons under the main window's
+// root, and a third under a dialog titled like the main window, all
+// synthesize "Twin|Button|DupApp".
+class DuplicateIdApp : public gsim::Application {
+ public:
+  DuplicateIdApp() : gsim::Application("DupApp") {
+    gsim::Control& root = main_window().root();
+    first = root.NewChild("Twin", uia::ControlType::kButton);
+    second = root.NewChild("Twin", uia::ControlType::kButton);
+    opener = root.NewChild("Open", uia::ControlType::kButton)->SetDialogId("twin-dialog");
+    auto window = std::make_unique<gsim::Window>("DupApp", /*modal=*/false);
+    in_dialog = window->root().NewChild("Twin", uia::ControlType::kButton);
+    dialog = RegisterDialog("twin-dialog", std::move(window));
+  }
+
+  gsim::Control* first;
+  gsim::Control* second;
+  gsim::Control* opener;
+  gsim::Control* in_dialog;
+  gsim::Window* dialog;
+};
+
+TEST(VisibleIndexTest, DuplicateIdsResolveInPreOrder) {
+  const std::string twin = "Twin|Button|DupApp";
+  DuplicateIdApp app;
+  ASSERT_EQ(ripper::SynthesizeControlId(*app.second), twin);
+  ripper::VisibleIndex index(app);
+  // Stale (an early-exit walk), then fresh, then warm: the first in pre-order.
+  EXPECT_EQ(index.FindById(twin), app.first);
+  EXPECT_EQ(index.FindByIdEnsureFresh(twin), app.first);
+  EXPECT_EQ(index.FindById(twin), app.first);
+
+  ASSERT_TRUE(app.Click(*app.opener).ok());
+  ASSERT_EQ(app.TopWindow(), app.dialog);
+  ASSERT_EQ(ripper::SynthesizeControlId(*app.in_dialog), twin);
+  // Each window's probe returns that window's first match; the unscoped
+  // lookups still return the main window's first button.
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "after the dialog opened" : "after a rebuild");
+    EXPECT_EQ(index.FindById(twin), app.first);
+    EXPECT_EQ(index.FindByIdEnsureFresh(twin), app.first);
+    EXPECT_EQ(index.FindById(twin), app.first);
+    EXPECT_EQ(index.FindByIdInWindow(twin, app.dialog), app.in_dialog);
+    EXPECT_EQ(index.FindByIdInWindow(twin, &app.main_window()), app.first);
+    EXPECT_EQ(index.FindByIdInWindow("DupApp|Window|", app.dialog), &app.dialog->root());
+    EXPECT_EQ(index.FindByIdInWindow("Missing|Button|DupApp", app.dialog), nullptr);
+    app.BumpUiGeneration();
+  }
+
+  // With the first button hidden, the second is first in pre-order.
+  app.first->SetForcedOffscreen(true);
+  EXPECT_EQ(index.FindById(twin), app.second);
+  EXPECT_EQ(index.FindByIdEnsureFresh(twin), app.second);
+  EXPECT_EQ(index.FindById(twin), app.second);
+  EXPECT_EQ(index.FindByIdInWindow(twin, &app.main_window()), app.second);
+  EXPECT_EQ(index.FindByIdInWindow(twin, app.dialog), app.in_dialog);
 }
 
 // ----- full-app rip (Word) -----------------------------------------------------------
