@@ -32,6 +32,36 @@ std::vector<std::vector<const DmiStep*>> GroupIntoTurns(const std::vector<DmiSte
   return turns;
 }
 
+// Appends the visit commands that declare `vt` at `target`: its access (or
+// access-input) command, then its auxiliary shortcut if it has one.
+void AppendAccessCommands(const VisitTarget& vt, const dmi::ResolvedTarget& target,
+                          std::vector<dmi::VisitCommand>& commands) {
+  dmi::VisitCommand cmd;
+  cmd.kind = vt.input_text.empty() ? dmi::VisitCommand::Kind::kAccess
+                                   : dmi::VisitCommand::Kind::kAccessInput;
+  cmd.target_id = target.id;
+  cmd.entry_ref_ids = target.entry_ref_ids;
+  cmd.text = vt.input_text;
+  cmd.enforced = vt.enforced;
+  commands.push_back(std::move(cmd));
+  if (!vt.shortcut_after.empty()) {
+    dmi::VisitCommand sc;
+    sc.kind = dmi::VisitCommand::Kind::kShortcut;
+    sc.shortcut_key = vt.shortcut_after;
+    commands.push_back(std::move(sc));
+  }
+}
+
+// The labeled control on screen whose true name is `name`, or nullptr.
+gsim::Control* LabeledSurface(const gsim::ScreenView& screen, const std::string& name) {
+  for (const gsim::LabeledControl& lc : screen.labeled()) {
+    if (lc.control->TrueName() == name) {
+      return lc.control;
+    }
+  }
+  return nullptr;
+}
+
 // Re-plans a failed declarative step gets per turn.
 constexpr int kMaxStepRetries = 1;
 
@@ -123,7 +153,6 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
   // Executes one turn; returns OK or the failure to surface.
   auto run_visit_turn = [&](const std::vector<const DmiStep*>& steps) -> support::Status {
     std::vector<dmi::VisitCommand> commands;
-    bool wrong_pick = false;
     for (const DmiStep* step : steps) {
       for (const VisitTarget& vt : step->targets) {
         auto resolved = session.ResolveTargetByNames(vt.name_chain);
@@ -140,7 +169,6 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
             pending_cause = FailureCause::kControlSemanticsMisread;
           }
           // Declare a neighboring id instead (a semantically-wrong control).
-          const topo::TreeNode* node = session.catalog().forest().FindById(target.id);
           int wrong = target.id;
           for (int delta : {1, -1, 2, -2}) {
             const topo::TreeNode* cand =
@@ -150,24 +178,11 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
               break;
             }
           }
-          (void)node;
+          // Executes cleanly, but on the wrong control: surfaces at
+          // verification.
           target.id = wrong;
-          wrong_pick = true;
         }
-        dmi::VisitCommand cmd;
-        cmd.kind = vt.input_text.empty() ? dmi::VisitCommand::Kind::kAccess
-                                         : dmi::VisitCommand::Kind::kAccessInput;
-        cmd.target_id = target.id;
-        cmd.entry_ref_ids = target.entry_ref_ids;
-        cmd.text = vt.input_text;
-        cmd.enforced = vt.enforced;
-        commands.push_back(cmd);
-        if (!vt.shortcut_after.empty()) {
-          dmi::VisitCommand sc;
-          sc.kind = dmi::VisitCommand::Kind::kShortcut;
-          sc.shortcut_key = vt.shortcut_after;
-          commands.push_back(sc);
-        }
+        AppendAccessCommands(vt, target, commands);
         // Imperfect instruction following: sometimes the LLM also emits the
         // navigation chain — and its guessed navigation is itself error-prone
         // (that is why DMI's non-leaf filter must absorb it, §3.4). Half the
@@ -236,10 +251,6 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
       }
       return report.overall;
     }
-    if (wrong_pick) {
-      // Executed cleanly, but on the wrong control: surfaces at verification.
-      return support::Status::Ok();
-    }
     return support::Status::Ok();
   };
 
@@ -248,13 +259,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
     dmi::InteractionInterfaces& ix = session.interaction();
     switch (step.kind) {
       case DmiStep::Kind::kSetScrollbar: {
-        gsim::Control* surface = nullptr;
-        for (const auto& lc : session.screen().labeled()) {
-          if (lc.control->TrueName() == step.surface_name) {
-            surface = lc.control;
-            break;
-          }
-        }
+        gsim::Control* surface = LabeledSurface(session.screen(), step.surface_name);
         if (surface == nullptr) {
           pending_cause = FailureCause::kNavigationError;
           return support::NotFoundError("surface '" + step.surface_name + "' not visible");
@@ -265,13 +270,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
         return status.ok() ? support::Status::Ok() : status.status();
       }
       case DmiStep::Kind::kSelectParagraphs: {
-        gsim::Control* surface = nullptr;
-        for (const auto& lc : session.screen().labeled()) {
-          if (lc.control->TrueName() == step.surface_name) {
-            surface = lc.control;
-            break;
-          }
-        }
+        gsim::Control* surface = LabeledSurface(session.screen(), step.surface_name);
         if (surface == nullptr) {
           pending_cause = FailureCause::kNavigationError;
           return support::NotFoundError("surface '" + step.surface_name + "' not visible");
@@ -305,13 +304,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
         return s;
       }
       case DmiStep::Kind::kObserve: {
-        gsim::Control* surface = nullptr;
-        for (const auto& lc : session.screen().labeled()) {
-          if (lc.control->TrueName() == step.surface_name) {
-            surface = lc.control;
-            break;
-          }
-        }
+        gsim::Control* surface = LabeledSurface(session.screen(), step.surface_name);
         if (surface == nullptr) {
           return support::NotFoundError("observe target not visible");
         }
@@ -482,22 +475,8 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
         for (const DmiStep* step : turn) {
           for (const VisitTarget& vt : step->targets) {
             auto resolved = session.ResolveTargetByNames(vt.name_chain);
-            if (!resolved.ok()) {
-              continue;
-            }
-            dmi::VisitCommand cmd;
-            cmd.kind = vt.input_text.empty() ? dmi::VisitCommand::Kind::kAccess
-                                             : dmi::VisitCommand::Kind::kAccessInput;
-            cmd.target_id = resolved->id;
-            cmd.entry_ref_ids = resolved->entry_ref_ids;
-            cmd.text = vt.input_text;
-            cmd.enforced = vt.enforced;
-            commands.push_back(cmd);
-            if (!vt.shortcut_after.empty()) {
-              dmi::VisitCommand sc;
-              sc.kind = dmi::VisitCommand::Kind::kShortcut;
-              sc.shortcut_key = vt.shortcut_after;
-              commands.push_back(sc);
+            if (resolved.ok()) {
+              AppendAccessCommands(vt, *resolved, commands);
             }
           }
         }

@@ -1,6 +1,7 @@
 #include "src/agent/task_runner.h"
 
 #include <algorithm>
+#include <array>
 #include <future>
 #include <utility>
 
@@ -65,12 +66,16 @@ const char* InterfaceModeName(InterfaceMode mode) {
   return "?";
 }
 
-TaskRunner::TaskRunner() = default;
+TaskRunner::TaskRunner() : registry_(std::make_unique<dmi::ModelRegistry>()) {}
 
-dmi::ModelingOptions TaskRunner::DefaultModelingOptions(workload::AppKind kind) {
-  dmi::ModelingOptions options;
-  options.ripper_config.blocklist = {"Account", "Feedback"};
-  if (kind == workload::AppKind::kPpoint) {
+const dmi::ModelingOptions& TaskRunner::DefaultModelingOptions(workload::AppKind kind) {
+  // Built once per process: ModelFor reads them on every run, and they hold
+  // a set and the contexts' closures.
+  static const std::array<dmi::ModelingOptions, 3> kOptions = [] {
+    std::array<dmi::ModelingOptions, 3> all;
+    for (dmi::ModelingOptions& options : all) {
+      options.ripper_config.blocklist = {"Account", "Feedback"};
+    }
     ripper::RipContext image_context;
     image_context.name = "image-selected";
     image_context.setup = [](gsim::Application& a) {
@@ -86,9 +91,7 @@ dmi::ModelingOptions TaskRunner::DefaultModelingOptions(workload::AppKind kind) 
         (void)a.Click(*image);
       }
     };
-    options.contexts = {image_context};
-  }
-  if (kind == workload::AppKind::kExcel) {
+    all[static_cast<size_t>(workload::AppKind::kPpoint)].contexts = {image_context};
     // Scrolled-viewport contexts: cells below/right of the initial viewport
     // only exist on screen after scrolling, so the modeler visits the grid at
     // several scroll positions (context-aware exploration, §4.1).
@@ -102,33 +105,24 @@ dmi::ModelingOptions TaskRunner::DefaultModelingOptions(workload::AppKind kind) 
           (void)scroll->SetScrollPercent(100.0, v);
         }
       };
-      options.contexts.push_back(scrolled);
+      all[static_cast<size_t>(workload::AppKind::kExcel)].contexts.push_back(scrolled);
     }
-  }
-  return options;
+    return all;
+  }();
+  return kOptions[static_cast<size_t>(kind)];
 }
 
 void TaskRunner::SetModelDir(std::string dir, std::string app_version) {
-  std::lock_guard<std::mutex> lock(models_mutex_);
-  registry_ = dir.empty() ? nullptr : std::make_unique<dmi::ModelRegistry>(std::move(dir));
-  model_app_version_ = std::move(app_version);
+  registry_ = std::make_unique<dmi::ModelRegistry>(std::move(dir), std::move(app_version));
 }
 
 std::shared_ptr<const dmi::CompiledModel> TaskRunner::ModelFor(workload::AppKind kind) {
-  // Coarse lock: concurrent callers of an already-built model pay one probe;
-  // a cold build holds the lock (RunSuite prebuilds before fanning out, so
-  // workers never build).
-  std::lock_guard<std::mutex> lock(models_mutex_);
-  auto it = models_.find(kind);
-  if (it != models_.end()) {
-    return it->second;
-  }
-  dmi::ModelingOptions options = DefaultModelingOptions(kind);
+  const dmi::ModelingOptions& options = DefaultModelingOptions(kind);
   // The full offline pipeline (rip + compile). Compile keeps the ripped
   // graph and folds the rip stats and the app's subtree-checksum table in,
   // so the model is a self-contained record for its artifact and a valid
   // delta-rip baseline.
-  auto pipeline = [&]() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
+  auto pipeline = [kind, &options]() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
     DMI_LOG(kInfo) << "modeling " << workload::AppKindName(kind) << " (offline phase)";
     std::unique_ptr<gsim::Application> scratch = MakeScratch(kind);
     // Checksums are taken on the pristine instance, before the ripper drives
@@ -142,20 +136,9 @@ std::shared_ptr<const dmi::CompiledModel> TaskRunner::ModelFor(workload::AppKind
     topo::NavGraph ripped = rip.Rip(options.contexts).Canonicalized();
     return dmi::CompiledModel::Compile(std::move(ripped), options, &rip.stats(), &checksums);
   };
-  const auto vit = model_versions_.find(kind);
-  const std::string& version = vit != model_versions_.end() ? vit->second : model_app_version_;
-  std::shared_ptr<const dmi::CompiledModel> model;
-  if (registry_ != nullptr) {
-    // Artifact store attached: cold-load when possible, compile (with
-    // save-through) when not. The registry's fallback makes a corrupt or
-    // missing artifact a perf event, never a failure, so the non-Result
-    // ModelFor contract holds.
-    model = *registry_->Acquire(workload::AppKindName(kind), version, options, pipeline);
-  } else {
-    model = *pipeline();
-  }
-  models_[kind] = model;
-  return model;
+  // The registry's compile fallback makes a corrupt or missing artifact a
+  // perf event, never a failure, so the non-Result ModelFor contract holds.
+  return *registry_->Current(workload::AppKindName(kind), options, pipeline);
 }
 
 support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::string& new_version,
@@ -163,19 +146,14 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
   support::TraceSpan span("model.refresh", "model");
   span.AddArg("app", workload::AppKindName(kind));
   span.AddArg("version", new_version);
-  // The baseline is resolved like any run's model (memo, artifact, or rip),
-  // so it always carries the graph and checksum table the delta rip splices
-  // against. The models lock is not held across the delta rip: workers keep
-  // resolving the old model meanwhile, which is the whole point.
-  const std::shared_ptr<const dmi::CompiledModel> baseline = ModelFor(kind);
-  std::string old_version;
-  {
-    std::lock_guard<std::mutex> lock(models_mutex_);
-    const auto vit = model_versions_.find(kind);
-    old_version = vit != model_versions_.end() ? vit->second : model_app_version_;
-  }
-  dmi::ModelingOptions options = DefaultModelingOptions(kind);
-  auto remodel = [&](const std::shared_ptr<const dmi::CompiledModel>&)
+  // The baseline is the kind's current model, resolved like any run's (memo,
+  // artifact, or rip), so it always carries the graph and checksum table the
+  // delta rip splices against. The registry hands it to the remodel and
+  // holds no lock across the delta rip: workers keep resolving the old model
+  // meanwhile, which is the whole point.
+  (void)ModelFor(kind);
+  const dmi::ModelingOptions& options = DefaultModelingOptions(kind);
+  auto remodel = [&](const std::shared_ptr<const dmi::CompiledModel>& baseline)
       -> support::Result<dmi::ModelRegistry::Remodeled> {
     ripper::DeltaRipOptions delta_options;
     delta_options.config = options.ripper_config;
@@ -191,25 +169,10 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
                                     &delta->checksums),
         delta->nodes_reused};
   };
-  support::Result<std::shared_ptr<const dmi::CompiledModel>> compiled =
-      support::InvalidArgumentError("unreachable");
-  if (registry_ != nullptr) {
-    compiled = registry_->Refresh(workload::AppKindName(kind), old_version, new_version,
-                                  options, remodel);
-  } else {
-    support::Result<dmi::ModelRegistry::Remodeled> remodeled = remodel(baseline);
-    if (!remodeled.ok()) {
-      return remodeled.status();
-    }
-    compiled = std::move(remodeled->model);
-  }
-  if (!compiled.ok()) {
-    return compiled.status();
-  }
-  {
-    std::lock_guard<std::mutex> lock(models_mutex_);
-    models_[kind] = *compiled;
-    model_versions_[kind] = new_version;
+  const support::Result<std::shared_ptr<const dmi::CompiledModel>> published =
+      registry_->Refresh(workload::AppKindName(kind), new_version, options, remodel);
+  if (!published.ok()) {
+    return published.status();
   }
   // Publish the new app build to the pool last: from here on, new leases
   // construct the updated app and stale old-build instances are discarded on
@@ -221,8 +184,8 @@ support::Status TaskRunner::RefreshModel(workload::AppKind kind, const std::stri
 }
 
 const dmi::ModelingStats& TaskRunner::modeling_stats(workload::AppKind kind) {
-  // The returned reference stays valid while the runner holds the model in
-  // its map; a RefreshModel of the same kind invalidates it.
+  // The registry's memo keeps the model alive, so the reference outlives the
+  // shared_ptr copy ModelFor returns.
   return ModelFor(kind)->stats();
 }
 

@@ -10,7 +10,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -136,39 +135,44 @@ class TaskRunner {
   BatchScheduler& batch_scheduler() { return batch_scheduler_; }
   BatchScheduler::Stats batch_stats() const { return batch_scheduler_.stats(); }
 
-  // The kind's model, built on first use (rip + compile, or an artifact
-  // load). Shared ownership: callers copy the pointer out and keep using the
-  // model even if RefreshModel republishes the kind mid-run.
+  // The kind's current model, resolved through the runner's registry: a
+  // memo hit, an artifact load, or the offline pipeline (rip + compile).
+  // Shared ownership: callers copy the pointer out and keep using the model
+  // even if RefreshModel republishes the kind mid-run.
   std::shared_ptr<const dmi::CompiledModel> ModelFor(workload::AppKind kind);
 
-  // Offline-phase results (§5.2): ModelFor(kind)->stats().
+  // Offline-phase results (§5.2): ModelFor(kind)->stats(). The reference
+  // stays valid while the registry holds the model; a Prune after a
+  // RefreshModel of the kind may drop it.
   const dmi::ModelingStats& modeling_stats(workload::AppKind kind);
 
-  // The modeling configuration shared by all settings.
-  static dmi::ModelingOptions DefaultModelingOptions(workload::AppKind kind);
+  // The modeling configuration shared by all settings, built once per
+  // process.
+  static const dmi::ModelingOptions& DefaultModelingOptions(workload::AppKind kind);
 
-  // Attaches a binary artifact store (DESIGN.md §14): ModelFor resolves
-  // models through a dmi::ModelRegistry rooted at `dir` — checksum-verified
-  // cold load when an artifact exists, full rip+compile with save-through
-  // when it doesn't. `app_version` is the store key's second half. Call
-  // before the first run; the in-memory model cache is not invalidated.
+  // Replaces the runner's registry with one rooted at the binary artifact
+  // store `dir` (DESIGN.md §14; empty = no store, an in-process memo): ModelFor
+  // then cold-loads a checksum-verified artifact when one exists, and rips
+  // and compiles with save-through when it doesn't. `app_version` is the
+  // version every kind resolves to until RefreshModel publishes another.
+  // Call before the first run: the replaced registry's models are dropped.
   void SetModelDir(std::string dir, std::string app_version = "1");
 
-  // The artifact registry, or nullptr when no model dir is attached.
+  // The runner's one store of compiled models (never null).
   const dmi::ModelRegistry* model_registry() const { return registry_.get(); }
   // Non-const registry access (tests wire a flight recorder, call Prune).
   dmi::ModelRegistry* mutable_model_registry() { return registry_.get(); }
 
   // Live model swap (DESIGN.md §15): delta-rips the updated application build
-  // produced by `factory` against the current model's ripped graph and
-  // checksum table (resolving that model first, like a run would), compiles
-  // the result, and atomically publishes it as `kind`'s model under
-  // `new_version`. Zero-downtime: runs already in flight hold a
-  // shared_ptr to the old model and finish on it; runs started after this
-  // returns see the new model, and pooled app leases construct the new build
-  // (old-build instances are destroyed on return, never re-shelved). With an
-  // artifact store attached the swap goes through ModelRegistry::Refresh
-  // (save-through + registry.delta_* stats).
+  // produced by `factory` against the kind's current model's ripped graph
+  // and checksum table (resolving that model first, like a run would),
+  // compiles the result, and atomically publishes it as `kind`'s model under
+  // `new_version` through ModelRegistry::Refresh (save-through to the store,
+  // if any, and registry.delta_* stats). Zero-downtime: the delta rip holds
+  // no registry lock, runs already in flight hold a shared_ptr to the old
+  // model and finish on it; runs started after this returns see the new
+  // model, and pooled app leases construct the new build (old-build
+  // instances are destroyed on return, never re-shelved).
   support::Status RefreshModel(workload::AppKind kind, const std::string& new_version,
                                workload::AppPool::Factory factory);
 
@@ -182,17 +186,9 @@ class TaskRunner {
   RunResult RunOnceInternal(const workload::Task& task, const RunConfig& config,
                             uint64_t seed, uint64_t run_id);
 
-  // Guards models_ when RunSuite fans runs out across workers. Models are
-  // immutable once built (RunSuite prebuilds them before the fan-out), so
-  // only the map lookup needs the lock.
-  std::mutex models_mutex_;
-  std::map<workload::AppKind, std::shared_ptr<const dmi::CompiledModel>> models_;
-  // Set via SetModelDir; when present, ModelFor goes through it.
+  // The runner's one store of compiled models: a registry with no artifact
+  // store until SetModelDir replaces it. Thread-safe.
   std::unique_ptr<dmi::ModelRegistry> registry_;
-  std::string model_app_version_ = "1";
-  // Per-kind published version; absent = model_app_version_. Advanced by
-  // RefreshModel.
-  std::map<workload::AppKind, std::string> model_versions_;
   // Reset-based application pool shared by all runs (thread-safe; see
   // workload::AppPool). Unpooled runs go through it too, as throwaway leases.
   workload::AppPool app_pool_;

@@ -1,8 +1,8 @@
 #include "src/describe/catalog.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
+#include <utility>
 
 #include "src/support/metrics.h"
 #include "src/text/tokens.h"
@@ -45,37 +45,44 @@ TopologyCatalog::TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest,
 
 void TopologyCatalog::ComputeCore(const PruneOptions& prune) {
   // Walk every tree, keeping nodes up to max_depth, eliding large
-  // enumerations' children and manually excluded subtrees.
-  std::function<void(const topo::Tree&, int, int)> visit = [&](const topo::Tree& tree,
-                                                               int index, int depth) {
-    const topo::TreeNode& node = tree.nodes[static_cast<size_t>(index)];
-    core_ids_.insert(node.id);
-    ++core_stats_.kept;
-    if (node.is_reference) {
-      return;
-    }
-    if (depth >= prune.max_depth) {
-      core_stats_.elided += node.children.size();
-      return;
-    }
-    const topo::NodeInfo& info = dag_->node(node.graph_index);
-    if (prune.manual_exclude_names.count(info.name) > 0) {
-      core_stats_.elided += node.children.size();
-      return;
-    }
-    if (IsLargeEnumeration(*dag_, tree, node, prune.enumeration_limit)) {
-      core_stats_.elided += node.children.size();
-      ++core_stats_.elided_enumerations;
-      return;
-    }
-    for (int child : node.children) {
-      visit(tree, child, depth + 1);
+  // enumerations' children and manually excluded subtrees. The walk keeps
+  // its own stack of (node, depth), so a deep chain cannot overflow the call
+  // stack; the order it visits in does not matter.
+  std::vector<std::pair<int, int>> stack;
+  auto visit = [&](const topo::Tree& tree) {
+    stack.emplace_back(0, 0);
+    while (!stack.empty()) {
+      const auto [index, depth] = stack.back();
+      stack.pop_back();
+      const topo::TreeNode& node = tree.nodes[static_cast<size_t>(index)];
+      core_ids_.insert(node.id);
+      ++core_stats_.kept;
+      if (node.is_reference) {
+        continue;
+      }
+      if (depth >= prune.max_depth) {
+        core_stats_.elided += node.children.size();
+        continue;
+      }
+      const topo::NodeInfo& info = dag_->node(node.graph_index);
+      if (prune.manual_exclude_names.count(info.name) > 0) {
+        core_stats_.elided += node.children.size();
+        continue;
+      }
+      if (IsLargeEnumeration(*dag_, tree, node, prune.enumeration_limit)) {
+        core_stats_.elided += node.children.size();
+        ++core_stats_.elided_enumerations;
+        continue;
+      }
+      for (int child : node.children) {
+        stack.emplace_back(child, depth + 1);
+      }
     }
   };
-  visit(forest_.main(), 0, 0);
+  visit(forest_.main());
   for (const topo::Tree& tree : forest_.shared()) {
     if (!tree.nodes.empty()) {
-      visit(tree, 0, 0);
+      visit(tree);
     }
   }
 }
@@ -169,14 +176,13 @@ support::Result<std::string> TopologyCatalog::ExpandBranch(int id) const {
   const topo::Tree& tree = loc->tree < 0 ? forest_.main()
                                          : forest_.shared()[static_cast<size_t>(loc->tree)];
   IdSet branch(forest_.max_id());
-  std::function<void(int)> collect = [&](int index) {
-    const topo::TreeNode& n = tree.nodes[static_cast<size_t>(index)];
+  std::vector<int> stack = {loc->node};
+  while (!stack.empty()) {
+    const topo::TreeNode& n = tree.nodes[static_cast<size_t>(stack.back())];
+    stack.pop_back();
     branch.insert(n.id);
-    for (int child : n.children) {
-      collect(child);
-    }
-  };
-  collect(loc->node);
+    stack.insert(stack.end(), n.children.begin(), n.children.end());
+  }
   // Also keep ancestors so the output is rooted and readable.
   int cursor = loc->node;
   while (cursor >= 0) {

@@ -14,13 +14,14 @@ const topo::Tree& TreeOf(const topo::Forest& forest, int tree) {
   return tree < 0 ? forest.main() : forest.shared()[static_cast<size_t>(tree)];
 }
 
-void SerializeNode(const topo::NavGraph& dag, const topo::Forest& forest,
-                   const topo::Tree& tree, int node_index, const DescribeOptions& options,
-                   const IdSet* keep, std::string& out) {
-  const topo::TreeNode& node = tree.nodes[static_cast<size_t>(node_index)];
+// Writes one node's own text — the whole of it for a reference, else its
+// name, type, description and id — and opens its child list with '[' when it
+// has children (kept or elided). Returns whether it opened one.
+bool SerializeHead(const topo::NavGraph& dag, const topo::Forest& forest,
+                   const topo::TreeNode& node, const DescribeOptions& options, std::string& out) {
   if (node.is_reference) {
     out += "@ref->S" + std::to_string(node.ref_subtree) + "_" + std::to_string(node.id);
-    return;
+    return false;
   }
   const topo::NodeInfo& info = dag.node(node.graph_index);
   out += info.name.empty() ? "[Unnamed]" : info.name;
@@ -39,35 +40,58 @@ void SerializeNode(const topo::NavGraph& dag, const topo::Forest& forest,
     out += ")";
   }
   out += "_" + std::to_string(node.id);
-
-  // Children (respecting the keep-set).
-  std::vector<int> emitted;
-  size_t elided = 0;
-  for (int child : node.children) {
-    const topo::TreeNode& cn = tree.nodes[static_cast<size_t>(child)];
-    if (keep != nullptr && !keep->contains(cn.id)) {
-      ++elided;
-      continue;
-    }
-    emitted.push_back(child);
-  }
-  if (emitted.empty() && elided == 0) {
-    return;
+  if (!non_leaf) {
+    return false;
   }
   out += "[";
-  for (size_t i = 0; i < emitted.size(); ++i) {
-    if (i > 0) {
+  return true;
+}
+
+// Serializes the subtree at `root_index` in pre-order: each node's kept
+// children in brackets, comma-separated, and the elided ones counted as
+// "+N more" at the end of the list. The walk keeps its own stack, so a chain
+// as deep as the forest is long cannot overflow the call stack.
+void SerializeSubtree(const topo::NavGraph& dag, const topo::Forest& forest,
+                      const topo::Tree& tree, int root_index, const DescribeOptions& options,
+                      const IdSet* keep, std::string& out) {
+  struct Frame {
+    const topo::TreeNode* node;
+    size_t next = 0;     // the next child to consider
+    size_t elided = 0;   // children dropped by `keep` so far
+    bool emitted = false;
+  };
+  std::vector<Frame> stack;
+  auto open = [&](int index) {
+    const topo::TreeNode& node = tree.nodes[static_cast<size_t>(index)];
+    if (SerializeHead(dag, forest, node, options, out)) {
+      stack.push_back(Frame{&node});
+    }
+  };
+  open(root_index);
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next == frame.node->children.size()) {
+      if (frame.elided > 0) {
+        if (frame.emitted) {
+          out += ",";
+        }
+        out += "+" + std::to_string(frame.elided) + " more";
+      }
+      out += "]";
+      stack.pop_back();
+      continue;
+    }
+    const int child = frame.node->children[frame.next++];
+    if (keep != nullptr && !keep->contains(tree.nodes[static_cast<size_t>(child)].id)) {
+      ++frame.elided;
+      continue;
+    }
+    if (frame.emitted) {
       out += ",";
     }
-    SerializeNode(dag, forest, tree, emitted[i], options, keep, out);
+    frame.emitted = true;
+    open(child);  // `frame` dangles from here
   }
-  if (elided > 0) {
-    if (!emitted.empty()) {
-      out += ",";
-    }
-    out += "+" + std::to_string(elided) + " more";
-  }
-  out += "]";
 }
 
 // A shared subtree's section is emitted iff its root survives `keep`.
@@ -101,7 +125,7 @@ std::string SerializeTree(const topo::NavGraph& dag, const topo::Forest& forest,
   }
   std::string out;
   out.reserve(t.nodes.size() * kReservePerNode);
-  SerializeNode(dag, forest, t, 0, options, keep, out);
+  SerializeSubtree(dag, forest, t, 0, options, keep, out);
   return out;
 }
 

@@ -20,40 +20,65 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Acquire(
     const ModelingOptions& runtime_options, const CompileFn& compile) {
   support::TraceSpan span("registry.acquire", "model");
   span.AddArg("app", app_kind + "-" + app_version);
-  const Key key(app_kind, app_version);
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = memo_.find(key); it != memo_.end()) {
-    ++stats_.memo_hits;
-    support::CountMetric("registry.memo_hits");
-    return it->second;
-  }
+  return ResolveLocked(Key(app_kind, app_version), runtime_options, compile);
+}
 
+support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Current(
+    const std::string& app_kind, const ModelingOptions& runtime_options,
+    const CompileFn& compile) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ResolveLocked(Key(app_kind, CurrentVersionLocked(app_kind)), runtime_options, compile);
+}
+
+const std::string& ModelRegistry::CurrentVersionLocked(const std::string& app_kind) const {
+  const auto latest = latest_.find(app_kind);
+  return latest != latest_.end() ? latest->second : default_version_;
+}
+
+std::shared_ptr<const CompiledModel> ModelRegistry::MemoHitLocked(const Key& key) {
+  const auto it = memo_.find(key);
+  if (it == memo_.end()) {
+    return nullptr;
+  }
+  ++stats_.memo_hits;
+  support::CountMetric("registry.memo_hits");
+  return it->second;
+}
+
+support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::ResolveLocked(
+    const Key& key, const ModelingOptions& runtime_options, const CompileFn& compile) {
+  if (std::shared_ptr<const CompiledModel> memoized = MemoHitLocked(key)) {
+    return memoized;
+  }
   if (std::shared_ptr<const CompiledModel> loaded = LoadLocked(key, runtime_options)) {
     return loaded;
   }
-
   support::Result<std::shared_ptr<const CompiledModel>> model = compile();
   if (!model.ok()) {
     return model.status();
   }
   ++stats_.compiles;
   support::CountMetric("registry.compiles");
-  if (const std::string path = ArtifactPath(app_kind, app_version); !path.empty()) {
-    ArtifactMeta meta{app_kind, app_version};
-    support::Status saved = SaveModelArtifact(**model, meta, path);
-    if (saved.ok()) {
-      ++stats_.save_throughs;
-      support::CountMetric("registry.save_throughs");
-    } else {
-      // Save-through is best-effort: a read-only store just means the next
-      // process compiles again.
-      support::LogMessage(support::LogLevel::kWarning,
-                          "registry: artifact save-through failed: " + saved.ToString());
-    }
-  }
+  SaveThroughLocked(key, **model);
   memo_.emplace(key, *model);
-  latest_.emplace(app_kind, app_version);  // a kind's first version is its latest
+  latest_.emplace(key.first, key.second);  // a kind's first version is its latest
   return *model;
+}
+
+void ModelRegistry::SaveThroughLocked(const Key& key, const CompiledModel& model) {
+  const std::string path = ArtifactPath(key.first, key.second);
+  if (path.empty()) {
+    return;
+  }
+  support::Status saved = SaveModelArtifact(model, ArtifactMeta{key.first, key.second}, path);
+  if (saved.ok()) {
+    ++stats_.save_throughs;
+    support::CountMetric("registry.save_throughs");
+  } else {
+    support::LogMessage(support::LogLevel::kWarning,
+                        "registry: artifact save-through failed: " + saved.ToString());
+  }
 }
 
 std::shared_ptr<const CompiledModel> ModelRegistry::LoadLocked(
@@ -92,57 +117,52 @@ std::shared_ptr<const CompiledModel> ModelRegistry::LoadLocked(
 }
 
 support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
-    const std::string& app_kind, const std::string& old_version,
-    const std::string& new_version, const ModelingOptions& runtime_options,
-    const RemodelFn& remodel) {
+    const std::string& app_kind, const std::string& new_version,
+    const ModelingOptions& runtime_options, const RemodelFn& remodel) {
   support::TraceSpan span("registry.refresh", "model");
-  span.AddArg("app", app_kind + ": " + old_version + " -> " + new_version);
   const Key new_key(app_kind, new_version);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = memo_.find(new_key); it != memo_.end()) {
-    ++stats_.memo_hits;
-    support::CountMetric("registry.memo_hits");
-    latest_[app_kind] = new_version;
-    return it->second;
-  }
-
-  // Resolve the baseline: memo first, then a cold artifact load, which is
-  // counted and memoized like Acquire's. A missing baseline is not an error;
-  // the remodel callback decides what to rip against.
-  const Key old_key(app_kind, old_version);
+  std::string old_version;
   std::shared_ptr<const CompiledModel> baseline;
-  if (auto it = memo_.find(old_key); it != memo_.end()) {
-    baseline = it->second;
-  } else {
-    baseline = LoadLocked(old_key, runtime_options);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::shared_ptr<const CompiledModel> published = MemoHitLocked(new_key)) {
+      latest_[app_kind] = new_version;
+      return published;
+    }
+    // The baseline is the kind's current model: memo first, then a cold
+    // artifact load, which is counted and memoized like Acquire's.
+    old_version = CurrentVersionLocked(app_kind);
+    const Key old_key(app_kind, old_version);
+    const auto memoized = memo_.find(old_key);
+    baseline = memoized != memo_.end() ? memoized->second : LoadLocked(old_key, runtime_options);
+  }
+  span.AddArg("app", app_kind + ": " + old_version + " -> " + new_version);
+  if (baseline == nullptr) {
+    return support::FailedPreconditionError("registry: no " + app_kind + " model at version " +
+                                            old_version + " to refresh from");
   }
 
+  // The remodel (a delta rip and a compile) runs unlocked: every other key,
+  // and this kind's current model, resolves meanwhile.
   support::Result<Remodeled> remodeled = remodel(baseline);
   if (!remodeled.ok()) {
     return remodeled.status();
+  }
+
+  // Publish: after this insert, Current() and Acquire(new_version) memo-hit.
+  // The old version's entry stays (sessions may still Acquire it mid-suite)
+  // until Prune decides nothing holds it.
+  std::lock_guard<std::mutex> lock(mu_);
+  latest_[app_kind] = new_version;
+  if (std::shared_ptr<const CompiledModel> published = MemoHitLocked(new_key)) {
+    return published;  // a concurrent Refresh published this version first
   }
   ++stats_.delta_rips;
   stats_.delta_nodes_reused += remodeled->nodes_reused;
   support::CountMetric("registry.delta_rips");
   support::CountMetric("registry.delta_nodes_reused", remodeled->nodes_reused);
-
-  if (const std::string path = ArtifactPath(app_kind, new_version); !path.empty()) {
-    ArtifactMeta meta{app_kind, new_version};
-    support::Status saved = SaveModelArtifact(*remodeled->model, meta, path);
-    if (saved.ok()) {
-      ++stats_.save_throughs;
-      support::CountMetric("registry.save_throughs");
-    } else {
-      support::LogMessage(support::LogLevel::kWarning,
-                          "registry: artifact save-through failed: " + saved.ToString());
-    }
-  }
-
-  // Publish: after this insert, Acquire(new_version) memo-hits. The old
-  // version's entry stays (sessions may still Acquire it mid-suite) until
-  // Prune decides nothing holds it.
-  memo_[new_key] = remodeled->model;
-  latest_[app_kind] = new_version;
+  SaveThroughLocked(new_key, *remodeled->model);
+  memo_.emplace(new_key, remodeled->model);
   if (flight_ != nullptr) {
     flight_->RecordNote("registry: " + app_kind + " model swapped " + old_version + " -> " +
                         new_version + " (reused " +

@@ -11,11 +11,16 @@
 //                   pipeline (rip + compile); the result is saved through
 //                   to the store so every later process takes tier 2.
 //
-// Refresh() is the live-versioning half (DESIGN.md §15): it remodels an old
-// version into a new one (delta rip against the old model's graph, then
-// Compile) and publishes the result atomically — in-flight sessions keep
-// their shared_ptr to the old build, new acquires see the new one, and
-// Prune() reclaims superseded versions once nothing holds them.
+// Current() is the tiers' entry point for a kind rather than a key: it
+// resolves the kind's latest published version, else the registry's default
+// version. A TaskRunner keeps its models only here and calls it once per run.
+//
+// Refresh() is the live-versioning half (DESIGN.md §15): it remodels the
+// kind's current version into a new one (delta rip against the current
+// model's graph, then Compile) without holding the registry lock, and
+// publishes the result atomically — in-flight sessions keep their shared_ptr
+// to the old build, new acquires see the new one, and Prune() reclaims
+// superseded versions once nothing holds them.
 //
 // Keys are strings (not workload::AppKind) so dmi_core stays independent of
 // the workload layer; callers pass AppKindName(kind).
@@ -39,8 +44,10 @@ namespace dmi {
 class ModelRegistry {
  public:
   // `model_dir` is the artifact store; empty disables tiers 2/3's disk side
-  // (the registry degrades to a pure in-process memo).
-  explicit ModelRegistry(std::string model_dir = "") : model_dir_(std::move(model_dir)) {}
+  // (the registry degrades to a pure in-process memo). `default_version` is
+  // what Current() resolves for a kind that has no version yet.
+  explicit ModelRegistry(std::string model_dir = "", std::string default_version = "1")
+      : model_dir_(std::move(model_dir)), default_version_(std::move(default_version)) {}
 
   // Runs the full modeling pipeline for a key on a registry miss. Returns
   // the freshly compiled model (never null on Ok).
@@ -56,6 +63,12 @@ class ModelRegistry {
       const std::string& app_kind, const std::string& app_version,
       const ModelingOptions& runtime_options, const CompileFn& compile);
 
+  // The kind's current model: Acquire of its latest published version, or of
+  // the default version when it has none. A memo hit opens no span.
+  support::Result<std::shared_ptr<const CompiledModel>> Current(
+      const std::string& app_kind, const ModelingOptions& runtime_options,
+      const CompileFn& compile);
+
   // What a Refresh remodel callback produced: the new model plus the delta
   // ripper's reuse counter (ripper::DeltaRipResult::nodes_reused), folded
   // into stats().delta_nodes_reused.
@@ -64,26 +77,28 @@ class ModelRegistry {
     size_t nodes_reused = 0;
   };
 
-  // Remodels (app_kind, old_version) into new_version, typically by delta
-  // ripping against the baseline model's graph and checksum table.
-  // `baseline` is the memoized/loaded model for the old version, or null
-  // when the registry has never seen it.
+  // Remodels the kind's current model into a new version, typically by delta
+  // ripping against the baseline's graph and checksum table. `baseline` is
+  // never null.
   using RemodelFn =
       std::function<support::Result<Remodeled>(const std::shared_ptr<const CompiledModel>& baseline)>;
 
-  // Live version swap (DESIGN.md §15): runs `remodel` against the old
-  // version's model and atomically publishes the result as
-  // (app_kind, new_version) — after Refresh returns, Acquire of the new
-  // version memo-hits the new model, while every shared_ptr handed out for
-  // the old version stays valid until its last holder releases it
+  // Live version swap (DESIGN.md §15): runs `remodel` against the kind's
+  // current model and atomically publishes the result as
+  // (app_kind, new_version) — after Refresh returns, Current() and Acquire of
+  // the new version memo-hit the new model, while every shared_ptr handed
+  // out for the old version stays valid until its last holder releases it
   // (zero-downtime: in-flight sessions finish on the build they started
-  // on). The new model is saved through to the artifact store; the old
-  // version's memo entry is kept until Prune(). Idempotent: if the new
-  // version is already memoized, returns it without remodeling.
+  // on). The lock covers resolving the baseline (memo, else a cold load) and
+  // publishing, not the remodel, so other keys and the kind's current model
+  // resolve meanwhile. The new model is saved through to the artifact store;
+  // the old version's memo entry is kept until Prune(). Idempotent: if the
+  // new version is already memoized, before or after the remodel, returns
+  // the memoized model. kFailedPrecondition when the kind's current version
+  // is neither memoized nor in the store.
   support::Result<std::shared_ptr<const CompiledModel>> Refresh(
-      const std::string& app_kind, const std::string& old_version,
-      const std::string& new_version, const ModelingOptions& runtime_options,
-      const RemodelFn& remodel);
+      const std::string& app_kind, const std::string& new_version,
+      const ModelingOptions& runtime_options, const RemodelFn& remodel);
 
   // Drops memoized models of `app_kind` that are not the latest published
   // version and have no holders outside the registry (use_count probe under
@@ -117,7 +132,7 @@ class ModelRegistry {
     // (kind, version), however many sessions re-trip the same broken
     // artifact (regression-tested in tests/artifact_test.cc).
     uint64_t load_errors_logged = 0;
-    // Live version swaps (Refresh calls that ran the remodel callback).
+    // Live version swaps (remodels that Refresh published).
     uint64_t delta_rips = 0;
     // Baseline nodes the delta ripper spliced unchanged across all swaps.
     uint64_t delta_nodes_reused = 0;
@@ -132,19 +147,35 @@ class ModelRegistry {
  private:
   using Key = std::pair<std::string, std::string>;  // (app kind, app version)
 
-  // The one artifact-load path, for Acquire and Refresh alike (mu_ held):
-  // loads the key's artifact, counts artifact_loads or load_errors (warning
-  // once per key), memoizes the model and makes it the kind's latest if the
-  // kind has none. Null when there is no store, no file, or a rejected one.
+  // The memoized model for `key`, counted as a memo hit, or null (mu_ held).
+  std::shared_ptr<const CompiledModel> MemoHitLocked(const Key& key);
+
+  // The three tiers for one key, for Acquire and Current alike (mu_ held).
+  support::Result<std::shared_ptr<const CompiledModel>> ResolveLocked(
+      const Key& key, const ModelingOptions& runtime_options, const CompileFn& compile);
+
+  // The one artifact-load path, for the tiers and Refresh's baseline alike
+  // (mu_ held): loads the key's artifact, counts artifact_loads or
+  // load_errors (warning once per key), memoizes the model and makes it the
+  // kind's latest if the kind has none. Null when there is no store, no file,
+  // or a rejected one.
   std::shared_ptr<const CompiledModel> LoadLocked(const Key& key,
                                                   const ModelingOptions& runtime_options);
 
+  // Best-effort save of a compiled or remodeled model to the store (mu_
+  // held): a read-only store just means the next process compiles again.
+  void SaveThroughLocked(const Key& key, const CompiledModel& model);
+
+  // The kind's latest published version, else default_version_ (mu_ held).
+  const std::string& CurrentVersionLocked(const std::string& app_kind) const;
+
   const std::string model_dir_;
+  const std::string default_version_;
   mutable std::mutex mu_;
   std::map<Key, std::shared_ptr<const CompiledModel>> memo_;
   // Latest published version per kind: set by the first model a kind
-  // resolves to (compiled or loaded) and advanced by every Refresh. Prune
-  // keeps only this version.
+  // resolves to (compiled or loaded) and advanced by every Refresh. Current()
+  // resolves it, and Prune keeps only this version.
   std::map<std::string, std::string> latest_;
   // Keys whose artifact-rejection warning has already been emitted.
   std::set<Key> load_error_logged_;

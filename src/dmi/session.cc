@@ -93,20 +93,6 @@ PromptView DmiSession::Prompt() {
                     model_->static_prompt_tokens() + prompt_cache_.dynamic_tokens};
 }
 
-std::string DmiSession::BuildPromptContextUncached() {
-  screen_.Refresh();
-  std::string out = CompiledModel::UsageHint();
-  out += model_->catalog().CoreText();
-  out += "\n# Current screen\n";
-  out += screen_.RenderListing();
-  const std::string payload = interaction_.GetTextsPassive();
-  if (!payload.empty()) {
-    out += "# Data items\n";
-    out += payload;
-  }
-  return out;
-}
-
 size_t DmiSession::PromptTokens() {
   const uint64_t generation = app_->ui_generation();
   if (prompt_cache_.tokens_valid && prompt_cache_.generation == generation) {

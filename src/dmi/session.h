@@ -64,7 +64,6 @@ class DmiSession {
   const ModelingStats& stats() const { return model_->stats(); }
   const desc::TopologyCatalog& catalog() const { return model_->catalog(); }
   const CompiledModel& model() const { return *model_; }
-  std::shared_ptr<const CompiledModel> shared_model() const { return model_; }
   gsim::ScreenView& screen() { return screen_; }
   InteractionInterfaces& interaction() { return interaction_; }
   gsim::Application& app() { return *app_; }
@@ -99,13 +98,9 @@ class DmiSession {
   // last build) re-renders nothing. Mutating the UI through any
   // generation-bumping path invalidates the dynamic cache (DESIGN.md §9, §12).
   PromptView Prompt();
-  // Reference (cache-bypassing) assembly; tests assert the cached segments
-  // byte-identical against it.
-  std::string BuildPromptContextUncached();
   // Count-only path: shared static count plus the streamed dynamic segment,
   // never materializing the assembled prompt (or even the dynamic segment
-  // when only the count is needed). Equal to
-  // CountTokens(BuildPromptContextUncached()).
+  // when only the count is needed). Equal to Prompt().tokens.
   size_t PromptTokens();
   // Resident per-session prompt-cache bytes: the dynamic segment only. The
   // static segment's bytes live once on the shared model

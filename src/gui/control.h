@@ -165,11 +165,6 @@ class Control final : public uia::Element {
   // Numeric range for Slider/Spinner/ProgressBar (backs RangeValuePattern).
   double range_value() const { return range_value_; }
   void set_range_value(double v);
-  Control* SetRange(double min, double max) {
-    range_min_ = min;
-    range_max_ = max;
-    return this;
-  }
   double range_min() const { return range_min_; }
   double range_max() const { return range_max_; }
 

@@ -4,12 +4,6 @@
 
 namespace gsim {
 
-support::Status InputDriver::ClickControl(Control& control) {
-  support::Status s = app_->Click(control);
-  screen_->Refresh();
-  return s;
-}
-
 support::Status InputDriver::ClickAt(Point target) {
   Point actual = injector_ != nullptr ? injector_->PerturbPoint(target) : target;
   Control* hit = screen_->HitTest(actual);

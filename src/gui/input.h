@@ -22,10 +22,6 @@ class InputDriver {
   InputDriver(Application& app, ScreenView& screen, InstabilityInjector* injector)
       : app_(&app), screen_(&screen), injector_(injector) {}
 
-  // Clicks the control directly (used when the actor has resolved an exact
-  // element, e.g. via an accessibility label). No coordinate noise.
-  support::Status ClickControl(Control& control);
-
   // Clicks at a screen coordinate: perturbs the point, hit-tests, clicks
   // whatever is actually under the (noisy) cursor. May hit a neighbor or
   // nothing at all.

@@ -5,30 +5,6 @@
 #include "src/uia/control_type.h"
 
 namespace ripper {
-namespace {
-
-std::string Primary(const std::string& automation_id, const std::string& name) {
-  if (!automation_id.empty()) {
-    return automation_id;
-  }
-  if (!name.empty()) {
-    return name;
-  }
-  return "[Unnamed]";
-}
-
-}  // namespace
-
-std::string SynthesizeControlId(const uia::SnapshotEntry& entry) {
-  return Primary(entry.automation_id, entry.name) + "|" +
-         std::string(uia::ControlTypeName(entry.type)) + "|" + entry.ancestor_path;
-}
-
-std::string SynthesizeControlId(const uia::Element& element) {
-  return Primary(element.AutomationId(), element.Name()) + "|" +
-         std::string(uia::ControlTypeName(element.Type())) + "|" +
-         uia::AncestorPath(element);
-}
 
 ParsedControlId ParseControlId(const std::string& control_id) {
   ParsedControlId parsed;

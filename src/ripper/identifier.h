@@ -1,17 +1,16 @@
-// Control identifier synthesis (paper §4.1).
+// Control identifiers (paper §4.1).
 //
 // UIA gives no globally unique id, so nodes in the UI Navigation Graph are
 // labeled with an XPath-like identifier:
 //     primary_id|control_type|ancestor_path
 // primary_id is the AutomationId, falling back to the control name, falling
 // back to "[Unnamed]". Index-based addressing is deliberately avoided —
-// dynamic menus shift indices unpredictably.
+// dynamic menus shift indices unpredictably. ripper::VisibleIndex writes
+// every identifier (visible_index.h); this header parses them.
 #ifndef SRC_RIPPER_IDENTIFIER_H_
 #define SRC_RIPPER_IDENTIFIER_H_
 
 #include <string>
-
-#include "src/uia/tree.h"
 
 namespace ripper {
 
@@ -20,12 +19,6 @@ struct ParsedControlId {
   std::string control_type;
   std::string ancestor_path;
 };
-
-// Builds the identifier from a snapshot entry.
-std::string SynthesizeControlId(const uia::SnapshotEntry& entry);
-
-// Builds the identifier directly from a live element.
-std::string SynthesizeControlId(const uia::Element& element);
 
 // Splits an identifier back into its three fields. Robust to '|' inside
 // control names: among the separator pairs, the pair delimiting a valid UIA

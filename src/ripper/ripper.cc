@@ -4,11 +4,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/ripper/identifier.h"
 #include "src/support/logging.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
-#include "src/uia/tree.h"
 
 namespace ripper {
 namespace {
@@ -61,30 +59,14 @@ GuiRipper::~GuiRipper() {
 std::span<const VisibleEntry> GuiRipper::CaptureVisible() {
   ++stats_.captures;
   stats_.simulated_ms += kCaptureMs;
-  if (config_.use_visible_index) {
-    bool rebuilt = false;
-    const std::span<const VisibleEntry> entries = index_.Visible(&rebuilt);
-    if (rebuilt) {
-      ++stats_.capture_rebuilds;
-    } else {
-      ++stats_.capture_cache_hits;
-    }
-    return entries;
+  bool rebuilt = false;
+  const std::span<const VisibleEntry> entries = index_.Visible(&rebuilt);
+  if (rebuilt) {
+    ++stats_.capture_rebuilds;
+  } else {
+    ++stats_.capture_cache_hits;
   }
-  ++stats_.capture_rebuilds;
-  scratch_entries_.clear();
-  uia::Walk(app_->AccessibilityRoot(), [&](uia::Element& e, int) {
-    if (e.IsOffscreen()) {
-      return false;
-    }
-    if (e.RuntimeId() == 0) {
-      return true;  // the synthetic desktop root itself
-    }
-    scratch_entries_.push_back(
-        VisibleEntry{SynthesizeControlId(e), static_cast<gsim::Control*>(&e)});
-    return true;
-  });
-  return scratch_entries_;
+  return entries;
 }
 
 bool GuiRipper::IsExplorable(const gsim::Control& control) const {
@@ -119,34 +101,17 @@ topo::NodeInfo GuiRipper::MakeNodeInfo(const VisibleEntry& entry) const {
 }
 
 gsim::Control* GuiRipper::FindVisibleById(const std::string& control_id, bool ensure_fresh) {
-  if (config_.use_visible_index) {
-    ++stats_.indexed_lookups;
-    if (ensure_fresh) {
-      bool rebuilt = false;
-      gsim::Control* found = index_.FindByIdEnsureFresh(control_id, &rebuilt);
-      if (rebuilt) {
-        ++stats_.capture_rebuilds;
-      }
-      return found;
+  ++stats_.indexed_lookups;
+  if (ensure_fresh) {
+    bool rebuilt = false;
+    gsim::Control* found = index_.FindByIdEnsureFresh(control_id, &rebuilt);
+    if (rebuilt) {
+      ++stats_.capture_rebuilds;
     }
-    // FindById never rebuilds: warm generations probe, stale ones cold-walk.
-    return index_.FindById(control_id);
+    return found;
   }
-  gsim::Control* found = nullptr;
-  uia::Walk(app_->AccessibilityRoot(), [&](uia::Element& e, int) {
-    if (found != nullptr) {
-      return false;
-    }
-    if (e.IsOffscreen()) {
-      return false;
-    }
-    if (e.RuntimeId() != 0 && SynthesizeControlId(e) == control_id) {
-      found = static_cast<gsim::Control*>(&e);
-      return false;
-    }
-    return true;
-  });
-  return found;
+  // FindById never rebuilds: warm generations probe, stale ones cold-walk.
+  return index_.FindById(control_id);
 }
 
 void GuiRipper::AddRevealedEdges(topo::NavGraph& graph, int from_node,

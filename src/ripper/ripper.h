@@ -40,10 +40,6 @@ struct RipperConfig {
   int max_depth = 14;
   // Safety cap on distinct explored controls.
   size_t max_explored = 50000;
-  // Serve captures/lookups from the generation-stamped VisibleIndex. Off
-  // reproduces the uncached full-walk behaviour (the determinism tests assert
-  // both modes rip identical graphs).
-  bool use_visible_index = true;
   // Optional scope filter over *initial* exploration seeds (DESIGN.md §15,
   // delta rip): an initially-visible explorable control only seeds the DFS
   // when the filter accepts its control id. Everything *revealed* while
@@ -76,9 +72,9 @@ struct RipStats {
   // Simulated wall-time cost in milliseconds: clicks and captures have
   // real-world latency on a live UI even though the simulator is instant.
   // Calibrated to UIA costs: ~120 ms per click, ~80 ms per capture, 30 s per
-  // external recovery (app restart). Charged per *logical* capture, so the
-  // metric is comparable across cached and uncached rips (the index speeds up
-  // the real wall-clock, which perfbench measures separately).
+  // external recovery (app restart). Charged per *logical* capture, whether
+  // the index served it warm or rebuilt (the index speeds up the real
+  // wall-clock, which perfbench measures separately).
   double simulated_ms = 0.0;
 
   // Cache hit-rate over logical captures, in [0,1].
@@ -135,8 +131,6 @@ class GuiRipper {
   RipStats stats_;
   std::unordered_set<std::string> explored_;
   VisibleIndex index_;
-  // Backing storage for uncached captures (mirrors the index's entry buffer).
-  std::vector<VisibleEntry> scratch_entries_;
   // The pre-click capture's ids, end to end, and their table: the capture
   // itself is rewritten by the post-click capture.
   std::string before_arena_;

@@ -8,7 +8,8 @@
 namespace ripper {
 namespace {
 
-// Mirrors identifier.cc's Primary(): AutomationId > Name > "[Unnamed]".
+// An identifier's primary field: the AutomationId, else the name, else
+// "[Unnamed]".
 const std::string& PrimaryOf(const std::string& automation_id, const std::string& name) {
   static const std::string kUnnamed = "[Unnamed]";
   if (!automation_id.empty()) {
@@ -99,10 +100,9 @@ size_t VisibleIndex::WriteId(const gsim::Control& control, const std::string& na
 
 gsim::Control* VisibleIndex::Descend(gsim::Control& control, size_t path_begin,
                                      const std::string* target) {
-  // The visit order, pruning and id strings are identical to the legacy
-  // Walk + SynthesizeControlId capture; only the cost differs.
+  // Pre-order over the visible tree: an offscreen control hides its subtree.
   if (control.IsOffscreen()) {
-    return nullptr;  // prune, exactly as the legacy capture walk does
+    return nullptr;
   }
   const std::string& name = NameOf(control);
   if (target == nullptr) {

@@ -1,19 +1,18 @@
-// Generation-stamped visible-capture index (the rip/visit hot-path cache).
+// Generation-stamped visible-capture index (the rip/visit hot-path cache) and
+// the one writer of control identifiers (identifier.h).
 //
-// CaptureVisible() and FindVisibleById() used to re-walk the whole
-// accessibility tree and re-synthesize every XPath-like control id on every
-// call — O(tree x string-build) per lookup, the dominant cost of both the
-// ripper's DFS and the visit executor's path navigation. The index memoizes
-// exactly one capture walk per gsim::Application UI-state generation (see
-// Application::ui_generation()): while the generation is unchanged, captures
-// are served from the cache and id lookups are one hash probe.
+// The index memoizes exactly one capture walk per gsim::Application UI-state
+// generation (see Application::ui_generation()): while the generation is
+// unchanged, captures are served from the cache and id lookups are one hash
+// probe. Without it, the ripper's DFS and the visit executor's path
+// navigation would re-walk the whole accessibility tree and re-synthesize
+// every XPath-like control id on every call.
 //
-// The capture walk itself is also cheaper than the legacy one: ancestor paths
-// are synthesized incrementally during the descent (O(1) amortized per
-// element) instead of re-walking the parent chain per element (O(depth)).
-// The walk also records where each id's ancestor path starts and where the
-// top window's entries begin, so the visit executor's fuzzy fallback scores
-// the top window's entries without walking it again.
+// The capture walk synthesizes ancestor paths incrementally during the
+// descent (O(1) amortized per element) instead of re-walking the parent chain
+// per element (O(depth)). The walk also records where each id's ancestor path
+// starts and where the top window's entries begin, so the visit executor's
+// fuzzy fallback scores the top window's entries without walking it again.
 //
 // A warm rebuild allocates nothing. Every buffer outlives its generation:
 // entry ids are overwritten in place (a string keeps its capacity), the
@@ -102,10 +101,10 @@ class VisibleIndex {
   // keeps warm lookups free of clocks and atomics.
   ~VisibleIndex();
 
-  // All visible controls in desktop pre-order (identical order and content to
-  // the legacy uncached capture). `rebuilt`, when non-null, reports whether
-  // this call performed an actual capture walk. The span is valid until the
-  // next rebuild.
+  // All visible controls in desktop pre-order, offscreen subtrees pruned,
+  // each with its identifier. `rebuilt`, when non-null, reports whether this
+  // call performed an actual capture walk. The span is valid until the next
+  // rebuild.
   std::span<const VisibleEntry> Visible(bool* rebuilt = nullptr);
 
   // First visible control (desktop pre-order) with this id, or nullptr.
@@ -146,8 +145,8 @@ class VisibleIndex {
   gsim::Control* Descend(gsim::Control& control, size_t path_begin,
                          const std::string* target);
 
-  // Writes the control's id (primary|type|ancestor path) over `id`, keeping
-  // its capacity; returns where the ancestor path starts.
+  // Writes the control's id (primary|type|ancestor path, identifier.h) over
+  // `id`, keeping its capacity; returns where the ancestor path starts.
   size_t WriteId(const gsim::Control& control, const std::string& name, size_t path_begin,
                  std::string& id) const;
 

@@ -43,9 +43,7 @@ SessionManager::SessionManager(const dmi::ServiceConfig& config)
   for (const workload::Task& task : tasks_) {
     task_by_id_.emplace(task.id, &task);
   }
-  if (!config.model_dir.empty()) {
-    runner_.SetModelDir(config.model_dir, config.app_version);
-  }
+  runner_.SetModelDir(config.model_dir, config.app_version);
   if (run_config_.batch.enabled) {
     runner_.batch_scheduler().Configure(run_config_.batch);
   }

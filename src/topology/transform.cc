@@ -227,39 +227,60 @@ Forest SelectiveExternalize(const NavGraph& dag, uint64_t cost_threshold) {
 
   // Pass 2: materialize trees. Cloning is a DFS that duplicates non-
   // externalized children and emits reference nodes for externalized ones.
+  // The DFS keeps its own stack (a chain as deep as the graph is long must
+  // not overflow the call stack); ids are handed out in pre-order, a
+  // reference taking its id where its edge is met.
+  struct Frame {
+    int graph_node;
+    int index;        // the node's slot in its tree
+    size_t next = 0;  // the next successor to visit
+  };
   int next_id = 1;
-  std::function<void(Tree&, int, int)> emit = [&](Tree& tree, int graph_node, int parent) {
-    const int my_index = static_cast<int>(tree.nodes.size());
-    TreeNode tn;
-    tn.graph_index = graph_node;
-    tn.id = next_id++;
-    tn.parent = parent;
-    tree.nodes.push_back(tn);
-    if (parent >= 0) {
-      tree.nodes[static_cast<size_t>(parent)].children.push_back(my_index);
-    }
-    for (int to : dag.successors(graph_node)) {
+  std::vector<Frame> stack;
+  auto emit = [&](Tree& tree, int root) {
+    auto open = [&](int graph_node, int parent) {
+      const int index = static_cast<int>(tree.nodes.size());
+      TreeNode tn;
+      tn.graph_index = graph_node;
+      tn.id = next_id++;
+      tn.parent = parent;
+      tree.nodes.push_back(tn);
+      if (parent >= 0) {
+        tree.nodes[static_cast<size_t>(parent)].children.push_back(index);
+      }
+      stack.push_back(Frame{graph_node, index});
+    };
+    open(root, -1);
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      const std::vector<int>& successors = dag.successors(frame.graph_node);
+      if (frame.next == successors.size()) {
+        stack.pop_back();
+        continue;
+      }
+      const int to = successors[frame.next++];
+      const int parent = frame.index;  // `frame` dangles once open() pushes
       if (externalized[static_cast<size_t>(to)]) {
         const int ref_index = static_cast<int>(tree.nodes.size());
         TreeNode ref;
         ref.graph_index = to;  // resolves to the shared subtree's root control
         ref.id = next_id++;
-        ref.parent = my_index;
+        ref.parent = parent;
         ref.is_reference = true;
         ref.ref_subtree = subtree_index[static_cast<size_t>(to)];
         tree.nodes.push_back(ref);
-        tree.nodes[static_cast<size_t>(my_index)].children.push_back(ref_index);
+        tree.nodes[static_cast<size_t>(parent)].children.push_back(ref_index);
       } else {
-        emit(tree, to, my_index);
+        open(to, parent);
       }
     }
   };
 
-  emit(forest.main_, NavGraph::kRootIndex, -1);
+  emit(forest.main_, NavGraph::kRootIndex);
   for (int node : order) {
     if (externalized[static_cast<size_t>(node)]) {
       Tree& tree = forest.shared_[static_cast<size_t>(subtree_index[static_cast<size_t>(node)])];
-      emit(tree, node, -1);
+      emit(tree, node);
     }
   }
 
@@ -330,11 +351,6 @@ const TreeNode* Forest::FindById(int id) const {
 bool Forest::IsLeaf(int id) const {
   const TreeNode* node = FindById(id);
   return node != nullptr && !node->is_reference && node->children.empty();
-}
-
-int Forest::GraphIndexOf(int id) const {
-  const TreeNode* node = FindById(id);
-  return node == nullptr ? -1 : node->graph_index;
 }
 
 int Forest::DepthOf(int id) const {

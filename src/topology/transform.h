@@ -96,10 +96,6 @@ class Forest {
   // Reference nodes are not leaves.
   bool IsLeaf(int id) const;
 
-  // The graph node underlying a forest id (reference nodes resolve to the
-  // root of their target shared subtree).
-  int GraphIndexOf(int id) const;
-
   // Resolves the unique root-to-target navigation path for `target_id`,
   // returning original-graph node indices from (excluding) the virtual root
   // down to the target. Targets inside shared subtrees need entry reference

@@ -1,7 +1,5 @@
 #include "src/uia/tree.h"
 
-#include <unordered_set>
-
 namespace uia {
 namespace {
 
@@ -95,38 +93,6 @@ std::string AncestorPath(const Element& element) {
     path += n.empty() ? "[Unnamed]" : n;
   }
   return path;
-}
-
-Snapshot Capture(Element& root) {
-  Snapshot snap;
-  Walk(root, [&](Element& e, int) {
-    SnapshotEntry entry;
-    entry.runtime_id = e.RuntimeId();
-    entry.name = e.Name();
-    entry.automation_id = e.AutomationId();
-    entry.type = e.Type();
-    entry.ancestor_path = AncestorPath(e);
-    entry.enabled = e.IsEnabled();
-    entry.offscreen = e.IsOffscreen();
-    snap.entries.push_back(std::move(entry));
-    return true;
-  });
-  return snap;
-}
-
-std::vector<SnapshotEntry> NewEntries(const Snapshot& before, const Snapshot& after) {
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(before.entries.size());
-  for (const auto& e : before.entries) {
-    seen.insert(e.runtime_id);
-  }
-  std::vector<SnapshotEntry> fresh;
-  for (const auto& e : after.entries) {
-    if (seen.count(e.runtime_id) == 0) {
-      fresh.push_back(e);
-    }
-  }
-  return fresh;
 }
 
 }  // namespace uia

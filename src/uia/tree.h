@@ -1,5 +1,5 @@
-// Accessibility-tree utilities: traversal, search, and lightweight snapshots
-// used for differential capture during GUI ripping (paper §4.1).
+// Accessibility-tree utilities: traversal and search. The ripper's
+// differential capture (paper §4.1) runs on ripper::VisibleIndex instead.
 #ifndef SRC_UIA_TREE_H_
 #define SRC_UIA_TREE_H_
 
@@ -32,28 +32,6 @@ int MaxDepth(Element& root);
 // Slash-joined names of ancestors from the root down to (excluding) the
 // element itself. Used in XPath-like identifiers.
 std::string AncestorPath(const Element& element);
-
-// One captured element: enough to identify a control across captures.
-struct SnapshotEntry {
-  uint64_t runtime_id = 0;
-  std::string name;
-  std::string automation_id;
-  ControlType type = ControlType::kCustom;
-  std::string ancestor_path;
-  bool enabled = true;
-  bool offscreen = false;
-};
-
-// Flattened capture of a tree; order is pre-order.
-struct Snapshot {
-  std::vector<SnapshotEntry> entries;
-};
-
-Snapshot Capture(Element& root);
-
-// Elements present in `after` but not in `before`, keyed by runtime id.
-// These define navigation edges during ripping.
-std::vector<SnapshotEntry> NewEntries(const Snapshot& before, const Snapshot& after);
 
 }  // namespace uia
 

@@ -465,7 +465,7 @@ TEST(RegistryTest, RefreshCountsAndMemoizesTheLoadedBaseline) {
   dmi::ModelRegistry registry(dir);
   std::shared_ptr<const dmi::CompiledModel> baseline;
   auto refreshed = registry.Refresh(
-      "WordSim", "1", "2", WordOptions(),
+      "WordSim", "2", WordOptions(),
       [&](const std::shared_ptr<const dmi::CompiledModel>& old)
           -> support::Result<dmi::ModelRegistry::Remodeled> {
         baseline = old;
@@ -725,7 +725,7 @@ TEST(ArtifactMutation, SeededMutationsReturnStatusOrModel) {
   unknown_type[2].type = static_cast<uint32_t>(uia::kNumControlTypes);
   std::vector<TestNode> chain = {Root()};
   std::vector<std::vector<int>> chain_rows;
-  constexpr int kChainNodes = 100000;  // Compile would overflow the stack on it
+  constexpr int kChainNodes = 100000;  // far past kMaxArtifactGraphDepth
   for (int i = 1; i < kChainNodes; ++i) {
     chain.push_back(Node("Step " + std::to_string(i)));
     chain_rows.push_back({i});

@@ -25,6 +25,7 @@
 #include "src/ripper/ripper.h"
 #include "src/text/tokens.h"
 #include "src/workload/tasks.h"
+#include "tests/prompt_reference.h"
 
 namespace {
 
@@ -208,7 +209,7 @@ TEST(SharedPrefixTest, StaticSegmentPointerIdenticalAcrossConcurrentSessions) {
 
   apps::WordSim reference_app;
   dmi::DmiSession reference(reference_app, model);
-  const std::string want = reference.BuildPromptContextUncached();
+  const std::string want = prompt_reference::BuildPromptContextUncached(reference);
 
   constexpr int kThreads = 8;
   std::vector<const std::string*> statics(kThreads, nullptr);

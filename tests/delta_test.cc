@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -462,7 +463,7 @@ TEST(ModelRegistrySwap, RefreshPublishesAtomicallyAndPruneReclaims) {
                                              &delta->checksums);
     return dmi::ModelRegistry::Remodeled{std::move(model), delta->nodes_reused};
   };
-  auto v2 = registry.Refresh("WordSim", "1", "2", options, remodel);
+  auto v2 = registry.Refresh("WordSim", "2", options, remodel);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_NE((*v2)->static_prompt(), old_prompt);
 
@@ -479,7 +480,7 @@ TEST(ModelRegistrySwap, RefreshPublishesAtomicallyAndPruneReclaims) {
   EXPECT_TRUE(noted);
 
   // Idempotent: refreshing onto an already-published version memo-hits.
-  auto again = registry.Refresh("WordSim", "1", "2", options, remodel);
+  auto again = registry.Refresh("WordSim", "2", options, remodel);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->get(), v2->get());
   EXPECT_EQ(registry.stats().delta_rips, 1u);
@@ -502,6 +503,66 @@ TEST(ModelRegistrySwap, RefreshPublishesAtomicallyAndPruneReclaims) {
   });
   ASSERT_TRUE(reload.ok()) << reload.status().ToString();
   EXPECT_EQ((*reload)->static_prompt(), old_prompt);
+}
+
+TEST(ModelRegistrySwap, RunsResolveWhileARefreshRemodels) {
+  // The registry lock covers resolving the baseline and publishing, not the
+  // remodel: while a delta rip runs, other keys and the refreshing kind's
+  // current model still resolve.
+  const dmi::ModelingOptions options;
+  const std::shared_ptr<const dmi::CompiledModel> v1 =
+      dmi::CompiledModel::Compile(topo::NavGraph(), options);
+  const std::shared_ptr<const dmi::CompiledModel> v2 =
+      dmi::CompiledModel::Compile(topo::NavGraph(), options);
+  auto compile = [&v1]() -> support::Result<std::shared_ptr<const dmi::CompiledModel>> {
+    return v1;
+  };
+  dmi::ModelRegistry registry;
+  ASSERT_TRUE(registry.Current("WordSim", options, compile).ok());
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  support::Result<std::shared_ptr<const dmi::CompiledModel>> refreshed =
+      support::InternalError("not refreshed");
+  std::thread refresher([&] {
+    refreshed = registry.Refresh(
+        "WordSim", "2", options,
+        [&](const std::shared_ptr<const dmi::CompiledModel>& baseline)
+            -> support::Result<dmi::ModelRegistry::Remodeled> {
+          EXPECT_EQ(baseline.get(), v1.get());
+          entered.set_value();
+          released.wait();  // the latch: a delta rip that takes its time
+          return dmi::ModelRegistry::Remodeled{v2, 0};
+        });
+  });
+  if (entered.get_future().wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    release.set_value();
+    refresher.join();
+    FAIL() << "the remodel never started: " << refreshed.status().ToString();
+  }
+  auto other_key = std::async(std::launch::async, [&] {
+    return registry.Acquire("ExcelSim", "1", options, compile);
+  });
+  auto current = std::async(std::launch::async, [&] {
+    return registry.Current("WordSim", options, compile);
+  });
+  const auto deadline = std::chrono::milliseconds(500);
+  EXPECT_EQ(other_key.wait_for(deadline), std::future_status::ready);
+  EXPECT_EQ(current.wait_for(deadline), std::future_status::ready);
+  release.set_value();
+  refresher.join();
+
+  const auto during = current.get();
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(during->get(), v1.get());  // the old build until the publish
+  ASSERT_TRUE(other_key.get().ok());
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(refreshed->get(), v2.get());
+  const auto after = registry.Current("WordSim", options, compile);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->get(), v2.get());
+  EXPECT_EQ(registry.stats().delta_rips, 1u);
 }
 
 // ----- zero-downtime concurrent swap ----------------------------------------

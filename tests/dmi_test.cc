@@ -12,6 +12,7 @@
 #include "src/support/strings.h"
 #include "src/text/tokens.h"
 #include "src/uia/tree.h"
+#include "tests/prompt_reference.h"
 
 namespace {
 
@@ -375,7 +376,7 @@ TEST_F(PpointSession, PromptCacheByteIdenticalAndInvalidatesOnMutation) {
   // Cold build equals the cache-bypassing reference, and the streaming
   // segment-summed token count equals a fresh count of the assembled bytes.
   const std::string first = session_->Prompt().Assemble();
-  EXPECT_EQ(first, session_->BuildPromptContextUncached());
+  EXPECT_EQ(first, prompt_reference::BuildPromptContextUncached(*session_));
   EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(first));
   // Warm turn: no UI mutation, one cache hit serves the unchanged bytes.
   uint64_t hits = counter("describe.prompt_cache_hits");
@@ -395,7 +396,7 @@ TEST_F(PpointSession, PromptCacheByteIdenticalAndInvalidatesOnMutation) {
   EXPECT_EQ(counter("describe.prompt_cache_hits") - hits, 0u);
   EXPECT_EQ(counter("describe.prompt_cache_misses") - misses, 1u);
   EXPECT_NE(after, first);
-  EXPECT_EQ(after, session_->BuildPromptContextUncached());
+  EXPECT_EQ(after, prompt_reference::BuildPromptContextUncached(*session_));
   EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(after));
 }
 
@@ -409,7 +410,7 @@ TEST_F(PpointSession, CountOnlyPromptTokensMatchesMaterializedPath) {
   bold->set_toggled(!bold->toggled());
   const size_t count_only = session_->PromptTokens();
   EXPECT_EQ(session_->PromptCacheBytes(), 0u);  // nothing was materialized
-  const std::string reference = session_->BuildPromptContextUncached();
+  const std::string reference = prompt_reference::BuildPromptContextUncached(*session_);
   EXPECT_EQ(count_only, textutil::CountTokens(reference));
   // Materializing afterwards agrees byte- and count-wise, and the static
   // segment is served straight off the shared model.
@@ -433,7 +434,7 @@ TEST_F(PpointSession, PromptCacheInvalidatesOnStateSetters) {
   EXPECT_GT(app_->ui_generation(), gen);
   const std::string after = session_->Prompt().Assemble();
   EXPECT_NE(after, before);
-  EXPECT_EQ(after, session_->BuildPromptContextUncached());
+  EXPECT_EQ(after, prompt_reference::BuildPromptContextUncached(*session_));
   // Setting the same value again is a no-op: no generation bump, cache holds.
   const uint64_t gen2 = app_->ui_generation();
   bold->set_toggled(bold->toggled());
@@ -780,6 +781,43 @@ TEST_F(ExcelSession, ToggleStateDeclarativeIdempotent) {
   EXPECT_TRUE(app_->filter_enabled());
   ASSERT_TRUE(session_->interaction().SetToggleState(label, false).ok());
   EXPECT_FALSE(app_->filter_enabled());
+}
+
+// ----- a graph as deep as it is long ----------------------------------------
+
+TEST(CompiledModelTest, HundredThousandNodeChainCompilesAndExpands) {
+  // Every per-level walk of the compile and the catalog keeps its own stack:
+  // externalizing, pruning the core, serializing and expanding a branch.
+  constexpr int kChainNodes = 100000;  // the virtual root and 99,999 steps
+  topo::NavGraph graph;
+  int parent = topo::NavGraph::kRootIndex;
+  for (int i = 1; i < kChainNodes; ++i) {
+    topo::NodeInfo info;
+    info.name = "Step " + std::to_string(i);
+    info.control_id = info.name + "|MenuItem|";
+    info.type = uia::ControlType::kMenuItem;
+    const int node = graph.AddNode(info);
+    graph.AddEdge(parent, node);
+    parent = node;
+  }
+  dmi::ModelingOptions options;
+  options.prune.max_depth = std::numeric_limits<int>::max();
+  const std::shared_ptr<const dmi::CompiledModel> model =
+      dmi::CompiledModel::Compile(std::move(graph), options);
+  EXPECT_EQ(model->stats().forest_nodes, static_cast<size_t>(kChainNodes));
+  EXPECT_EQ(model->stats().core_nodes, static_cast<size_t>(kChainNodes));
+
+  const std::string& full = model->catalog().FullText();
+  EXPECT_EQ(model->catalog().CoreText(), full);  // nothing is pruned
+  EXPECT_NE(full.find("Step 99998(MenuItem)_99999[Step 99999(MenuItem)_100000]"),
+            std::string::npos);
+  const std::string closing(kChainNodes - 1, ']');
+  EXPECT_NE(full.find(closing + "\n"), std::string::npos);
+
+  // The first step's branch is the whole chain under the root: the main tree.
+  auto branch = model->catalog().ExpandBranch(2);
+  ASSERT_TRUE(branch.ok()) << branch.status().ToString();
+  EXPECT_EQ("# Navigation topology\n## Main tree\n" + *branch + "\n", full);
 }
 
 }  // namespace

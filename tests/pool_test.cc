@@ -26,6 +26,7 @@
 #include "src/uia/tree.h"
 #include "src/workload/app_pool.h"
 #include "src/workload/tasks.h"
+#include "tests/prompt_reference.h"
 
 namespace {
 
@@ -449,7 +450,7 @@ TEST(CompiledModelTest, ConcurrentThinSessionsAgree) {
 
   apps::WordSim reference_app;
   dmi::DmiSession reference(reference_app, model);
-  const std::string want = reference.BuildPromptContextUncached();
+  const std::string want = prompt_reference::BuildPromptContextUncached(reference);
 
   constexpr int kThreads = 8;
   std::vector<std::string> prompts(kThreads);
@@ -459,7 +460,7 @@ TEST(CompiledModelTest, ConcurrentThinSessionsAgree) {
     threads.emplace_back([&, i] {
       apps::WordSim app;
       dmi::DmiSession session(app, model);
-      prompts[static_cast<size_t>(i)] = session.BuildPromptContextUncached();
+      prompts[static_cast<size_t>(i)] = prompt_reference::BuildPromptContextUncached(session);
     });
   }
   for (std::thread& t : threads) {

@@ -5,8 +5,10 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/apps/excel_sim.h"
@@ -18,6 +20,7 @@
 #include "src/ripper/ripper.h"
 #include "src/ripper/visible_index.h"
 #include "src/support/metrics.h"
+#include "src/support/rng.h"
 #include "src/topology/transform.h"
 #include "src/topology/validate.h"
 #include "src/uia/tree.h"
@@ -81,25 +84,67 @@ class AllocationCounter {
   size_t start_;
 };
 
-// ----- identifier synthesis --------------------------------------------------------
+// ----- identifiers ----------------------------------------------------------------
+
+// The oracle for VisibleIndex's ids: a live element's identifier built from
+// scratch (primary|type|ancestor path, identifier.h), re-walking the parent
+// chain instead of extending one shared path buffer.
+std::string SynthesizeControlId(const uia::Element& element) {
+  std::string primary = element.AutomationId();
+  if (primary.empty()) {
+    primary = element.Name();
+  }
+  if (primary.empty()) {
+    primary = "[Unnamed]";
+  }
+  return primary + "|" + std::string(uia::ControlTypeName(element.Type())) + "|" +
+         uia::AncestorPath(element);
+}
+
+// One control of each identifier case under a toolbar of the main window
+// (whose root is named after the application).
+class IdApp : public gsim::Application {
+ public:
+  IdApp() : gsim::Application("IdApp") {
+    gsim::Control* bar = main_window().root().NewChild("Toolbar", uia::ControlType::kToolBar);
+    with_automation_id = bar->NewChild("Save", uia::ControlType::kButton);
+    with_automation_id->SetAutomationId("btnSave");
+    named = bar->NewChild("Save As", uia::ControlType::kButton);
+    unnamed = bar->NewChild("", uia::ControlType::kButton);
+    in_unnamed_pane = bar->NewChild("", uia::ControlType::kPane)
+                          ->NewChild("Inner", uia::ControlType::kButton);
+    pathological = bar->NewChild("We|ird", uia::ControlType::kButton);
+  }
+
+  gsim::Control* with_automation_id;
+  gsim::Control* named;
+  gsim::Control* unnamed;
+  gsim::Control* in_unnamed_pane;
+  gsim::Control* pathological;
+};
+
+// The id VisibleIndex captured for `control`.
+std::string CapturedId(gsim::Application& app, const gsim::Control* control) {
+  ripper::VisibleIndex index(app);
+  for (const ripper::VisibleEntry& entry : index.Visible()) {
+    if (entry.control == control) {
+      return entry.control_id;
+    }
+  }
+  return "<not captured>";
+}
 
 TEST(IdentifierTest, PrefersAutomationId) {
-  uia::SnapshotEntry entry;
-  entry.automation_id = "btnSave";
-  entry.name = "Save";
-  entry.type = uia::ControlType::kButton;
-  entry.ancestor_path = "App/Toolbar";
-  EXPECT_EQ(ripper::SynthesizeControlId(entry), "btnSave|Button|App/Toolbar");
+  IdApp app;
+  EXPECT_EQ(CapturedId(app, app.with_automation_id), "btnSave|Button|IdApp/Toolbar");
 }
 
 TEST(IdentifierTest, FallsBackToNameThenUnnamed) {
-  uia::SnapshotEntry entry;
-  entry.name = "Save";
-  entry.type = uia::ControlType::kButton;
-  entry.ancestor_path = "App";
-  EXPECT_EQ(ripper::SynthesizeControlId(entry), "Save|Button|App");
-  entry.name = "";
-  EXPECT_EQ(ripper::SynthesizeControlId(entry), "[Unnamed]|Button|App");
+  IdApp app;
+  EXPECT_EQ(CapturedId(app, app.named), "Save As|Button|IdApp/Toolbar");
+  EXPECT_EQ(CapturedId(app, app.unnamed), "[Unnamed]|Button|IdApp/Toolbar");
+  // An unnamed ancestor is "[Unnamed]" in the path as well.
+  EXPECT_EQ(CapturedId(app, app.in_unnamed_pane), "Inner|Button|IdApp/Toolbar/[Unnamed]");
 }
 
 TEST(IdentifierTest, ParseRoundTrip) {
@@ -139,16 +184,13 @@ TEST(IdentifierTest, ParseNoValidTypeFallsBackToLastTwoSeparators) {
 }
 
 TEST(IdentifierTest, SynthesizeParseRoundTripWithPathologicalName) {
-  uia::SnapshotEntry entry;
-  entry.name = "We|ird";
-  entry.type = uia::ControlType::kButton;
-  entry.ancestor_path = "App/Toolbar";
-  const std::string id = ripper::SynthesizeControlId(entry);
-  EXPECT_EQ(id, "We|ird|Button|App/Toolbar");
+  IdApp app;
+  const std::string id = CapturedId(app, app.pathological);
+  EXPECT_EQ(id, "We|ird|Button|IdApp/Toolbar");
   auto parsed = ripper::ParseControlId(id);
   EXPECT_EQ(parsed.primary_id, "We|ird");
   EXPECT_EQ(parsed.control_type, "Button");
-  EXPECT_EQ(parsed.ancestor_path, "App/Toolbar");
+  EXPECT_EQ(parsed.ancestor_path, "IdApp/Toolbar");
 }
 
 // ----- ripping a small controlled app ----------------------------------------------
@@ -280,9 +322,9 @@ TEST(RipperTest, ContextRevealsContextualControls) {
   EXPECT_EQ(r2.stats().contexts, 2u);
 }
 
-// ----- determinism: index caching ------------------------------------------------------
+// ----- the index across a rip's mutations ------------------------------------------
 
-namespace determinism {
+namespace tracking {
 
 ripper::RipContext ImageContext() {
   ripper::RipContext context;
@@ -303,49 +345,140 @@ ripper::RipContext ImageContext() {
   return context;
 }
 
-// Rips one app family with the index on and off; the graphs must be
-// byte-identical (node order, ids, edges — everything).
+// The controls a capture must list, in desktop pre-order: uia::Walk from the
+// accessibility root, offscreen subtrees pruned, the root itself skipped.
+std::vector<gsim::Control*> WalkDesktop(gsim::Application& app) {
+  std::vector<gsim::Control*> out;
+  uia::Walk(app.AccessibilityRoot(), [&out](uia::Element& e, int) {
+    if (e.IsOffscreen()) {
+      return false;
+    }
+    if (e.RuntimeId() != 0) {
+      out.push_back(static_cast<gsim::Control*>(&e));
+    }
+    return true;
+  });
+  return out;
+}
+
+// The controls the ripper clicks (GuiRipper's explorable types), minus the
+// model's blocklist.
+bool IsExplorable(const gsim::Control& c) {
+  if (c.TrueName() == "Account" || c.TrueName() == "Feedback") {
+    return false;
+  }
+  switch (c.Type()) {
+    case uia::ControlType::kButton:
+    case uia::ControlType::kMenuItem:
+    case uia::ControlType::kTabItem:
+    case uia::ControlType::kSplitButton:
+    case uia::ControlType::kListItem:
+    case uia::ControlType::kCheckBox:
+    case uia::ControlType::kComboBox:
+    case uia::ControlType::kRadioButton:
+    case uia::ControlType::kHyperlink:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// One VisibleIndex held across a seeded walk of the mutations a rip makes:
+// every 8th step resets the UI and replays the context, every 8th step
+// offset by 5 presses ESC, and every other step clicks a random explorable
+// control. After each step the index must agree with a fresh walk: the
+// stale lookup (the cold walk), the capture, and the warm lookups, unscoped
+// and scoped to the top window. An index that misses a generation bump
+// serves a stale capture here.
 template <typename App>
-void ExpectCachedMatchesUncached(const std::vector<ripper::RipContext>& contexts,
-                                 int max_depth) {
-  ripper::RipperConfig config;
-  config.blocklist = {"Account", "Feedback"};
-  config.max_depth = max_depth;
+void ExpectIndexTracksTheWalk(const std::vector<ripper::RipContext>& contexts) {
+  constexpr int kSteps = 400;
+  App app;
+  ripper::VisibleIndex index(app);
+  support::Rng rng(20261019);
+  std::set<std::string> captures;
+  int stale_steps = 0;
+  size_t compared = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(app.name() + " step " + std::to_string(step));
+    const uint64_t generation = app.ui_generation();
+    if (step % 8 == 0) {
+      app.ResetUiState();
+      for (const ripper::RipContext& context : contexts) {
+        context.setup(app);
+      }
+    } else if (step % 8 == 5) {
+      (void)app.PressKey("ESC");
+    } else {
+      std::vector<gsim::Control*> explorable;
+      for (gsim::Control* c : WalkDesktop(app)) {
+        if (IsExplorable(*c)) {
+          explorable.push_back(c);
+        }
+      }
+      ASSERT_FALSE(explorable.empty());
+      (void)app.Click(*explorable[rng.NextBelow(explorable.size())]);
+      if (app.in_external_state()) {
+        app.ResetUiState();
+      }
+    }
+    stale_steps += app.ui_generation() != generation ? 1 : 0;
 
-  config.use_visible_index = true;
-  App cached_app;
-  ripper::GuiRipper cached(cached_app, config);
-  const std::string cached_json = cached.Rip(contexts).ToJson().Dump();
+    const std::vector<gsim::Control*> walked = WalkDesktop(app);
+    ASSERT_FALSE(walked.empty());
+    std::vector<std::string> ids;
+    std::unordered_map<std::string, gsim::Control*> first;
+    std::unordered_map<std::string, gsim::Control*> first_in_top;
+    const gsim::Window* top = app.TopWindow();
+    std::string capture;
+    for (gsim::Control* c : walked) {
+      ids.push_back(SynthesizeControlId(*c));
+      first.emplace(ids.back(), c);
+      if (c->window() == top) {
+        first_in_top.emplace(ids.back(), c);
+      }
+      capture += ids.back() + "\n";
+    }
+    captures.insert(std::move(capture));
 
-  config.use_visible_index = false;
-  App uncached_app;
-  ripper::GuiRipper uncached(uncached_app, config);
-  const std::string uncached_json = uncached.Rip(contexts).ToJson().Dump();
+    // Stale: the lookup walks the tree without rebuilding.
+    const std::string& probe = ids[rng.NextBelow(ids.size())];
+    ASSERT_EQ(index.FindById(probe), first.at(probe)) << probe;
+    EXPECT_EQ(index.FindById("Missing|Button|"), nullptr);
 
-  EXPECT_EQ(cached_json, uncached_json);
-  // Logical rip metrics must be unchanged by caching too.
-  EXPECT_EQ(cached.stats().clicks, uncached.stats().clicks);
-  EXPECT_EQ(cached.stats().captures, uncached.stats().captures);
-  EXPECT_EQ(cached.stats().explored, uncached.stats().explored);
-  EXPECT_DOUBLE_EQ(cached.stats().simulated_ms, uncached.stats().simulated_ms);
-  // And the cache must actually have been exercised.
-  EXPECT_GT(cached.stats().capture_cache_hits, 0u);
-  EXPECT_EQ(uncached.stats().capture_cache_hits, 0u);
+    const std::span<const ripper::VisibleEntry> visible = index.Visible();
+    ASSERT_EQ(visible.size(), walked.size());
+    for (size_t i = 0; i < walked.size(); ++i) {
+      ASSERT_EQ(visible[i].control, walked[i]) << "entry " << i;
+      ASSERT_EQ(visible[i].control_id, ids[i]) << "entry " << i;
+    }
+    for (const std::string& id : ids) {
+      ASSERT_EQ(index.FindById(id), first.at(id)) << id;
+      const auto in_top = first_in_top.find(id);
+      ASSERT_EQ(index.FindByIdInWindow(id, top),
+                in_top == first_in_top.end() ? nullptr : in_top->second)
+          << id;
+    }
+    compared += walked.size();
+  }
+  // The walk left the start state often enough to test something.
+  EXPECT_GT(stale_steps, kSteps / 2);
+  EXPECT_GT(captures.size(), 10u);
+  EXPECT_GT(compared, static_cast<size_t>(kSteps) * 20);
 }
 
-}  // namespace determinism
+}  // namespace tracking
 
-TEST(RipperDeterminismTest, CachedMatchesUncachedWord) {
-  determinism::ExpectCachedMatchesUncached<apps::WordSim>({}, 4);
+TEST(VisibleIndexTest, TracksTheWalkAcrossClicksWord) {
+  tracking::ExpectIndexTracksTheWalk<apps::WordSim>({});
 }
 
-TEST(RipperDeterminismTest, CachedMatchesUncachedExcel) {
-  determinism::ExpectCachedMatchesUncached<apps::ExcelSim>({}, 4);
+TEST(VisibleIndexTest, TracksTheWalkAcrossClicksExcel) {
+  tracking::ExpectIndexTracksTheWalk<apps::ExcelSim>({});
 }
 
-TEST(RipperDeterminismTest, CachedMatchesUncachedPpointWithContext) {
-  determinism::ExpectCachedMatchesUncached<apps::PpointSim>({determinism::ImageContext()},
-                                                            4);
+TEST(VisibleIndexTest, TracksTheWalkAcrossClicksPpoint) {
+  tracking::ExpectIndexTracksTheWalk<apps::PpointSim>({tracking::ImageContext()});
 }
 
 // ----- visible-index window slices ------------------------------------------------
@@ -428,7 +561,7 @@ void ExpectTopSliceMatchesWalk(gsim::Application& app, const std::string& state)
   ASSERT_EQ(slice.size(), walked.size());
   for (size_t i = 0; i < walked.size(); ++i) {
     ASSERT_EQ(slice[i].control, walked[i]) << "entry " << i;
-    EXPECT_EQ(slice[i].control_id, ripper::SynthesizeControlId(*walked[i])) << "entry " << i;
+    EXPECT_EQ(slice[i].control_id, SynthesizeControlId(*walked[i])) << "entry " << i;
     EXPECT_EQ(slice[i].ancestor_path(), uia::AncestorPath(*walked[i])) << "entry " << i;
   }
   const std::span<const ripper::VisibleEntry> all = index.Visible();
@@ -654,7 +787,7 @@ class DuplicateIdApp : public gsim::Application {
 TEST(VisibleIndexTest, DuplicateIdsResolveInPreOrder) {
   const std::string twin = "Twin|Button|DupApp";
   DuplicateIdApp app;
-  ASSERT_EQ(ripper::SynthesizeControlId(*app.second), twin);
+  ASSERT_EQ(SynthesizeControlId(*app.second), twin);
   ripper::VisibleIndex index(app);
   // Stale (an early-exit walk), then fresh, then warm: the first in pre-order.
   EXPECT_EQ(index.FindById(twin), app.first);
@@ -663,7 +796,7 @@ TEST(VisibleIndexTest, DuplicateIdsResolveInPreOrder) {
 
   ASSERT_TRUE(app.Click(*app.opener).ok());
   ASSERT_EQ(app.TopWindow(), app.dialog);
-  ASSERT_EQ(ripper::SynthesizeControlId(*app.in_dialog), twin);
+  ASSERT_EQ(SynthesizeControlId(*app.in_dialog), twin);
   // Each window's probe returns that window's first match; the unscoped
   // lookups still return the main window's first button.
   for (int pass = 0; pass < 2; ++pass) {

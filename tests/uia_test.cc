@@ -105,18 +105,6 @@ TEST_F(TreeFixture, WalkPrunesSubtree) {
   EXPECT_EQ(visited, 3u);  // root, Bar, Beta
 }
 
-TEST_F(TreeFixture, SnapshotDiffFindsNewlyRevealed) {
-  uia::Snapshot before = uia::Capture(app_.main_window().root());
-  gsim::Control* host =
-      static_cast<gsim::Control*>(uia::FindByName(app_.main_window().root(), "Menu Host"));
-  ASSERT_TRUE(app_.Click(*host).ok());
-  uia::Snapshot after = uia::Capture(app_.main_window().root());
-  auto fresh = uia::NewEntries(before, after);
-  ASSERT_EQ(fresh.size(), 2u);
-  EXPECT_EQ(fresh[0].name, "Popup");
-  EXPECT_EQ(fresh[1].name, "Hidden Item");
-}
-
 TEST_F(TreeFixture, FindAllByPredicate) {
   auto buttons = uia::FindAll(app_.main_window().root(), [](uia::Element& e) {
     return e.Type() == uia::ControlType::kButton;

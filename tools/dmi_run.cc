@@ -131,12 +131,10 @@ int main(int argc, char** argv) {
   const agentsim::RunConfig config = agentsim::RunConfigFromService(service);
 
   agentsim::TaskRunner runner;
-  if (!service.model_dir.empty()) {
-    // Attach the binary artifact store: cold-load compiled models from
-    // <dir>/<kind>-<version>.dmim (emitted by dmi_modeler or a prior run's
-    // save-through) instead of re-running the offline pipeline.
-    runner.SetModelDir(service.model_dir, service.app_version);
-  }
+  // With --model-dir, cold-load compiled models from
+  // <dir>/<kind>-<version>.dmim (emitted by dmi_modeler or a prior run's
+  // save-through) instead of re-running the offline pipeline.
+  runner.SetModelDir(service.model_dir, service.app_version);
   std::vector<workload::Task> tasks = workload::BuildOsworldWSuite();
   if (!task_filter.empty()) {
     std::vector<workload::Task> filtered;

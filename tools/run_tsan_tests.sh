@@ -19,7 +19,10 @@
 # everyone else memoized. The delta tests (delta_test) exercise the
 # live-versioning path: a RefreshModel landing mid-suite while four workers
 # resolve models, lease pooled apps across the generation bump, and read the
-# old build's shared model. The serving tests (serve_test) put the whole stack behind
+# old build's shared model; and a registry Refresh whose remodel waits on a
+# latch while another key and the refreshing kind's current model resolve
+# (the registry lock covers the baseline and the publish, not the remodel).
+# The serving tests (serve_test) put the whole stack behind
 # the SessionManager: worker threads racing admission/quota accounting against
 # Submit, a Shutdown draining the queue while a session is mid-run, and the
 # ServeLoop's response writer fed from every worker at once.
