@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "src/apps/excel_sim.h"
 #include "src/support/trace.h"
 #include "src/text/tokens.h"
-#include "src/uia/tree.h"
 
 namespace agentsim {
 namespace {
@@ -18,16 +16,6 @@ using workload::GuiAction;
 constexpr int kMaxDragIterations = 8;
 // Wrong-click recoveries (re-orient and re-navigate) before giving up.
 constexpr int kMaxRecoveries = 3;
-
-// Relaxed name match: the screen may show decorated names ("Bold (Ctrl+B)");
-// a human-or-LLM reader still binds them to the plan's "Bold".
-bool NameMatches(const std::string& shown, const std::string& wanted) {
-  if (shown == wanted) {
-    return true;
-  }
-  return shown.size() > wanted.size() && shown.compare(0, wanted.size(), wanted) == 0 &&
-         !isalnum(static_cast<unsigned char>(shown[wanted.size()]));
-}
 
 }  // namespace
 
@@ -56,6 +44,8 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
   }
 
   std::vector<bool> done(plan.size(), false);
+  // Per plan step: a pending click whose target was on screen at call time.
+  std::vector<bool> target_visible(plan.size(), false);
   std::map<size_t, int> drag_iterations;
   FailureCause pending_cause = FailureCause::kNone;
   bool corrupted = false;       // a wrong click happened, not yet noticed
@@ -66,28 +56,8 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
   // topmost window. Exact matches win over prefix-decorated matches: "Formula
   // Bar" must bind to the edit, not the "Formula Bar Strip" pane; the prefix
   // rule exists only for instability-decorated runtime names.
-  auto find_visible = [&](const std::string& name) -> gsim::Control* {
-    gsim::Window* top = app.TopWindow();
-    if (top == nullptr) {
-      return nullptr;
-    }
-    gsim::Control* exact = nullptr;
-    gsim::Control* decorated = nullptr;
-    uia::Walk(top->root(), [&](uia::Element& e, int) {
-      if (exact != nullptr || e.IsOffscreen()) {
-        return false;
-      }
-      auto* c = static_cast<gsim::Control*>(&e);
-      if (c->TrueName() == name) {
-        exact = c;
-        return false;
-      }
-      if (decorated == nullptr && NameMatches(c->Name(), name)) {
-        decorated = c;
-      }
-      return true;
-    });
-    return exact != nullptr ? exact : decorated;
+  auto find_visible = [&](const std::string& name) {
+    return gsim::FindInTopWindow(app, name, /*accept_decorated=*/true);
   };
 
   // A plausible wrong neighbor for a grounding slip: the control laid out
@@ -115,9 +85,7 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
     constexpr size_t kScreenshotTokens = 1500;
     constexpr size_t kScaffoldTokens = 2200;
     size_t tokens = textutil::CountTokens(task.description) +
-                    static_cast<size_t>(
-                        2.2 * static_cast<double>(
-                                  textutil::CountTokens(screen.RenderListing()))) +
+                    static_cast<size_t>(2.2 * static_cast<double>(screen.ListingTokens())) +
                     kScreenshotTokens + kScaffoldTokens;
     if (config_.forest_knowledge) {
       tokens += config_.forest_knowledge_tokens;
@@ -207,9 +175,9 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
 
     // Record what is visible now: the action sequence may only reference
     // currently visible controls (UFO2-as restriction).
-    std::set<std::string> visible_names;
-    for (const auto& lc : screen.labeled()) {
-      visible_names.insert(lc.control->TrueName());
+    for (size_t k = 0; k < plan.size(); ++k) {
+      target_visible[k] = !done[k] && plan[k].kind == GuiAction::Kind::kClick &&
+                          screen.FindByTrueName(plan[k].target) != nullptr;
     }
 
     int executed = 0;
@@ -222,7 +190,7 @@ RunResult BaselineGuiAgent::Run(const workload::Task& task, gsim::Application& a
       bool break_chunk = false;
       switch (a.kind) {
         case GuiAction::Kind::kClick: {
-          if (visible_names.count(a.target) == 0) {
+          if (!target_visible[i]) {
             // Target not visible at call time: the sequence must stop here
             // (it will be visible after earlier clicks take effect).
             if (executed == 0) {

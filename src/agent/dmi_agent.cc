@@ -7,7 +7,6 @@
 #include "src/support/flight_recorder.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
-#include "src/uia/tree.h"
 #include "src/text/tokens.h"
 
 namespace agentsim {
@@ -50,16 +49,6 @@ void AppendAccessCommands(const VisitTarget& vt, const dmi::ResolvedTarget& targ
     sc.shortcut_key = vt.shortcut_after;
     commands.push_back(std::move(sc));
   }
-}
-
-// The labeled control on screen whose true name is `name`, or nullptr.
-gsim::Control* LabeledSurface(const gsim::ScreenView& screen, const std::string& name) {
-  for (const gsim::LabeledControl& lc : screen.labeled()) {
-    if (lc.control->TrueName() == name) {
-      return lc.control;
-    }
-  }
-  return nullptr;
 }
 
 // Re-plans a failed declarative step gets per turn.
@@ -259,7 +248,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
     dmi::InteractionInterfaces& ix = session.interaction();
     switch (step.kind) {
       case DmiStep::Kind::kSetScrollbar: {
-        gsim::Control* surface = LabeledSurface(session.screen(), step.surface_name);
+        gsim::Control* surface = session.screen().FindByTrueName(step.surface_name);
         if (surface == nullptr) {
           pending_cause = FailureCause::kNavigationError;
           return support::NotFoundError("surface '" + step.surface_name + "' not visible");
@@ -270,7 +259,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
         return status.ok() ? support::Status::Ok() : status.status();
       }
       case DmiStep::Kind::kSelectParagraphs: {
-        gsim::Control* surface = LabeledSurface(session.screen(), step.surface_name);
+        gsim::Control* surface = session.screen().FindByTrueName(step.surface_name);
         if (surface == nullptr) {
           pending_cause = FailureCause::kNavigationError;
           return support::NotFoundError("surface '" + step.surface_name + "' not visible");
@@ -304,7 +293,7 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
         return s;
       }
       case DmiStep::Kind::kObserve: {
-        gsim::Control* surface = LabeledSurface(session.screen(), step.surface_name);
+        gsim::Control* surface = session.screen().FindByTrueName(step.surface_name);
         if (surface == nullptr) {
           return support::NotFoundError("observe target not visible");
         }
@@ -327,17 +316,8 @@ RunResult DmiAgent::Run(const workload::Task& task, dmi::DmiSession& session, Si
           support::Status s = support::Status::Ok();
           switch (a.kind) {
             case workload::GuiAction::Kind::kClick: {
-              gsim::Control* c = nullptr;
-              uia::Walk(app.TopWindow()->root(), [&](uia::Element& e, int) {
-                if (c != nullptr || e.IsOffscreen()) {
-                  return false;
-                }
-                if (static_cast<gsim::Control&>(e).TrueName() == a.target) {
-                  c = static_cast<gsim::Control*>(&e);
-                  return false;
-                }
-                return true;
-              });
+              gsim::Control* c =
+                  gsim::FindInTopWindow(app, a.target, /*accept_decorated=*/false);
               s = c == nullptr ? support::NotFoundError("fallback target '" + a.target +
                                                         "' not visible")
                                : input.ClickControlByCoordinates(*c);

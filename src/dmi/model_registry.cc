@@ -20,15 +20,16 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Acquire(
     const ModelingOptions& runtime_options, const CompileFn& compile) {
   support::TraceSpan span("registry.acquire", "model");
   span.AddArg("app", app_kind + "-" + app_version);
-  std::lock_guard<std::mutex> lock(mu_);
-  return ResolveLocked(Key(app_kind, app_version), runtime_options, compile);
+  std::unique_lock<std::mutex> lock(mu_);
+  return Resolve(lock, Key(app_kind, app_version), runtime_options, &compile);
 }
 
 support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Current(
     const std::string& app_kind, const ModelingOptions& runtime_options,
     const CompileFn& compile) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ResolveLocked(Key(app_kind, CurrentVersionLocked(app_kind)), runtime_options, compile);
+  std::unique_lock<std::mutex> lock(mu_);
+  return Resolve(lock, Key(app_kind, CurrentVersionLocked(app_kind)), runtime_options,
+                 &compile);
 }
 
 const std::string& ModelRegistry::CurrentVersionLocked(const std::string& app_kind) const {
@@ -46,74 +47,94 @@ std::shared_ptr<const CompiledModel> ModelRegistry::MemoHitLocked(const Key& key
   return it->second;
 }
 
-support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::ResolveLocked(
-    const Key& key, const ModelingOptions& runtime_options, const CompileFn& compile) {
+support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Resolve(
+    std::unique_lock<std::mutex>& lock, const Key& key, const ModelingOptions& runtime_options,
+    const CompileFn* compile) {
+  // Another resolver of this key publishes it (or fails) before we look.
+  resolved_.wait(lock, [&] { return !in_flight_.contains(key); });
   if (std::shared_ptr<const CompiledModel> memoized = MemoHitLocked(key)) {
     return memoized;
   }
-  if (std::shared_ptr<const CompiledModel> loaded = LoadLocked(key, runtime_options)) {
-    return loaded;
+
+  // Load, else compile and save through, with the lock released: the other
+  // keys resolve meanwhile, and this key's other resolvers wait above.
+  in_flight_.insert(key);
+  lock.unlock();
+  const std::string path = ArtifactPath(key.first, key.second);
+  support::Result<LoadedModelArtifact> loaded = support::NotFoundError("no artifact store");
+  if (!path.empty()) {
+    ArtifactMeta expect{key.first, key.second};
+    loaded = LoadModelArtifact(path, runtime_options, &expect);
   }
-  support::Result<std::shared_ptr<const CompiledModel>> model = compile();
-  if (!model.ok()) {
-    return model.status();
+  support::Result<std::shared_ptr<const CompiledModel>> model =
+      loaded.ok() ? support::Result<std::shared_ptr<const CompiledModel>>(loaded->model)
+                  : support::NotFoundError("registry: no " + key.first + " model at version " +
+                                           key.second);
+  bool saved = false;
+  if (!loaded.ok() && compile != nullptr) {
+    model = (*compile)();
+    saved = model.ok() && SaveThrough(key, **model);
   }
-  ++stats_.compiles;
-  support::CountMetric("registry.compiles");
-  SaveThroughLocked(key, **model);
+  lock.lock();
+  in_flight_.erase(key);
+  resolved_.notify_all();
+
+  // Publish.
+  if (loaded.ok()) {
+    ++stats_.artifact_loads;
+    support::CountMetric("registry.artifact_loads");
+  } else {
+    CountLoadErrorLocked(key, loaded.status());
+    if (!model.ok()) {
+      return model.status();
+    }
+    ++stats_.compiles;
+    support::CountMetric("registry.compiles");
+    if (saved) {
+      CountSaveThroughLocked();
+    }
+  }
   memo_.emplace(key, *model);
   latest_.emplace(key.first, key.second);  // a kind's first version is its latest
   return *model;
 }
 
-void ModelRegistry::SaveThroughLocked(const Key& key, const CompiledModel& model) {
+bool ModelRegistry::SaveThrough(const Key& key, const CompiledModel& model) const {
   const std::string path = ArtifactPath(key.first, key.second);
   if (path.empty()) {
-    return;
+    return false;
   }
   support::Status saved = SaveModelArtifact(model, ArtifactMeta{key.first, key.second}, path);
-  if (saved.ok()) {
-    ++stats_.save_throughs;
-    support::CountMetric("registry.save_throughs");
-  } else {
+  if (!saved.ok()) {
     support::LogMessage(support::LogLevel::kWarning,
                         "registry: artifact save-through failed: " + saved.ToString());
   }
+  return saved.ok();
 }
 
-std::shared_ptr<const CompiledModel> ModelRegistry::LoadLocked(
-    const Key& key, const ModelingOptions& runtime_options) {
-  const std::string path = ArtifactPath(key.first, key.second);
-  if (path.empty()) {
-    return nullptr;
+void ModelRegistry::CountSaveThroughLocked() {
+  ++stats_.save_throughs;
+  support::CountMetric("registry.save_throughs");
+}
+
+void ModelRegistry::CountLoadErrorLocked(const Key& key, const support::Status& status) {
+  if (status.code() == support::StatusCode::kNotFound) {
+    return;
   }
-  ArtifactMeta expect{key.first, key.second};
-  support::Result<LoadedModelArtifact> loaded = LoadModelArtifact(path, runtime_options, &expect);
-  if (loaded.ok()) {
-    ++stats_.artifact_loads;
-    support::CountMetric("registry.artifact_loads");
-    memo_.emplace(key, loaded->model);
-    latest_.emplace(key.first, key.second);
-    return loaded->model;
+  // A present-but-unusable artifact is worth a log line — it means a stale
+  // or corrupt store — but never blocks the run: the compile fallback
+  // rebuilds and the save-through replaces it. The line is emitted once per
+  // (kind, version): when the compile fallback also fails (read-only store,
+  // broken pipeline), every session re-enters this path, and a serving
+  // daemon would otherwise spam one warning per admitted session for the
+  // same broken artifact.
+  ++stats_.load_errors;
+  support::CountMetric("registry.load_errors");
+  if (load_error_logged_.insert(key).second) {
+    ++stats_.load_errors_logged;
+    support::LogMessage(support::LogLevel::kWarning,
+                        "registry: artifact rejected, recompiling: " + status.ToString());
   }
-  if (loaded.status().code() != support::StatusCode::kNotFound) {
-    // A present-but-unusable artifact is worth a log line — it means a
-    // stale or corrupt store — but never blocks the run: the compile
-    // fallback rebuilds and the save-through replaces it. The line is
-    // emitted once per (kind, version): when the compile fallback also
-    // fails (read-only store, broken pipeline), every session re-enters
-    // this path, and a serving daemon would otherwise spam one warning per
-    // admitted session for the same broken artifact.
-    ++stats_.load_errors;
-    support::CountMetric("registry.load_errors");
-    if (load_error_logged_.insert(key).second) {
-      ++stats_.load_errors_logged;
-      support::LogMessage(support::LogLevel::kWarning,
-                          "registry: artifact rejected, recompiling: " +
-                              loaded.status().ToString());
-    }
-  }
-  return nullptr;
 }
 
 support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
@@ -122,9 +143,10 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
   support::TraceSpan span("registry.refresh", "model");
   const Key new_key(app_kind, new_version);
   std::string old_version;
-  std::shared_ptr<const CompiledModel> baseline;
+  support::Result<std::shared_ptr<const CompiledModel>> baseline =
+      support::InternalError("registry: baseline not resolved");
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (std::shared_ptr<const CompiledModel> published = MemoHitLocked(new_key)) {
       latest_[app_kind] = new_version;
       return published;
@@ -132,19 +154,17 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
     // The baseline is the kind's current model: memo first, then a cold
     // artifact load, which is counted and memoized like Acquire's.
     old_version = CurrentVersionLocked(app_kind);
-    const Key old_key(app_kind, old_version);
-    const auto memoized = memo_.find(old_key);
-    baseline = memoized != memo_.end() ? memoized->second : LoadLocked(old_key, runtime_options);
+    baseline = Resolve(lock, Key(app_kind, old_version), runtime_options, nullptr);
   }
   span.AddArg("app", app_kind + ": " + old_version + " -> " + new_version);
-  if (baseline == nullptr) {
+  if (!baseline.ok()) {
     return support::FailedPreconditionError("registry: no " + app_kind + " model at version " +
                                             old_version + " to refresh from");
   }
 
   // The remodel (a delta rip and a compile) runs unlocked: every other key,
   // and this kind's current model, resolves meanwhile.
-  support::Result<Remodeled> remodeled = remodel(baseline);
+  support::Result<Remodeled> remodeled = remodel(*baseline);
   if (!remodeled.ok()) {
     return remodeled.status();
   }
@@ -161,7 +181,9 @@ support::Result<std::shared_ptr<const CompiledModel>> ModelRegistry::Refresh(
   stats_.delta_nodes_reused += remodeled->nodes_reused;
   support::CountMetric("registry.delta_rips");
   support::CountMetric("registry.delta_nodes_reused", remodeled->nodes_reused);
-  SaveThroughLocked(new_key, *remodeled->model);
+  if (SaveThrough(new_key, *remodeled->model)) {
+    CountSaveThroughLocked();
+  }
   memo_.emplace(new_key, remodeled->model);
   if (flight_ != nullptr) {
     flight_->RecordNote("registry: " + app_kind + " model swapped " + old_version + " -> " +

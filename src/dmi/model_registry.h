@@ -27,6 +27,7 @@
 #ifndef SRC_DMI_MODEL_REGISTRY_H_
 #define SRC_DMI_MODEL_REGISTRY_H_
 
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -57,8 +58,9 @@ class ModelRegistry {
   // Returns the model for (app_kind, app_version), loading or compiling as
   // needed. Thread-safe; concurrent Acquire calls for the same key resolve
   // to the same shared instance, and the loser of a race never compiles
-  // twice (the whole resolution runs under the registry lock — coarse, but
-  // Acquire is a per-run, not per-step, operation).
+  // twice: it waits for the winner's load or compile and then memo-hits. The
+  // registry lock covers the memo lookup and the publish, not the load or
+  // the compile, so other keys resolve meanwhile.
   support::Result<std::shared_ptr<const CompiledModel>> Acquire(
       const std::string& app_kind, const std::string& app_version,
       const ModelingOptions& runtime_options, const CompileFn& compile);
@@ -89,13 +91,14 @@ class ModelRegistry {
   // the new version memo-hit the new model, while every shared_ptr handed
   // out for the old version stays valid until its last holder releases it
   // (zero-downtime: in-flight sessions finish on the build they started
-  // on). The lock covers resolving the baseline (memo, else a cold load) and
-  // publishing, not the remodel, so other keys and the kind's current model
-  // resolve meanwhile. The new model is saved through to the artifact store;
-  // the old version's memo entry is kept until Prune(). Idempotent: if the
-  // new version is already memoized, before or after the remodel, returns
-  // the memoized model. kFailedPrecondition when the kind's current version
-  // is neither memoized nor in the store.
+  // on). The baseline resolves like Acquire's key (memo, else a cold load
+  // outside the lock), and the lock covers publishing, not the remodel, so
+  // other keys and the kind's current model resolve meanwhile. The new model
+  // is saved through to the artifact store; the old version's memo entry is
+  // kept until Prune(). Idempotent: if the new version is already memoized,
+  // before or after the remodel, returns the memoized model.
+  // kFailedPrecondition when the kind's current version is neither memoized
+  // nor in the store.
   support::Result<std::shared_ptr<const CompiledModel>> Refresh(
       const std::string& app_kind, const std::string& new_version,
       const ModelingOptions& runtime_options, const RemodelFn& remodel);
@@ -150,21 +153,27 @@ class ModelRegistry {
   // The memoized model for `key`, counted as a memo hit, or null (mu_ held).
   std::shared_ptr<const CompiledModel> MemoHitLocked(const Key& key);
 
-  // The three tiers for one key, for Acquire and Current alike (mu_ held).
-  support::Result<std::shared_ptr<const CompiledModel>> ResolveLocked(
-      const Key& key, const ModelingOptions& runtime_options, const CompileFn& compile);
+  // The tiers for one key, for Acquire, Current and Refresh's baseline. The
+  // memo is read under `lock` (holding mu_ on entry and on return). On a
+  // miss the key is marked in flight and its artifact loaded — failing that,
+  // when `compile` is set, compiled and saved through — with the lock
+  // released; the result is published under it. A second resolver of an
+  // in-flight key waits for it, so a key loads or compiles once. Without
+  // `compile`, a key with no usable artifact is kNotFound.
+  support::Result<std::shared_ptr<const CompiledModel>> Resolve(
+      std::unique_lock<std::mutex>& lock, const Key& key,
+      const ModelingOptions& runtime_options, const CompileFn* compile);
 
-  // The one artifact-load path, for the tiers and Refresh's baseline alike
-  // (mu_ held): loads the key's artifact, counts artifact_loads or
-  // load_errors (warning once per key), memoizes the model and makes it the
-  // kind's latest if the kind has none. Null when there is no store, no file,
-  // or a rejected one.
-  std::shared_ptr<const CompiledModel> LoadLocked(const Key& key,
-                                                  const ModelingOptions& runtime_options);
+  // Counts a rejected artifact (load_errors) and warns once per key (mu_
+  // held). A missing one is not an error.
+  void CountLoadErrorLocked(const Key& key, const support::Status& status);
 
-  // Best-effort save of a compiled or remodeled model to the store (mu_
-  // held): a read-only store just means the next process compiles again.
-  void SaveThroughLocked(const Key& key, const CompiledModel& model);
+  // Best-effort save of a compiled or remodeled model to the store; true if
+  // it was written. A read-only store just means the next process compiles
+  // again.
+  bool SaveThrough(const Key& key, const CompiledModel& model) const;
+  // Counts a written save-through (mu_ held).
+  void CountSaveThroughLocked();
 
   // The kind's latest published version, else default_version_ (mu_ held).
   const std::string& CurrentVersionLocked(const std::string& app_kind) const;
@@ -173,6 +182,10 @@ class ModelRegistry {
   const std::string default_version_;
   mutable std::mutex mu_;
   std::map<Key, std::shared_ptr<const CompiledModel>> memo_;
+  // Keys a resolver is loading or compiling with mu_ released; resolved_ is
+  // notified as each one leaves.
+  std::set<Key> in_flight_;
+  std::condition_variable resolved_;
   // Latest published version per kind: set by the first model a kind
   // resolves to (compiled or loaded) and advanced by every Refresh. Current()
   // resolves it, and Prune keeps only this version.

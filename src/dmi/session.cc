@@ -71,8 +71,8 @@ PromptView DmiSession::Prompt() {
     PromptCacheMisses().Increment();
     // Only the screen/data segment depends on live UI state; the static
     // segment (usage hint + core topology) is shared on the CompiledModel.
-    // Refresh() recomputes layout but never bumps the generation, so the
-    // stamp taken above stays valid for the rebuilt cache entry.
+    // Refresh() lays out at most once per generation and never bumps it, so
+    // the stamp taken above stays valid for the rebuilt cache entry.
     screen_.Refresh();
     std::string dynamic = kScreenHeader;
     dynamic += screen_.RenderListing();

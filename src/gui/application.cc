@@ -252,6 +252,7 @@ void Application::ResetToFreshState() {
   }
   touched_.clear();
   reveal_ticks_.clear();
+  reveal_until_ = 0;
   tick_ = 0;
   stats_ = ActionStats{};
   // Listeners registered during a run (the ripper is the only producer) are
@@ -641,12 +642,29 @@ std::vector<std::string> Application::OpenAncestorNames(const Control& control) 
   return names;
 }
 
+void Application::Tick() {
+  ++tick_;
+  if (tick_ > reveal_until_) {
+    return;  // every reveal has matured already
+  }
+  for (const auto& entry : reveal_ticks_) {
+    if (entry.second == tick_) {
+      BumpUiGeneration();  // a slow-loading popup appears on screen
+      return;
+    }
+  }
+}
+
 void Application::SetRevealTick(Control& control, uint64_t tick) {
   reveal_ticks_[control.RuntimeId()] = tick;
+  reveal_until_ = std::max(reveal_until_, tick);
   BumpUiGeneration();  // the control is offscreen until the tick passes
 }
 
 bool Application::IsPendingReveal(const Control& control) const {
+  if (tick_ >= reveal_until_) {
+    return false;  // every reveal has matured
+  }
   // A control is pending if it or any ancestor popup root is still loading.
   for (const Control* node = &control; node != nullptr; node = node->parent_control()) {
     auto it = reveal_ticks_.find(node->RuntimeId());

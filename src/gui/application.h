@@ -203,16 +203,18 @@ class Application {
   // Logical clock advanced by event-loop turns; slow-loading popups become
   // visible only at a later tick.
   uint64_t current_tick() const { return tick_; }
-  void Tick() {
-    ++tick_;
-    BumpUiGeneration();  // reveal ticks change what is on screen
-  }
+  // Advances the clock one turn. Bumps the UI generation only on the tick
+  // where a pending reveal matures (a slow-loading popup appears, once, however
+  // many mature together): no other tick changes what is visible or anything
+  // that feeds an id, so generation-keyed caches stay warm across it.
+  void Tick();
 
   // ----- UI-state generation -----------------------------------------------
   // Monotonic counter bumped by every mutation that can change the visible
   // accessibility tree or any synthesized control identifier (clicks, key
-  // chords, popup/window open/close, renames, scroll-driven occlusion, logical
-  // ticks). Capture caches (ripper::VisibleIndex) are valid exactly while the
+  // chords, popup/window open/close, renames, scroll-driven occlusion, the
+  // tick on which a slow-loading popup appears). Capture caches
+  // (ripper::VisibleIndex, gsim::ScreenView) are valid exactly while the
   // generation is unchanged. Not thread-safe: an Application instance is
   // confined to one thread (see DESIGN.md "Performance architecture").
   uint64_t ui_generation() const { return ui_generation_; }
@@ -274,6 +276,8 @@ class Application {
 
   // Slow-load support: the control is invisible until this tick.
   void SetRevealTick(Control& control, uint64_t tick);
+  // True while the control or an ancestor is still loading. O(1) once every
+  // reveal has matured.
   bool IsPendingReveal(const Control& control) const;
 
  protected:
@@ -316,6 +320,9 @@ class Application {
   InstabilityInjector* instability_ = nullptr;
   std::vector<WindowListener> window_listeners_;
   std::map<uint64_t, uint64_t> reveal_ticks_;  // runtime id -> visible-at tick
+  // The latest tick in reveal_ticks_ (0 when empty): once tick_ reaches it,
+  // no reveal is pending and none can mature.
+  uint64_t reveal_until_ = 0;
 
   // Factory-reset snapshots (CaptureFreshState), indexed by each control's
   // fresh_index_, and the controls changed since the last capture or reset,

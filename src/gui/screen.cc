@@ -1,52 +1,159 @@
 #include "src/gui/screen.h"
 
+#include <algorithm>
+#include <cctype>
+
 #include "src/support/strings.h"
-#include "src/uia/tree.h"
+#include "src/text/tokens.h"
+#include "src/uia/control_type.h"
 
 namespace gsim {
+namespace {
 
-std::string IndexToLabel(size_t index) {
-  std::string label;
+// Deterministic grid layout: 14 columns x 28 rows across the desktop.
+constexpr size_t kColumns = 14;
+constexpr size_t kRows = 28;
+constexpr int kCellWidth = kDesktopWidth / static_cast<int>(kColumns);
+constexpr int kCellHeight = 26;
+
+// Writes the label of `index` over `out`, keeping its capacity.
+void AssignLabel(size_t index, std::string& out) {
+  char letters[16];  // 26^14 > 2^64: enough for any index
+  size_t begin = sizeof(letters);
   size_t n = index;
   while (true) {
-    label.insert(label.begin(), static_cast<char>('A' + n % 26));
+    letters[--begin] = static_cast<char>('A' + n % 26);
     if (n < 26) {
       break;
     }
     n = n / 26 - 1;
   }
+  out.assign(letters + begin, sizeof(letters) - begin);
+}
+
+// Appends the control's shown name: its true name, by reference, unless an
+// instability injector decorates it.
+void AppendName(std::string& out, const Control& control) {
+  const Application* app = control.application();
+  if (app == nullptr || app->instability() == nullptr) {
+    out += control.TrueName();
+  } else {
+    out += control.Name();
+  }
+}
+
+// Relaxed name match: the screen may show decorated names ("Bold (Ctrl+B)");
+// a human-or-LLM reader still binds them to the plan's "Bold".
+bool NameMatches(const std::string& shown, const std::string& wanted) {
+  if (shown == wanted) {
+    return true;
+  }
+  return shown.size() > wanted.size() && shown.compare(0, wanted.size(), wanted) == 0 &&
+         !isalnum(static_cast<unsigned char>(shown[wanted.size()]));
+}
+
+// A shown name starts with the true name, so it can match `wanted` only if
+// the two names agree up to the shorter one's length.
+bool SharesPrefix(const std::string& true_name, const std::string& wanted) {
+  const size_t n = std::min(true_name.size(), wanted.size());
+  return true_name.compare(0, n, wanted, 0, n) == 0;
+}
+
+// FindInTopWindow's walk: returns the first exact match in pre-order and
+// records the first decorated match met on the way.
+class NameSearch {
+ public:
+  NameSearch(const std::string& name, bool accept_decorated)
+      : name_(name), accept_decorated_(accept_decorated) {}
+
+  Control* Descend(Control& control) {
+    if (control.IsOffscreen()) {
+      return nullptr;
+    }
+    const std::string& true_name = control.TrueName();
+    if (true_name == name_) {
+      return &control;
+    }
+    if (accept_decorated_ && decorated_ == nullptr && SharesPrefix(true_name, name_) &&
+        NameMatches(control.Name(), name_)) {
+      decorated_ = &control;
+    }
+    for (Control* child : control.StaticChildren()) {
+      if (Control* found = Descend(*child)) {
+        return found;
+      }
+    }
+    if (control.popup_open() && control.popup() != nullptr) {
+      return Descend(*control.popup());
+    }
+    return nullptr;
+  }
+
+  Control* decorated() const { return decorated_; }
+
+ private:
+  const std::string& name_;
+  const bool accept_decorated_;
+  Control* decorated_ = nullptr;
+};
+
+}  // namespace
+
+std::string IndexToLabel(size_t index) {
+  std::string label;
+  AssignLabel(index, label);
   return label;
 }
 
-void ScreenView::Refresh() {
-  labeled_.clear();
-  // Collect all visible (attached, onscreen) controls across open windows,
-  // topmost window last so hit-testing prefers it.
-  std::vector<Control*> visible;
-  for (Window* w : app_->OpenWindows()) {
-    uia::Walk(w->root(), [&](uia::Element& e, int) {
-      if (e.IsOffscreen()) {
-        return false;  // offscreen subtree is invisible entirely
-      }
-      visible.push_back(static_cast<Control*>(&e));
-      return true;
-    });
+Control* FindInTopWindow(Application& app, const std::string& name, bool accept_decorated) {
+  Window* top = app.TopWindow();
+  if (top == nullptr) {
+    return nullptr;
   }
-  // Deterministic grid layout: 14 columns x 28 rows across the desktop.
-  constexpr int kCellWidth = kDesktopWidth / 14;
-  constexpr int kCellHeight = 26;
-  labeled_.reserve(visible.size());
-  for (size_t i = 0; i < visible.size(); ++i) {
-    Control* c = visible[i];
-    const int col = static_cast<int>(i % 14);
-    const int row = static_cast<int>((i / 14) % 28);
-    c->SetRect(Rect{col * kCellWidth, row * kCellHeight, kCellWidth - 4, kCellHeight - 4});
-    labeled_.push_back(LabeledControl{IndexToLabel(i), c});
+  NameSearch search(name, accept_decorated);
+  Control* exact = search.Descend(top->root());
+  return exact != nullptr ? exact : search.decorated();
+}
+
+void ScreenView::Refresh() {
+  const uint64_t generation = app_->ui_generation();
+  if (valid_ && generation == generation_) {
+    return;
+  }
+  // Every open window, topmost last, so hit-testing prefers it.
+  size_ = 0;
+  for (Window* w : app_->OpenWindows()) {
+    Descend(w->root());
+  }
+  valid_ = true;
+  generation_ = generation;
+  tokens_valid_ = false;
+}
+
+void ScreenView::Descend(Control& control) {
+  if (control.IsOffscreen()) {
+    return;  // an offscreen subtree is invisible entirely
+  }
+  if (size_ == labeled_.size()) {
+    labeled_.emplace_back();
+  }
+  const size_t i = size_++;
+  LabeledControl& entry = labeled_[i];
+  AssignLabel(i, entry.label);
+  entry.control = &control;
+  const int col = static_cast<int>(i % kColumns);
+  const int row = static_cast<int>((i / kColumns) % kRows);
+  control.SetRect(Rect{col * kCellWidth, row * kCellHeight, kCellWidth - 4, kCellHeight - 4});
+  for (Control* child : control.StaticChildren()) {
+    Descend(*child);
+  }
+  if (control.popup_open() && control.popup() != nullptr) {
+    Descend(*control.popup());
   }
 }
 
 Control* ScreenView::FindByLabel(const std::string& label) const {
-  for (const auto& lc : labeled_) {
+  for (const LabeledControl& lc : labeled()) {
     if (lc.label == label) {
       return lc.control;
     }
@@ -54,8 +161,17 @@ Control* ScreenView::FindByLabel(const std::string& label) const {
   return nullptr;
 }
 
+Control* ScreenView::FindByTrueName(const std::string& name) const {
+  for (const LabeledControl& lc : labeled()) {
+    if (lc.control->TrueName() == name) {
+      return lc.control;
+    }
+  }
+  return nullptr;
+}
+
 std::string ScreenView::LabelOf(const Control& control) const {
-  for (const auto& lc : labeled_) {
+  for (const LabeledControl& lc : labeled()) {
     if (lc.control == &control) {
       return lc.label;
     }
@@ -65,9 +181,9 @@ std::string ScreenView::LabelOf(const Control& control) const {
 
 Control* ScreenView::HitTest(Point p) const {
   // Later entries belong to windows higher in the z-order; scan backward.
-  for (auto it = labeled_.rbegin(); it != labeled_.rend(); ++it) {
-    if (it->control->rect().Contains(p)) {
-      return it->control;
+  for (size_t i = size_; i-- > 0;) {
+    if (labeled_[i].control->rect().Contains(p)) {
+      return labeled_[i].control;
     }
   }
   return nullptr;
@@ -75,15 +191,32 @@ Control* ScreenView::HitTest(Point p) const {
 
 std::string ScreenView::RenderListing(size_t max_entries) const {
   std::string out;
-  size_t n = labeled_.size();
+  RenderInto(out, max_entries);
+  return out;
+}
+
+size_t ScreenView::ListingTokens() {
+  const uint64_t generation = app_->ui_generation();
+  if (!tokens_valid_ || tokens_generation_ != generation) {
+    listing_.clear();
+    RenderInto(listing_, 0);
+    tokens_ = textutil::CountTokens(listing_);
+    tokens_generation_ = generation;
+    tokens_valid_ = true;
+  }
+  return tokens_;
+}
+
+void ScreenView::RenderInto(std::string& out, size_t max_entries) const {
+  size_t n = size_;
   if (max_entries > 0 && max_entries < n) {
     n = max_entries;
   }
   for (size_t i = 0; i < n; ++i) {
-    const auto& lc = labeled_[i];
+    const LabeledControl& lc = labeled_[i];
     out += lc.label;
     out += ' ';
-    out += lc.control->Name();
+    AppendName(out, *lc.control);
     out += " (";
     out += uia::ControlTypeName(lc.control->Type());
     out += ")";
@@ -98,10 +231,9 @@ std::string ScreenView::RenderListing(size_t max_entries) const {
     }
     out += '\n';
   }
-  if (n < labeled_.size()) {
-    out += support::Format("... (%zu more controls)\n", labeled_.size() - n);
+  if (n < size_) {
+    out += support::Format("... (%zu more controls)\n", size_ - n);
   }
-  return out;
 }
 
 }  // namespace gsim

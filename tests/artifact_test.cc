@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/apps/word_sim.h"
 #include "src/dmi/model_artifact.h"
 #include "src/dmi/model_registry.h"
@@ -55,11 +57,15 @@ std::string TempPath(const std::string& name) {
 // corruption tests to mutate.
 const std::string& WordArtifactBytes() {
   static const std::string bytes = [] {
-    const std::string path = TempPath("word_identity.dmim");
+    // One file per process: ctest runs these tests as concurrent processes,
+    // and a shared name let one read the file while another rewrote it.
+    const std::string path =
+        TempPath("word_identity_" + std::to_string(::getpid()) + ".dmim");
     dmi::ArtifactMeta meta{"WordSim", "1"};
     EXPECT_TRUE(dmi::SaveModelArtifact(*WordModel(), meta, path).ok());
     auto read = support::ReadFileBytes(path);
     EXPECT_TRUE(read.ok());
+    std::filesystem::remove(path);
     return *read;
   }();
   return bytes;

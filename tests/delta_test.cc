@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -563,6 +564,83 @@ TEST(ModelRegistrySwap, RunsResolveWhileARefreshRemodels) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->get(), v2.get());
   EXPECT_EQ(registry.stats().delta_rips, 1u);
+}
+
+TEST(ModelRegistrySwap, ColdCompileDoesNotBlockOtherKeys) {
+  // A cold compile (a full rip, about 0.3 s per app) runs outside the
+  // registry lock: while one kind compiles, a warm kind's current model and
+  // another key resolve, and a second resolver of the compiling key waits
+  // for that compile instead of running its own.
+  const dmi::ModelingOptions options;
+  const std::shared_ptr<const dmi::CompiledModel> warm_model =
+      dmi::CompiledModel::Compile(topo::NavGraph(), options);
+  const std::shared_ptr<const dmi::CompiledModel> cold_model =
+      dmi::CompiledModel::Compile(topo::NavGraph(), options);
+  const std::shared_ptr<const dmi::CompiledModel> other_model =
+      dmi::CompiledModel::Compile(topo::NavGraph(), options);
+  using ModelResult = support::Result<std::shared_ptr<const dmi::CompiledModel>>;
+  dmi::ModelRegistry registry;
+  ASSERT_TRUE(registry.Current("ExcelSim", options, [&]() -> ModelResult {
+    return warm_model;
+  }).ok());
+
+  std::atomic<int> cold_compiles{0};
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ModelResult cold = support::InternalError("not compiled");
+  std::thread compiler([&] {
+    cold = registry.Acquire("WordSim", "1", options, [&]() -> ModelResult {
+      ++cold_compiles;
+      entered.set_value();
+      released.wait();  // the latch: a rip that takes its time
+      return cold_model;
+    });
+  });
+  if (entered.get_future().wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    release.set_value();
+    compiler.join();
+    FAIL() << "the compile never started: " << cold.status().ToString();
+  }
+  auto warm = std::async(std::launch::async, [&] {
+    return registry.Current("ExcelSim", options, [&]() -> ModelResult {
+      return support::InternalError("a warm kind must not compile");
+    });
+  });
+  auto other_key = std::async(std::launch::async, [&] {
+    return registry.Acquire("PpointSim", "1", options, [&]() -> ModelResult {
+      return other_model;
+    });
+  });
+  auto same_key = std::async(std::launch::async, [&] {
+    return registry.Acquire("WordSim", "1", options, [&]() -> ModelResult {
+      ++cold_compiles;
+      return other_model;
+    });
+  });
+  const auto deadline = std::chrono::milliseconds(500);
+  EXPECT_EQ(warm.wait_for(deadline), std::future_status::ready);
+  EXPECT_EQ(other_key.wait_for(deadline), std::future_status::ready);
+  // The second resolver of the held key cannot finish before the compile.
+  EXPECT_EQ(same_key.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
+  release.set_value();
+  compiler.join();
+
+  const auto during = warm.get();
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(during->get(), warm_model.get());
+  const auto other = other_key.get();
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(other->get(), other_model.get());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->get(), cold_model.get());
+  const auto waited = same_key.get();
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  EXPECT_EQ(waited->get(), cold_model.get());
+  EXPECT_EQ(cold_compiles.load(), 1);
+  const dmi::ModelRegistry::Stats stats = registry.stats();
+  EXPECT_EQ(stats.compiles, 3u);   // ExcelSim, PpointSim and WordSim, once each
+  EXPECT_EQ(stats.memo_hits, 2u);  // the warm Current and the waiting Acquire
 }
 
 // ----- zero-downtime concurrent swap ----------------------------------------

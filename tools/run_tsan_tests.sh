@@ -21,7 +21,11 @@
 # resolve models, lease pooled apps across the generation bump, and read the
 # old build's shared model; and a registry Refresh whose remodel waits on a
 # latch while another key and the refreshing kind's current model resolve
-# (the registry lock covers the baseline and the publish, not the remodel).
+# (the registry lock covers the baseline and the publish, not the remodel),
+# and ModelRegistrySwap.ColdCompileDoesNotBlockOtherKeys: a cold compile held
+# on a latch while a warm kind's Current, another key's Acquire and a second
+# resolver of the compiling key run (the lock covers the memo and the
+# publish, not the load or the compile).
 # The serving tests (serve_test) put the whole stack behind
 # the SessionManager: worker threads racing admission/quota accounting against
 # Submit, a Shutdown draining the queue while a session is mid-run, and the
