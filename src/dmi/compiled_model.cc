@@ -1,6 +1,8 @@
 #include "src/dmi/compiled_model.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 #include "src/describe/augment.h"
@@ -21,6 +23,11 @@ constexpr char kUsageHint[] =
     "composite interactions use state declarations (set_scrollbar_pos,\n"
     "select_lines, select_paragraphs, select_controls, set_toggle_state) and\n"
     "observation (get_texts) on current-screen labels, never topology ids.\n";
+
+// The DAG node name of the forest node with this (assigned) id.
+const std::string& NodeName(const desc::TopologyCatalog& catalog, int id) {
+  return catalog.dag().node(catalog.forest().FindById(id)->graph_index).name;
+}
 
 }  // namespace
 
@@ -68,6 +75,21 @@ std::shared_ptr<const CompiledModel> CompiledModel::Compile(topo::NavGraph graph
   stats.core_nodes = model->catalog_->core_stats().kept;
   stats.core_tokens = model->catalog_->CoreTokens();
   stats.full_tokens = model->catalog_->FullTokens();
+  // The name index. The ids go in ascending, and a stable sort by name keeps
+  // them ascending within each name, the order the resolver's first-wins
+  // tie-break relies on.
+  const desc::TopologyCatalog& catalog = *model->catalog_;
+  model->ids_by_name_.reserve(static_cast<size_t>(catalog.forest().max_id()));
+  for (int id = 1; id <= catalog.forest().max_id(); ++id) {
+    const topo::TreeNode* node = catalog.forest().FindById(id);
+    if (node != nullptr && !node->is_reference) {
+      model->ids_by_name_.push_back(id);
+    }
+  }
+  std::ranges::stable_sort(model->ids_by_name_, std::less<>{},
+                           [&catalog](int id) -> const std::string& {
+                             return NodeName(catalog, id);
+                           });
   model->usage_hint_tokens_ = textutil::CountTokens(UsageHint());
   // The shared static prompt segment: assembled and counted exactly once per
   // compiled model. The hint ends in a newline, so the segment-summed count
@@ -135,18 +157,14 @@ support::Result<ResolvedTarget> CompiledModel::ResolveTargetByNames(
     return want == names.size();
   };
 
+  // The candidates: every non-reference node named names.back(), ascending
+  // by id, straight from the name index.
+  const auto candidates = std::ranges::equal_range(
+      ids_by_name_, names.back(), std::less<>{},
+      [this](int id) -> const std::string& { return NodeName(*catalog_, id); });
   ResolvedTarget best;
   int best_path_len = INT32_MAX;
-  size_t candidates = 0;
-  for (int id : forest.AllIds()) {
-    const topo::TreeNode* node = forest.FindById(id);
-    if (node->is_reference) {
-      continue;
-    }
-    if (dag.node(node->graph_index).name != names.back()) {
-      continue;
-    }
-    ++candidates;
+  for (int id : candidates) {
     auto loc = forest.LocateById(id);
     std::vector<std::vector<int>> ref_options;
     if (loc->tree < 0) {
@@ -171,7 +189,7 @@ support::Result<ResolvedTarget> CompiledModel::ResolveTargetByNames(
       }
     }
   }
-  support::ObserveMetric("describe.resolve_candidates", static_cast<double>(candidates));
+  support::ObserveMetric("describe.resolve_candidates", static_cast<double>(candidates.size()));
   if (best.id < 0) {
     return support::NotFoundError("no control matches the name chain ending in '" +
                                   names.back() + "'");

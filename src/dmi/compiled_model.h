@@ -101,10 +101,17 @@ class CompiledModel {
   // overhead, §5.4).
   static const std::string& UsageHint();
 
-  // Resolves an access chain given by human-readable names (a suffix of the
-  // full chain, e.g. {"Font Color", "Blue"}): returns the target id plus the
-  // entry references needed. Errors if no unique-enough match exists. Pure
-  // query on the immutable forest/DAG — safe to call concurrently.
+  // Resolves an access chain given by human-readable names (an ordered
+  // subsequence of the full chain ending at the target, e.g. {"Font Color",
+  // "Blue"}): returns the target id plus the entry references needed. The
+  // candidates are the non-reference nodes named names.back(), each with
+  // every entry-reference chain that reaches it; of those whose resolved path
+  // holds the names in order, the shortest path wins, and ties go to the
+  // lowest id (then to the first entry-reference chain). kNotFound if none
+  // matches, kInvalidArgument for an empty chain. The candidates come from a
+  // name index built at compile time, so the cost grows with the number of
+  // same-named nodes, not with the forest. Pure query on the immutable
+  // forest/DAG — safe to call concurrently.
   support::Result<ResolvedTarget> ResolveTargetByNames(
       const std::vector<std::string>& names) const;
 
@@ -125,6 +132,10 @@ class CompiledModel {
   std::string static_prompt_;     // UsageHint() + catalog CoreText()
   size_t static_prompt_tokens_ = 0;
   ripper::ChecksumTable subtree_checksums_;
+  // The forest's non-reference ids sorted by (DAG node name, id): the name
+  // index ResolveTargetByNames searches with equal_range. Derived at compile
+  // time, never stored in an artifact.
+  std::vector<int> ids_by_name_;
 };
 
 }  // namespace dmi

@@ -102,12 +102,12 @@ size_t DmiSession::PromptTokens() {
   PromptCacheMisses().Increment();
   // Count-only rebuild: streams each dynamic piece through the token counter
   // without concatenating them (every split point falls on a newline, so the
-  // segment sums are exact). The text cache stays unset — a later Prompt()
+  // segment sums are exact); the listing's count is the screen's own,
+  // memoized per generation. The text cache stays unset — a later Prompt()
   // call materializes the dynamic segment if anyone needs the bytes.
   screen_.Refresh();
-  size_t tokens = 0;
+  size_t tokens = screen_.ListingTokens();
   textutil::CountTokensAppend(kScreenHeader, &tokens);
-  textutil::CountTokensAppend(screen_.RenderListing(), &tokens);
   const std::string payload = interaction_.GetTextsPassive();
   if (!payload.empty()) {
     textutil::CountTokensAppend(kDataHeader, &tokens);

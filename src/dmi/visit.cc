@@ -103,6 +103,22 @@ VisitReport VisitExecutor::Execute(const std::string& json_commands) {
 }
 
 gsim::Control* VisitExecutor::LocateControl(const topo::NodeInfo& info) {
+  // Every change to what the search reads (windows, popups, reveals, names,
+  // states) bumps the UI generation, so an answer holds for its generation.
+  static support::Counter& memo_hits =
+      support::MetricsRegistry::Global().GetCounter("visit.locate_memo_hits");
+  const uint64_t generation = app_->ui_generation();
+  if (memo_node_ == &info && memo_generation_ == generation) {
+    memo_hits.Increment();
+    return memo_control_;
+  }
+  memo_control_ = SearchTopWindow(info);
+  memo_generation_ = generation;
+  memo_node_ = &info;
+  return memo_control_;
+}
+
+gsim::Control* VisitExecutor::SearchTopWindow(const topo::NodeInfo& info) {
   // The executor fetches the topmost valid window and all descendant
   // controls (§4.3) — lower windows are blocked while a dialog is up.
   gsim::Window* top = app_->TopWindow();
@@ -141,9 +157,18 @@ gsim::Control* VisitExecutor::LocateControl(const topo::NodeInfo& info) {
     if (entry.control->Type() != info.type) {
       continue;
     }
+    // The path term adds at most 0.2 (TokenSetRatio is at most 1, and IEEE
+    // rounding is monotone), so it is scored only when the candidate could
+    // then reach the threshold and beat the best so far. Skipping the others
+    // keeps the answer: the first candidate with the top score, returned only
+    // if that score reaches the threshold.
+    const double name_term =
+        0.8 * textutil::DecorationAwareScore(info.name, entry.control->Name());
+    if (name_term + 0.2 < kFuzzyThreshold || name_term + 0.2 <= best_score) {
+      continue;
+    }
     const double score =
-        0.8 * textutil::DecorationAwareScore(info.name, entry.control->Name()) +
-        0.2 * textutil::TokenSetRatio(entry.ancestor_path(), query_path);
+        name_term + 0.2 * textutil::TokenSetRatio(entry.ancestor_path(), query_path);
     if (score > best_score) {
       best_score = score;
       best_fuzzy = entry.control;

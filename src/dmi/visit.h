@@ -13,6 +13,15 @@
 //   5. Interact: the final click (plus text input for access-and-input).
 // Shortcut commands are executed verbatim and never retried (repeating an
 // ENTER has side effects).
+//
+// Locating a path node is a pure function of the UI generation and the node,
+// so the executor keeps its last answer: the forward pass re-asks for the
+// node the backward match just found, and the next step for the node the
+// post-click probe just found, and both are served without a search
+// (visit.locate_memo_hits). A memo hit still counts as an attempt in every
+// retry loop; only the search is skipped. The fuzzy fallback scores a
+// candidate's ancestor-path term only when that term could still make it the
+// answer.
 #ifndef SRC_DMI_VISIT_H_
 #define SRC_DMI_VISIT_H_
 
@@ -97,13 +106,20 @@ class VisitExecutor {
   void SetFlightRecorder(support::FlightRecorder* recorder) { flight_ = recorder; }
   support::FlightRecorder* flight_recorder() const { return flight_; }
 
+  // Finds the control in the topmost window that stands for the graph node,
+  // exact id first, then fuzzy; nullptr when none does. A pure query of the
+  // current UI state: a repeat call at the same UI generation for the same
+  // node returns the last answer without searching (visit.locate_memo_hits).
+  // `info` must be a node of the catalog's DAG, since the memo keys on its
+  // address.
+  gsim::Control* LocateControl(const topo::NodeInfo& info);
+
  private:
   // Navigates along the resolved graph-node path and clicks each step.
   support::Status NavigatePath(const std::vector<int>& path, std::string& detail);
 
-  // Finds the visible control matching the graph node, exact-first then
-  // fuzzy. Returns nullptr when not found.
-  gsim::Control* LocateControl(const topo::NodeInfo& info);
+  // LocateControl's search, without the memo.
+  gsim::Control* SearchTopWindow(const topo::NodeInfo& info);
   gsim::Control* LocateControlWithRetry(const topo::NodeInfo& info, std::string& detail);
 
   // The typed schedule actually used: config_.retry when set, else the
@@ -123,6 +139,10 @@ class VisitExecutor {
   int cmd_attempts_ = 0;
   uint64_t cmd_backoff_ticks_ = 0;
   support::FlightRecorder* flight_ = nullptr;  // borrowed; null = off
+  // LocateControl's last answer and the (UI generation, node) it is for.
+  uint64_t memo_generation_ = 0;
+  const topo::NodeInfo* memo_node_ = nullptr;  // null: no answer yet
+  gsim::Control* memo_control_ = nullptr;
 };
 
 }  // namespace dmi

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 
 #include "src/apps/excel_sim.h"
 #include "src/apps/ppoint_sim.h"
@@ -12,6 +13,7 @@
 #include "src/support/strings.h"
 #include "src/text/tokens.h"
 #include "src/uia/tree.h"
+#include "src/workload/tasks.h"
 #include "tests/prompt_reference.h"
 
 namespace {
@@ -194,6 +196,47 @@ void ExpectResolveParity(dmi::DmiSession& session,
           << "chain ending in '" << chain.back() << "'";
     }
   }
+}
+
+// Appends the resolver inputs for one app to `out`: every distinct
+// non-reference name as a one-name chain and under its forest parent's name,
+// and every name chain the task suite declares for `app`, also with its last
+// name dropped (the agent's navigation-slip resolve).
+void AddResolveInputs(dmi::DmiSession& session, workload::AppKind app,
+                      std::vector<std::vector<std::string>>& out) {
+  const topo::Forest& forest = session.catalog().forest();
+  const topo::NavGraph& dag = session.catalog().dag();
+  std::set<std::vector<std::string>> chains;
+  auto scan = [&](const topo::Tree& tree) {
+    for (const topo::TreeNode& n : tree.nodes) {
+      if (n.is_reference) {
+        continue;
+      }
+      const std::string& name = dag.node(n.graph_index).name;
+      chains.insert({name});
+      if (n.parent >= 0) {
+        chains.insert({dag.node(tree.nodes[static_cast<size_t>(n.parent)].graph_index).name, name});
+      }
+    }
+  };
+  scan(forest.main());
+  for (const topo::Tree& tree : forest.shared()) {
+    scan(tree);
+  }
+  for (const workload::Task& task : workload::BuildOsworldWSuite()) {
+    if (task.app != app) {
+      continue;
+    }
+    for (const workload::DmiStep& step : task.dmi_plan) {
+      for (const workload::VisitTarget& target : step.targets) {
+        chains.insert(target.name_chain);
+        if (target.name_chain.size() > 1) {
+          chains.insert({target.name_chain.begin(), target.name_chain.end() - 1});
+        }
+      }
+    }
+  }
+  out.insert(out.end(), chains.begin(), chains.end());
 }
 
 // Models a *scratch* instance (ripping clicks everything, mutating app
@@ -452,15 +495,7 @@ TEST_F(PpointSession, ResolveTargetMatchesLegacyScan) {
       {"Themes Gallery"},
       {"No Such Control Anywhere"},
   };
-  // Broad sweep: every 17th forest node's name as a single-element chain.
-  const topo::Forest& forest = session_->catalog().forest();
-  std::vector<int> ids = forest.AllIds();
-  for (size_t i = 0; i < ids.size(); i += 17) {
-    const topo::TreeNode* n = forest.FindById(ids[i]);
-    if (!n->is_reference) {
-      chains.push_back({session_->catalog().dag().node(n->graph_index).name});
-    }
-  }
+  AddResolveInputs(*session_, workload::AppKind::kPpoint, chains);
   ExpectResolveParity(*session_, chains);
 }
 
@@ -606,14 +641,7 @@ TEST_F(WordSession, ResolveTargetMatchesLegacyScan) {
       {"Bullets", "Bullet Style 3"},
       {"Entirely Missing Name"},
   };
-  const topo::Forest& forest = session_->catalog().forest();
-  std::vector<int> ids = forest.AllIds();
-  for (size_t i = 0; i < ids.size(); i += 19) {
-    const topo::TreeNode* n = forest.FindById(ids[i]);
-    if (!n->is_reference) {
-      chains.push_back({session_->catalog().dag().node(n->graph_index).name});
-    }
-  }
+  AddResolveInputs(*session_, workload::AppKind::kWord, chains);
   ExpectResolveParity(*session_, chains);
 }
 
@@ -748,14 +776,7 @@ TEST_F(ExcelSession, ResolveTargetMatchesLegacyScan) {
       {"Name Box"},
       {"Unknown Excel Widget"},
   };
-  const topo::Forest& forest = session_->catalog().forest();
-  std::vector<int> ids = forest.AllIds();
-  for (size_t i = 0; i < ids.size(); i += 23) {
-    const topo::TreeNode* n = forest.FindById(ids[i]);
-    if (!n->is_reference) {
-      chains.push_back({session_->catalog().dag().node(n->graph_index).name});
-    }
-  }
+  AddResolveInputs(*session_, workload::AppKind::kExcel, chains);
   ExpectResolveParity(*session_, chains);
 }
 

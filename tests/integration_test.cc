@@ -110,14 +110,16 @@ TEST(ObservabilityTest, VisitEmitsNestedSpansAndFastPathCounters) {
   EXPECT_GE(execute->start_us + execute->dur_us, navigate->start_us + navigate->dur_us);
 
   // The visit fed the registry: one call with its one command. Bold is on
-  // screen with its modeled id, so both locates (the backward match, then the
-  // forward click) hit the exact-id probe and no fuzzy fallback runs.
+  // screen with its modeled id, so the backward match hits the exact-id probe
+  // and no fuzzy fallback runs; the forward click asks for Bold again at the
+  // same UI generation and is served by the executor's memo.
   auto delta = [&before, &after](const char* name) {
     return after.CounterValue(name) - before.CounterValue(name);
   };
   EXPECT_EQ(delta("visit.calls"), 1u);
   EXPECT_EQ(delta("visit.commands"), 1u);
-  EXPECT_EQ(delta("visit.locate_fast_path"), 2u);
+  EXPECT_EQ(delta("visit.locate_fast_path"), 1u);
+  EXPECT_EQ(delta("visit.locate_memo_hits"), 1u);
   EXPECT_EQ(delta("visit.locate_fallback_walks"), 0u);
   const support::HistogramSnapshot* execute_ms = after.FindHistogram("visit.execute_ms");
   ASSERT_NE(execute_ms, nullptr);
