@@ -130,10 +130,8 @@ int main() {
   // ----- state declaration: set the log scrollbar to 75% -----------------------
   session.screen().Refresh();
   std::string label;
-  for (const auto& lc : session.screen().labeled()) {
-    if (lc.control->TrueName() == "Log Pane") {
-      label = lc.label;
-    }
+  if (gsim::Control* pane = session.screen().FindByTrueName("Log Pane")) {
+    label = session.screen().LabelOf(*pane);
   }
   auto scroll = session.interaction().SetScrollbarPos(label, -1.0, 75.0);
   if (scroll.ok()) {

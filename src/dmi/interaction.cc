@@ -283,12 +283,14 @@ std::string InteractionInterfaces::GetTextsPassive() const {
   std::string out;
   size_t emitted = 0;
   size_t empty = 0;
-  for (const gsim::LabeledControl& lc : screen_->labeled()) {
-    if (lc.control->Type() != uia::ControlType::kDataItem) {
+  const std::span<const gsim::CaptureEntry> labeled = screen_->labeled();
+  for (size_t i = 0; i < labeled.size(); ++i) {
+    gsim::Control& control = *labeled[i].control;
+    if (control.Type() != uia::ControlType::kDataItem) {
       continue;
     }
-    auto* value = uia::PatternCast<uia::ValuePattern>(*lc.control);
-    const std::string v = value != nullptr ? value->GetValue() : lc.control->text_value();
+    auto* value = uia::PatternCast<uia::ValuePattern>(control);
+    const std::string v = value != nullptr ? value->GetValue() : control.text_value();
     if (v.empty()) {
       ++empty;
       continue;
@@ -296,7 +298,7 @@ std::string InteractionInterfaces::GetTextsPassive() const {
     if (emitted >= config_.passive_item_limit) {
       continue;
     }
-    out += lc.label + " " + lc.control->TrueName() + "=" +
+    out += gsim::IndexToLabel(i) + " " + control.TrueName() + "=" +
            textutil::TruncateToTokens(v, config_.passive_item_token_cap) + "\n";
     ++emitted;
   }

@@ -90,7 +90,7 @@ std::string VisitReport::RenderJson() const {
 
 VisitExecutor::VisitExecutor(gsim::Application& app, const desc::TopologyCatalog& catalog,
                              VisitConfig config)
-    : app_(&app), catalog_(&catalog), config_(config), index_(app) {}
+    : app_(&app), catalog_(&catalog), config_(config) {}
 
 VisitReport VisitExecutor::Execute(const std::string& json_commands) {
   auto parsed = ParseVisitCommands(json_commands);
@@ -130,10 +130,11 @@ gsim::Control* VisitExecutor::SearchTopWindow(const topo::NodeInfo& info) {
       support::MetricsRegistry::Global().GetCounter("visit.locate_fast_path");
   static support::Counter& fallback_walks =
       support::MetricsRegistry::Global().GetCounter("visit.locate_fallback_walks");
-  // O(1) exact-id fast path from the generation-stamped VisibleIndex; the
-  // window filter keeps the "search only the topmost valid window" scope
-  // (controls carry their containing window, including adopted popups).
-  if (gsim::Control* exact = index_.FindByIdInWindow(info.control_id, top); exact != nullptr) {
+  // O(1) exact-id fast path from the application's capture; the window
+  // filter keeps the "search only the topmost valid window" scope (controls
+  // carry their containing window, including adopted popups).
+  gsim::Capture& capture = app_->capture();
+  if (gsim::Control* exact = capture.FindByIdInWindow(info.control_id, top); exact != nullptr) {
     fast_path_hits.Increment();
     return exact;
   }
@@ -150,7 +151,7 @@ gsim::Control* VisitExecutor::SearchTopWindow(const topo::NodeInfo& info) {
   const std::string query_path = ripper::ParseControlId(info.control_id).ancestor_path;
   gsim::Control* best_fuzzy = nullptr;
   double best_score = 0.0;
-  for (const ripper::VisibleEntry& entry : index_.TopWindowEntries()) {
+  for (const gsim::CaptureEntry& entry : capture.TopWindowEntries()) {
     if (entry.control_id == info.control_id) {
       return entry.control;
     }

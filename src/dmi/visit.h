@@ -31,7 +31,6 @@
 #include "src/describe/catalog.h"
 #include "src/dmi/command.h"
 #include "src/gui/application.h"
-#include "src/ripper/visible_index.h"
 #include "src/support/retry.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
@@ -131,7 +130,6 @@ class VisitExecutor {
   gsim::Application* app_;
   const desc::TopologyCatalog* catalog_;
   VisitConfig config_;
-  ripper::VisibleIndex index_;
   support::Deadline deadline_;  // default: unlimited
   support::Rng retry_rng_{0x9e3779b97f4a7c15ULL};
   // Robustness accounting for the command currently executing (feeds the

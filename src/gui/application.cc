@@ -262,6 +262,7 @@ void Application::ResetToFreshState() {
   }
   OnFactoryReset();
   BumpUiGeneration();
+  capture_.FlushCounters();
 }
 
 uint64_t Application::UiaStateChecksum() {

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/gui/capture.h"
 #include "src/gui/control.h"
 #include "src/gui/window.h"
 #include "src/support/status.h"
@@ -118,6 +119,10 @@ class Application {
   // capture.
   uia::Element& AccessibilityRoot();
 
+  // The one capture of the visible tree (capture.h), read by the ripper, the
+  // visit executor and ScreenView.
+  Capture& capture() { return capture_; }
+
   // Topmost open window (modal dialogs stack above the main window).
   Window* TopWindow();
   const std::vector<Window*>& OpenWindows() const { return open_window_stack_; }
@@ -177,7 +182,8 @@ class Application {
   // logical clock / reveal schedule / action stats, and asks the concrete app
   // to rebuild its document model (OnFactoryReset). Requires a prior
   // CaptureFreshState(). The UI generation stays monotonic (it is bumped, not
-  // reset) so generation-keyed caches never alias across leases.
+  // reset) so generation-keyed caches never alias across leases; the
+  // capture keeps its buffers and flushes the lease's tallies.
   void ResetToFreshState();
 
   // Checksum of everything behavior-relevant: the full static control tree
@@ -213,10 +219,10 @@ class Application {
   // Monotonic counter bumped by every mutation that can change the visible
   // accessibility tree or any synthesized control identifier (clicks, key
   // chords, popup/window open/close, renames, scroll-driven occlusion, the
-  // tick on which a slow-loading popup appears). Capture caches
-  // (ripper::VisibleIndex, gsim::ScreenView) are valid exactly while the
-  // generation is unchanged. Not thread-safe: an Application instance is
-  // confined to one thread (see DESIGN.md "Performance architecture").
+  // tick on which a slow-loading popup appears). The capture and the caches
+  // keyed on it are valid exactly while the generation is unchanged. Not
+  // thread-safe: an Application instance is confined to one thread (see
+  // DESIGN.md "Performance architecture").
   uint64_t ui_generation() const { return ui_generation_; }
   void BumpUiGeneration() { ++ui_generation_; }
 
@@ -312,6 +318,7 @@ class Application {
   std::vector<Control*> open_persistent_panes_;  // persistent popup hosts now open
 
   std::unique_ptr<DesktopRoot> desktop_root_;
+  Capture capture_{*this};
   Control* focused_ = nullptr;
   bool external_state_ = false;
   uint64_t tick_ = 0;

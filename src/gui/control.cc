@@ -179,6 +179,14 @@ std::string Control::Name() const {
   return name_;
 }
 
+const std::string& Control::ShownName(std::string& decorated) const {
+  if (app_ == nullptr || app_->instability() == nullptr) {
+    return name_;
+  }
+  decorated = app_->DecorateName(*this);
+  return decorated;
+}
+
 bool Control::IsOffscreen() const {
   // Forced-offscreen is inherited: a hidden pane hides its whole subtree.
   for (const Control* node = this; node != nullptr; node = node->parent_) {
@@ -417,7 +425,12 @@ void Control::SetPopupOpen(bool open) {
       p->MarkTouched();
     }
     p->parent_ = this;
-    p->PropagateContext(window_, app_);
+    // A subtree always carries its root's context (AddChild, SetPopup,
+    // window registration and RestoreFreshState set it throughout), so the
+    // root tells whether the subtree needs rewriting.
+    if (p->window_ != window_ || p->app_ != app_) {
+      p->PropagateContext(window_, app_);
+    }
   }
 }
 

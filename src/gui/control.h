@@ -52,6 +52,9 @@ class Control final : public uia::Element {
 
   // ----- uia::Element ------------------------------------------------------
   std::string Name() const override;
+  // Name() without its copy: the true name, unless an instability injector
+  // decorates it, then written over `decorated`.
+  const std::string& ShownName(std::string& decorated) const;
   std::string AutomationId() const override { return automation_id_; }
   uia::ControlType Type() const override { return type_; }
   std::string HelpText() const override { return help_text_; }

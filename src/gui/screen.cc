@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <span>
 
 #include "src/support/strings.h"
 #include "src/text/tokens.h"
@@ -16,8 +17,8 @@ constexpr size_t kRows = 28;
 constexpr int kCellWidth = kDesktopWidth / static_cast<int>(kColumns);
 constexpr int kCellHeight = 26;
 
-// Writes the label of `index` over `out`, keeping its capacity.
-void AssignLabel(size_t index, std::string& out) {
+// Appends the label of `index`.
+void AppendLabel(std::string& out, size_t index) {
   char letters[16];  // 26^14 > 2^64: enough for any index
   size_t begin = sizeof(letters);
   size_t n = index;
@@ -28,18 +29,7 @@ void AssignLabel(size_t index, std::string& out) {
     }
     n = n / 26 - 1;
   }
-  out.assign(letters + begin, sizeof(letters) - begin);
-}
-
-// Appends the control's shown name: its true name, by reference, unless an
-// instability injector decorates it.
-void AppendName(std::string& out, const Control& control) {
-  const Application* app = control.application();
-  if (app == nullptr || app->instability() == nullptr) {
-    out += control.TrueName();
-  } else {
-    out += control.Name();
-  }
+  out.append(letters + begin, sizeof(letters) - begin);
 }
 
 // Relaxed name match: the screen may show decorated names ("Bold (Ctrl+B)");
@@ -101,7 +91,7 @@ class NameSearch {
 
 std::string IndexToLabel(size_t index) {
   std::string label;
-  AssignLabel(index, label);
+  AppendLabel(label, index);
   return label;
 }
 
@@ -116,64 +106,46 @@ Control* FindInTopWindow(Application& app, const std::string& name, bool accept_
 }
 
 void ScreenView::Refresh() {
-  const uint64_t generation = app_->ui_generation();
-  if (valid_ && generation == generation_) {
+  Capture& capture = app_->capture();
+  capture.Refresh();
+  if (laid_out_walk_ == capture.walks()) {
     return;
   }
-  // Every open window, topmost last, so hit-testing prefers it.
-  size_ = 0;
-  for (Window* w : app_->OpenWindows()) {
-    Descend(w->root());
+  const std::span<const CaptureEntry> entries = capture.entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const int col = static_cast<int>(i % kColumns);
+    const int row = static_cast<int>((i / kColumns) % kRows);
+    entries[i].control->SetRect(
+        Rect{col * kCellWidth, row * kCellHeight, kCellWidth - 4, kCellHeight - 4});
   }
-  valid_ = true;
-  generation_ = generation;
+  laid_out_walk_ = capture.walks();
   tokens_valid_ = false;
 }
 
-void ScreenView::Descend(Control& control) {
-  if (control.IsOffscreen()) {
-    return;  // an offscreen subtree is invisible entirely
-  }
-  if (size_ == labeled_.size()) {
-    labeled_.emplace_back();
-  }
-  const size_t i = size_++;
-  LabeledControl& entry = labeled_[i];
-  AssignLabel(i, entry.label);
-  entry.control = &control;
-  const int col = static_cast<int>(i % kColumns);
-  const int row = static_cast<int>((i / kColumns) % kRows);
-  control.SetRect(Rect{col * kCellWidth, row * kCellHeight, kCellWidth - 4, kCellHeight - 4});
-  for (Control* child : control.StaticChildren()) {
-    Descend(*child);
-  }
-  if (control.popup_open() && control.popup() != nullptr) {
-    Descend(*control.popup());
-  }
-}
-
 Control* ScreenView::FindByLabel(const std::string& label) const {
-  for (const LabeledControl& lc : labeled()) {
-    if (lc.label == label) {
-      return lc.control;
+  const std::span<const CaptureEntry> entries = labeled();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (IndexToLabel(i) == label) {
+      return entries[i].control;
     }
   }
   return nullptr;
 }
 
 Control* ScreenView::FindByTrueName(const std::string& name) const {
-  for (const LabeledControl& lc : labeled()) {
-    if (lc.control->TrueName() == name) {
-      return lc.control;
+  for (const CaptureEntry& entry : labeled()) {
+    if (entry.control->TrueName() == name) {
+      return entry.control;
     }
   }
   return nullptr;
 }
 
 std::string ScreenView::LabelOf(const Control& control) const {
-  for (const LabeledControl& lc : labeled()) {
-    if (lc.control == &control) {
-      return lc.label;
+  const std::span<const CaptureEntry> entries = labeled();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].control == &control) {
+      return IndexToLabel(i);
     }
   }
   return "";
@@ -181,9 +153,10 @@ std::string ScreenView::LabelOf(const Control& control) const {
 
 Control* ScreenView::HitTest(Point p) const {
   // Later entries belong to windows higher in the z-order; scan backward.
-  for (size_t i = size_; i-- > 0;) {
-    if (labeled_[i].control->rect().Contains(p)) {
-      return labeled_[i].control;
+  const std::span<const CaptureEntry> entries = labeled();
+  for (size_t i = entries.size(); i-- > 0;) {
+    if (entries[i].control->rect().Contains(p)) {
+      return entries[i].control;
     }
   }
   return nullptr;
@@ -208,31 +181,33 @@ size_t ScreenView::ListingTokens() {
 }
 
 void ScreenView::RenderInto(std::string& out, size_t max_entries) const {
-  size_t n = size_;
+  const std::span<const CaptureEntry> entries = labeled();
+  size_t n = entries.size();
   if (max_entries > 0 && max_entries < n) {
     n = max_entries;
   }
+  std::string decorated;
   for (size_t i = 0; i < n; ++i) {
-    const LabeledControl& lc = labeled_[i];
-    out += lc.label;
+    const Control& control = *entries[i].control;
+    AppendLabel(out, i);
     out += ' ';
-    AppendName(out, *lc.control);
+    out += control.ShownName(decorated);
     out += " (";
-    out += uia::ControlTypeName(lc.control->Type());
+    out += uia::ControlTypeName(control.Type());
     out += ")";
-    if (!lc.control->IsEnabled()) {
+    if (!control.IsEnabled()) {
       out += " [disabled]";
     }
-    if (lc.control->selected()) {
+    if (control.selected()) {
       out += " [selected]";
     }
-    if (lc.control->toggled()) {
+    if (control.toggled()) {
       out += " [on]";
     }
     out += '\n';
   }
-  if (n < size_) {
-    out += support::Format("... (%zu more controls)\n", size_ - n);
+  if (n < entries.size()) {
+    out += support::Format("... (%zu more controls)\n", entries.size() - n);
   }
 }
 

@@ -6,18 +6,13 @@
 // numeric topology ids. The layout engine assigns deterministic rectangles so
 // the imperative input path can click by coordinate (with grounding noise).
 //
-// The view is one observation per UI state. Like ripper::VisibleIndex it is
-// keyed on Application::ui_generation() (DESIGN.md §7): Refresh() at the
-// generation it last laid out is a no-op, and ListingTokens() counts the
-// listing's tokens once per generation. A rebuild reuses every buffer — the
-// entry list keeps its high-water mark and labels are rewritten in place — so
-// once sized it allocates nothing. The walk is one member recursion over
-// StaticChildren() plus the open popup.
-//
-// Rects live on the controls, so several views of one application share
-// them. That stays exact: every view lays out one UI state identically, and a
-// view that skips a Refresh laid out the current generation itself.
-// Not thread-safe — a view is confined to its application's thread.
+// The view reads its application's Capture (capture.h, DESIGN.md §7): the
+// labeled controls are its entries, and a label is a function of the index,
+// so none is stored. Between a mutation and the next Refresh(), labeled(),
+// HitTest and the rects show the last refresh, as long as nothing else
+// refreshes the capture. Rects live on the controls; every view lays a walk
+// out identically. Once the capture is sized, nothing here allocates. Not
+// thread-safe — a view is confined to its application's thread.
 #ifndef SRC_GUI_SCREEN_H_
 #define SRC_GUI_SCREEN_H_
 
@@ -25,17 +20,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/gui/application.h"
+#include "src/gui/capture.h"
 #include "src/gui/control.h"
 
 namespace gsim {
-
-struct LabeledControl {
-  std::string label;   // "A", "B", ..., "Z", "AA", ...
-  Control* control = nullptr;
-};
 
 // Converts 0 -> "A", 25 -> "Z", 26 -> "AA", ...
 std::string IndexToLabel(size_t index);
@@ -46,23 +36,23 @@ std::string IndexToLabel(size_t index);
 // Name() is `name` followed by a decoration that starts with a
 // non-alphanumeric character ("Bold (Ctrl+B)"). nullptr if none. Allocates
 // nothing, except the shown Name() of a control whose true name shares a
-// prefix with `name`.
+// prefix with `name`. It walks the live tree, not the capture: the baseline
+// asks for it between a mutation and its next Refresh(), and refreshing the
+// capture there would replace the list the screen holds.
 Control* FindInTopWindow(Application& app, const std::string& name, bool accept_decorated);
 
 class ScreenView {
  public:
   explicit ScreenView(Application& app) : app_(&app) {}
 
-  // Re-derives the visible control set, assigns labels and lays out rects,
-  // unless the application's UI generation is the one last laid out. Call
-  // after every UI mutation before reading labels or hit-testing.
+  // Refreshes the capture and lays its controls' rects out, unless this view
+  // laid out its last walk already. Call after every UI mutation before
+  // reading labels or hit-testing.
   void Refresh();
 
-  // The labeled controls in desktop pre-order, topmost window last. Valid
-  // until the next rebuild.
-  std::span<const LabeledControl> labeled() const {
-    return std::span<const LabeledControl>(labeled_.data(), size_);
-  }
+  // The labeled controls in desktop pre-order, topmost window last: entry i
+  // carries IndexToLabel(i). Valid until the capture's next walk.
+  std::span<const CaptureEntry> labeled() const { return app_->capture().entries(); }
 
   // Control carrying the given label, or nullptr.
   Control* FindByLabel(const std::string& label) const;
@@ -84,24 +74,17 @@ class ScreenView {
   // textutil::CountTokens(RenderListing()), counted once per UI generation.
   size_t ListingTokens();
 
-  size_t VisibleCount() const { return size_; }
+  size_t VisibleCount() const { return labeled().size(); }
 
  private:
-  // Labels and lays out `control` and its visible subtree.
-  void Descend(Control& control);
-
   // Appends the listing to `out`.
   void RenderInto(std::string& out, size_t max_entries) const;
 
   Application* app_;
-  bool valid_ = false;
-  uint64_t generation_ = 0;
-  // labeled_[0, size_) is the screen; the entries past size_ are kept from a
-  // larger screen before.
-  std::vector<LabeledControl> labeled_;
-  size_t size_ = 0;
+  // The capture walk this view last laid out (Capture::walks(); 0: none).
+  uint64_t laid_out_walk_ = 0;
   // ListingTokens() memo, stamped with the generation it counted at and
-  // dropped by a rebuild. listing_ is its reused render buffer.
+  // dropped by a layout. listing_ is its reused render buffer.
   bool tokens_valid_ = false;
   uint64_t tokens_generation_ = 0;
   size_t tokens_ = 0;

@@ -5,8 +5,9 @@
 //     primary_id|control_type|ancestor_path
 // primary_id is the AutomationId, falling back to the control name, falling
 // back to "[Unnamed]". Index-based addressing is deliberately avoided —
-// dynamic menus shift indices unpredictably. ripper::VisibleIndex writes
-// every identifier (visible_index.h); this header parses them.
+// dynamic menus shift indices unpredictably. gsim::Capture writes every
+// identifier, once per UI generation and only when asked for
+// (src/gui/capture.h); this header parses them.
 #ifndef SRC_RIPPER_IDENTIFIER_H_
 #define SRC_RIPPER_IDENTIFIER_H_
 

@@ -26,7 +26,7 @@ struct WorkItem {
 }  // namespace
 
 GuiRipper::GuiRipper(gsim::Application& app, RipperConfig config)
-    : app_(&app), config_(std::move(config)), index_(app) {
+    : app_(&app), config_(std::move(config)) {
   // Window listener (§4.1): new top-level/modal windows are surfaced as
   // events; the explorer counts them (captures pick up their contents).
   app_->AddWindowListener([this](gsim::Window&, bool) { ++stats_.window_events; });
@@ -56,11 +56,11 @@ GuiRipper::~GuiRipper() {
   }
 }
 
-std::span<const VisibleEntry> GuiRipper::CaptureVisible() {
+std::span<const gsim::CaptureEntry> GuiRipper::CaptureVisible() {
   ++stats_.captures;
   stats_.simulated_ms += kCaptureMs;
   bool rebuilt = false;
-  const std::span<const VisibleEntry> entries = index_.Visible(&rebuilt);
+  const std::span<const gsim::CaptureEntry> entries = app_->capture().Visible(&rebuilt);
   if (rebuilt) {
     ++stats_.capture_rebuilds;
   } else {
@@ -89,7 +89,7 @@ bool GuiRipper::IsExplorable(const gsim::Control& control) const {
   }
 }
 
-topo::NodeInfo GuiRipper::MakeNodeInfo(const VisibleEntry& entry) const {
+topo::NodeInfo GuiRipper::MakeNodeInfo(const gsim::CaptureEntry& entry) const {
   const gsim::Control& control = *entry.control;
   topo::NodeInfo info;
   info.control_id = entry.control_id;  // already synthesized at capture time
@@ -104,33 +104,33 @@ gsim::Control* GuiRipper::FindVisibleById(const std::string& control_id, bool en
   ++stats_.indexed_lookups;
   if (ensure_fresh) {
     bool rebuilt = false;
-    gsim::Control* found = index_.FindByIdEnsureFresh(control_id, &rebuilt);
+    gsim::Control* found = app_->capture().FindByIdEnsureFresh(control_id, &rebuilt);
     if (rebuilt) {
       ++stats_.capture_rebuilds;
     }
     return found;
   }
   // FindById never rebuilds: warm generations probe, stale ones cold-walk.
-  return index_.FindById(control_id);
+  return app_->capture().FindById(control_id);
 }
 
 void GuiRipper::AddRevealedEdges(topo::NavGraph& graph, int from_node,
-                                 std::span<const VisibleEntry* const> fresh) {
+                                 std::span<const gsim::CaptureEntry* const> fresh) {
   // Index the fresh set by element pointer so containment can be checked and
   // the already-synthesized id of a fresh ancestor can be reused.
   std::unordered_map<const gsim::Control*, const std::string*> fresh_ids;
   fresh_ids.reserve(fresh.size());
-  for (const VisibleEntry* e : fresh) {
+  for (const gsim::CaptureEntry* e : fresh) {
     fresh_ids.emplace(e->control, &e->control_id);
   }
   // First materialize all nodes, then wire edges. A control seen before
   // keeps its node, so only a new one pays for its NodeInfo.
-  for (const VisibleEntry* e : fresh) {
+  for (const gsim::CaptureEntry* e : fresh) {
     if (graph.FindNode(e->control_id) < 0) {
       graph.AddNode(MakeNodeInfo(*e));
     }
   }
-  for (const VisibleEntry* e : fresh) {
+  for (const gsim::CaptureEntry* e : fresh) {
     const int node = graph.FindNode(e->control_id);
     // Walk up the accessibility parent chain to the nearest *also fresh*
     // ancestor; containment edge from it. Without one, this element roots a
@@ -151,15 +151,15 @@ void GuiRipper::AddRevealedEdges(topo::NavGraph& graph, int from_node,
   }
 }
 
-void GuiRipper::SnapshotIds(std::span<const VisibleEntry> capture) {
+void GuiRipper::SnapshotIds(std::span<const gsim::CaptureEntry> capture) {
   before_arena_.clear();
-  for (const VisibleEntry& e : capture) {
+  for (const gsim::CaptureEntry& e : capture) {
     before_arena_ += e.control_id;
   }
   // The views are taken once the arena has stopped growing.
   before_ids_.Clear();
   size_t begin = 0;
-  for (const VisibleEntry& e : capture) {
+  for (const gsim::CaptureEntry& e : capture) {
     before_ids_.Add(std::string_view(before_arena_).substr(begin, e.control_id.size()));
     begin += e.control_id.size();
   }
@@ -211,10 +211,10 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
   // panel automatically scope beneath that TabItem via containment.
   // The capture span stays valid here: nothing mutates the UI between the
   // capture and its uses.
-  const std::span<const VisibleEntry> initial = CaptureVisible();
+  const std::span<const gsim::CaptureEntry> initial = CaptureVisible();
   std::deque<WorkItem> work;
   fresh_.clear();
-  for (const VisibleEntry& entry : initial) {
+  for (const gsim::CaptureEntry& entry : initial) {
     fresh_.push_back(&entry);
   }
   AddRevealedEdges(graph, topo::NavGraph::kRootIndex, fresh_);
@@ -242,7 +242,7 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
       continue;  // state drifted; skip this branch
     }
     // The pre-click capture of this same state follows immediately, so let
-    // this lookup rebuild the index and the capture comes for free.
+    // this lookup build the id capture and the capture comes for free.
     gsim::Control* target = FindVisibleById(item.control_id, /*ensure_fresh=*/true);
     if (target == nullptr) {
       continue;
@@ -261,7 +261,7 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
       app_->ResetUiState();
       continue;
     }
-    const std::span<const VisibleEntry> after = CaptureVisible();
+    const std::span<const gsim::CaptureEntry> after = CaptureVisible();
 
     const int from_node = graph.FindNode(item.control_id);
     if (from_node < 0) {
@@ -272,13 +272,13 @@ void GuiRipper::RipContextInternal(topo::NavGraph& graph, const RipContext& cont
     const int next_depth = static_cast<int>(next_path.size());
 
     fresh_.clear();
-    for (const VisibleEntry& e : after) {
-      if (before_ids_.Find(e.control_id) == IdTable::kNone) {
+    for (const gsim::CaptureEntry& e : after) {
+      if (before_ids_.Find(e.control_id) == gsim::IdTable::kNone) {
         fresh_.push_back(&e);
       }
     }
     AddRevealedEdges(graph, from_node, fresh_);
-    for (const VisibleEntry* e : fresh_) {
+    for (const gsim::CaptureEntry* e : fresh_) {
       if (next_depth <= config_.max_depth && IsExplorable(*e->control) &&
           explored_.count(e->control_id) == 0) {
         work.push_front(WorkItem{e->control_id, next_path});

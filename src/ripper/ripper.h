@@ -14,9 +14,9 @@
 //     contexts (an image selected); contexts are small setup callbacks and the
 //     per-context graphs merge by control id.
 //
-// Performance: captures and id lookups run through a generation-stamped
-// ripper::VisibleIndex (one tree walk per UI-state generation, O(1) lookups) —
-// see visible_index.h.
+// Performance: captures and id lookups run through the application's
+// gsim::Capture (one tree walk per UI-state generation, ids written once per
+// generation, O(1) lookups) — see src/gui/capture.h.
 #ifndef SRC_RIPPER_RIPPER_H_
 #define SRC_RIPPER_RIPPER_H_
 
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "src/gui/application.h"
-#include "src/ripper/visible_index.h"
+#include "src/gui/capture.h"
 #include "src/topology/nav_graph.h"
 
 namespace ripper {
@@ -64,7 +64,7 @@ struct RipStats {
   uint64_t external_recoveries = 0;  // blocklist misses: expensive restarts
   uint64_t window_events = 0;        // dialog open/close events observed
   uint64_t contexts = 0;
-  // Index effectiveness: tree walks actually performed vs. served warm, and
+  // Capture effectiveness: id captures actually built vs. served warm, and
   // O(1) id lookups that replaced full-tree searches.
   uint64_t capture_rebuilds = 0;
   uint64_t capture_cache_hits = 0;
@@ -73,7 +73,7 @@ struct RipStats {
   // real-world latency on a live UI even though the simulator is instant.
   // Calibrated to UIA costs: ~120 ms per click, ~80 ms per capture, 30 s per
   // external recovery (app restart). Charged per *logical* capture, whether
-  // the index served it warm or rebuilt (the index speeds up the real
+  // the capture served it warm or rebuilt (that speeds up the real
   // wall-clock, which perfbench measures separately).
   double simulated_ms = 0.0;
 
@@ -100,7 +100,7 @@ class GuiRipper {
  private:
   // All currently visible (attached, on-screen) controls, by identifier.
   // The span stays valid only until the next capture or UI mutation.
-  std::span<const VisibleEntry> CaptureVisible();
+  std::span<const gsim::CaptureEntry> CaptureVisible();
 
   // Whether exploration should click this control.
   bool IsExplorable(const gsim::Control& control) const;
@@ -110,33 +110,32 @@ class GuiRipper {
   // Adds nodes and edges for a set of newly revealed controls: the click
   // (from_node) points at subtree roots; containment wires the rest.
   void AddRevealedEdges(topo::NavGraph& graph, int from_node,
-                        std::span<const VisibleEntry* const> fresh);
+                        std::span<const gsim::CaptureEntry* const> fresh);
 
   // Copies the capture's ids into before_arena_ and indexes them in
   // before_ids_, reusing both buffers.
-  void SnapshotIds(std::span<const VisibleEntry> capture);
+  void SnapshotIds(std::span<const gsim::CaptureEntry> capture);
 
   // Navigates to the state where `path` (control ids) has been clicked.
   // Returns false if replay failed (UI changed under us).
   bool ReplayPath(const std::vector<std::string>& path, const RipContext& context);
 
-  // `ensure_fresh` forces an index rebuild on a stale generation — worth it
+  // `ensure_fresh` builds the id capture on a stale generation — worth it
   // only when a capture of the same state follows immediately.
   gsim::Control* FindVisibleById(const std::string& control_id, bool ensure_fresh = false);
 
-  topo::NodeInfo MakeNodeInfo(const VisibleEntry& entry) const;
+  topo::NodeInfo MakeNodeInfo(const gsim::CaptureEntry& entry) const;
 
   gsim::Application* app_;
   RipperConfig config_;
   RipStats stats_;
   std::unordered_set<std::string> explored_;
-  VisibleIndex index_;
   // The pre-click capture's ids, end to end, and their table: the capture
   // itself is rewritten by the post-click capture.
   std::string before_arena_;
-  IdTable before_ids_;
+  gsim::IdTable before_ids_;
   // The entries a click revealed, pointing into the post-click capture.
-  std::vector<const VisibleEntry*> fresh_;
+  std::vector<const gsim::CaptureEntry*> fresh_;
 };
 
 }  // namespace ripper

@@ -1,5 +1,6 @@
 // Accessibility-tree utilities: traversal and search. The ripper's
-// differential capture (paper §4.1) runs on ripper::VisibleIndex instead.
+// differential capture (paper §4.1), the visit executor and the screen view
+// read the application's gsim::Capture (src/gui/capture.h) instead.
 #ifndef SRC_UIA_TREE_H_
 #define SRC_UIA_TREE_H_
 

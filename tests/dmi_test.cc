@@ -10,6 +10,7 @@
 #include "src/dmi/session.h"
 #include "src/gui/instability.h"
 #include "src/support/metrics.h"
+#include "src/support/rng.h"
 #include "src/support/strings.h"
 #include "src/text/tokens.h"
 #include "src/uia/tree.h"
@@ -803,6 +804,80 @@ TEST_F(ExcelSession, ToggleStateDeclarativeIdempotent) {
   ASSERT_TRUE(session_->interaction().SetToggleState(label, false).ok());
   EXPECT_FALSE(app_->filter_enabled());
 }
+
+// ----- the prompt at every step of a walk -------------------------------------------
+
+// One session held across a seeded walk under a slow-loading, name-decorating
+// injector: every 8th step resets the UI, every 8th step offset by 5 presses
+// ESC, every 4th step offset by 2 ticks the clock, every 4th step offset by 3
+// visits a sampled leaf (the visit executor refreshes the application's
+// capture before the session's screen does), and the other steps click a
+// random control of the screen. After every step the count-only prompt, the
+// materialized one and a count of the uncached reference agree, and the
+// materialized text equals the reference. A screen or listing memo that
+// misses a capture walk it did not make serves a stale prompt here.
+template <typename App>
+void ExpectPromptTracksTheWalk(App& app, dmi::DmiSession& session) {
+  constexpr int kSteps = 120;
+  gsim::InstabilityConfig config;
+  config.slow_load_rate = 0.5;
+  config.slow_load_ticks = 3;
+  config.name_variation_rate = 0.3;
+  gsim::InstabilityInjector injector(config, 20261019);
+  app.SetInstability(&injector);
+  // The leaves the model resolves by their name alone.
+  const topo::NavGraph& dag = session.catalog().dag();
+  std::vector<dmi::ResolvedTarget> leaves;
+  for (int i = 1; i < static_cast<int>(dag.node_count()); ++i) {
+    if (dag.successors(i).empty()) {
+      auto leaf = session.ResolveTargetByNames({dag.node(i).name});
+      if (leaf.ok()) {
+        leaves.push_back(*std::move(leaf));
+      }
+    }
+  }
+  ASSERT_FALSE(leaves.empty());
+  support::Rng rng(5);
+  int visits_that_acted = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(app.name() + " step " + std::to_string(step));
+    if (step % 8 == 0) {
+      app.ResetUiState();
+    } else if (step % 8 == 5) {
+      (void)app.PressKey("ESC");
+    } else if (step % 4 == 2) {
+      app.Tick();
+    } else if (step % 4 == 3) {
+      dmi::VisitCommand visit;
+      visit.kind = dmi::VisitCommand::Kind::kAccess;
+      const dmi::ResolvedTarget& leaf = leaves[rng.NextBelow(leaves.size())];
+      visit.target_id = leaf.id;
+      visit.entry_ref_ids = leaf.entry_ref_ids;
+      visits_that_acted += session.VisitParsed({visit}).ui_actions > 0 ? 1 : 0;
+    } else {
+      // The screen still shows the last step's refresh.
+      const auto shown = session.screen().labeled();
+      (void)app.Click(*shown[rng.NextBelow(shown.size())].control);
+    }
+    if (app.in_external_state()) {
+      app.ResetUiState();
+    }
+    const size_t count_only = session.PromptTokens();
+    const dmi::PromptView view = session.Prompt();
+    const std::string reference = prompt_reference::BuildPromptContextUncached(session);
+    ASSERT_EQ(count_only, view.tokens);
+    ASSERT_EQ(view.tokens, textutil::CountTokens(reference));
+    ASSERT_EQ(view.Assemble(), reference);
+  }
+  app.SetInstability(nullptr);
+  EXPECT_GT(visits_that_acted, 0);
+}
+
+TEST_F(PpointSession, PromptTracksTheWalk) { ExpectPromptTracksTheWalk(*app_, *session_); }
+
+TEST_F(WordSession, PromptTracksTheWalk) { ExpectPromptTracksTheWalk(*app_, *session_); }
+
+TEST_F(ExcelSession, PromptTracksTheWalk) { ExpectPromptTracksTheWalk(*app_, *session_); }
 
 // ----- a graph as deep as it is long ----------------------------------------
 

@@ -251,8 +251,9 @@ TEST(ScreenTest, FindByLabelRoundTrip) {
   MiniApp app;
   gsim::ScreenView screen(app);
   screen.Refresh();
-  for (const auto& lc : screen.labeled()) {
-    EXPECT_EQ(screen.FindByLabel(lc.label), lc.control);
+  const auto labeled = screen.labeled();
+  for (size_t i = 0; i < labeled.size(); ++i) {
+    EXPECT_EQ(screen.FindByLabel(gsim::IndexToLabel(i)), labeled[i].control);
   }
   EXPECT_EQ(screen.FindByLabel("ZZZ"), nullptr);
 }

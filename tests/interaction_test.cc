@@ -12,9 +12,10 @@ namespace {
 // Label of a control by true name (refreshes the screen first).
 std::string LabelOf(gsim::ScreenView& screen, const std::string& name) {
   screen.Refresh();
-  for (const auto& lc : screen.labeled()) {
-    if (lc.control->TrueName() == name) {
-      return lc.label;
+  const auto labeled = screen.labeled();
+  for (size_t i = 0; i < labeled.size(); ++i) {
+    if (labeled[i].control->TrueName() == name) {
+      return gsim::IndexToLabel(i);
     }
   }
   return "";
@@ -193,9 +194,9 @@ TEST(RangeValueTest, SliderAcceptsDeclarativeValue) {
   ASSERT_TRUE(app.Click(*more).ok());
   screen.Refresh();
   std::string label;
-  for (const auto& lc : screen.labeled()) {
-    if (lc.control->TrueName() == "Transparency") {
-      label = lc.label;
+  for (size_t i = 0; i < screen.labeled().size(); ++i) {
+    if (screen.labeled()[i].control->TrueName() == "Transparency") {
+      label = gsim::IndexToLabel(i);
     }
   }
   ASSERT_FALSE(label.empty());
@@ -205,9 +206,9 @@ TEST(RangeValueTest, SliderAcceptsDeclarativeValue) {
   EXPECT_DOUBLE_EQ(slider->range_value(), 40.0);
   // Out-of-range values produce a structured error, not a clamp.
   screen.Refresh();
-  for (const auto& lc : screen.labeled()) {
-    if (lc.control->TrueName() == "Transparency") {
-      label = lc.label;
+  for (size_t i = 0; i < screen.labeled().size(); ++i) {
+    if (screen.labeled()[i].control->TrueName() == "Transparency") {
+      label = gsim::IndexToLabel(i);
     }
   }
   EXPECT_EQ(ix.SetRangeValue(label, 250.0).code(), support::StatusCode::kInvalidArgument);
@@ -219,9 +220,9 @@ TEST(RangeValueTest, NonRangeControlRejected) {
   dmi::InteractionInterfaces ix(app, screen);
   screen.Refresh();
   std::string label;
-  for (const auto& lc : screen.labeled()) {
-    if (lc.control->TrueName() == "Bold") {
-      label = lc.label;
+  for (size_t i = 0; i < screen.labeled().size(); ++i) {
+    if (screen.labeled()[i].control->TrueName() == "Bold") {
+      label = gsim::IndexToLabel(i);
     }
   }
   EXPECT_EQ(ix.SetRangeValue(label, 10).code(), support::StatusCode::kFailedPrecondition);

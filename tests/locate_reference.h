@@ -9,8 +9,8 @@
 #include <string>
 
 #include "src/gui/application.h"
+#include "src/gui/capture.h"
 #include "src/ripper/identifier.h"
-#include "src/ripper/visible_index.h"
 #include "src/text/similarity.h"
 #include "src/topology/nav_graph.h"
 
@@ -20,8 +20,8 @@ namespace locate_reference {
 inline constexpr double kFuzzyThreshold = 0.72;
 
 // The control in the top window that stands for `info`, or nullptr. `index`
-// is a capture index of `app` that only this reference uses.
-inline gsim::Control* LocateControl(gsim::Application& app, ripper::VisibleIndex& index,
+// is the capture of `app`.
+inline gsim::Control* LocateControl(gsim::Application& app, gsim::Capture& index,
                                     const topo::NodeInfo& info) {
   gsim::Window* top = app.TopWindow();
   if (top == nullptr) {
@@ -33,7 +33,7 @@ inline gsim::Control* LocateControl(gsim::Application& app, ripper::VisibleIndex
   const std::string query_path = ripper::ParseControlId(info.control_id).ancestor_path;
   gsim::Control* best_fuzzy = nullptr;
   double best_score = 0.0;
-  for (const ripper::VisibleEntry& entry : index.TopWindowEntries()) {
+  for (const gsim::CaptureEntry& entry : index.TopWindowEntries()) {
     if (entry.control_id == info.control_id) {
       return entry.control;
     }

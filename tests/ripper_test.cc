@@ -16,7 +16,6 @@
 #include "src/gui/instability.h"
 #include "src/ripper/identifier.h"
 #include "src/ripper/ripper.h"
-#include "src/ripper/visible_index.h"
 #include "src/support/metrics.h"
 #include "src/support/rng.h"
 #include "src/topology/transform.h"
@@ -28,7 +27,7 @@ namespace {
 
 // ----- identifiers ----------------------------------------------------------------
 
-// The oracle for VisibleIndex's ids: a live element's identifier built from
+// The oracle for the capture's ids: a live element's identifier built from
 // scratch (primary|type|ancestor path, identifier.h), re-walking the parent
 // chain instead of extending one shared path buffer.
 std::string SynthesizeControlId(const uia::Element& element) {
@@ -65,10 +64,9 @@ class IdApp : public gsim::Application {
   gsim::Control* pathological;
 };
 
-// The id VisibleIndex captured for `control`.
+// The id the application's capture wrote for `control`.
 std::string CapturedId(gsim::Application& app, const gsim::Control* control) {
-  ripper::VisibleIndex index(app);
-  for (const ripper::VisibleEntry& entry : index.Visible()) {
+  for (const gsim::CaptureEntry& entry : app.capture().Visible()) {
     if (entry.control == control) {
       return entry.control_id;
     }
@@ -325,18 +323,18 @@ bool IsExplorable(const gsim::Control& c) {
   }
 }
 
-// One VisibleIndex held across a seeded walk of the mutations a rip makes:
-// every 8th step resets the UI and replays the context, every 8th step
-// offset by 5 presses ESC, and every other step clicks a random explorable
-// control. After each step the index must agree with a fresh walk: the
-// stale lookup (the cold walk), the capture, and the warm lookups, unscoped
-// and scoped to the top window. An index that misses a generation bump
-// serves a stale capture here.
+// The application's capture across a seeded walk of the mutations a rip
+// makes: every 8th step resets the UI and replays the context, every 8th
+// step offset by 5 presses ESC, and every other step clicks a random
+// explorable control. After each step the capture must agree with a fresh
+// walk: the stale lookup (the cold walk), the capture, and the warm lookups,
+// unscoped and scoped to the top window. A capture that misses a generation
+// bump serves a stale state here.
 template <typename App>
 void ExpectIndexTracksTheWalk(const std::vector<ripper::RipContext>& contexts) {
   constexpr int kSteps = 400;
   App app;
-  ripper::VisibleIndex index(app);
+  gsim::Capture& index = app.capture();
   support::Rng rng(20261019);
   std::set<std::string> captures;
   int stale_steps = 0;
@@ -388,7 +386,7 @@ void ExpectIndexTracksTheWalk(const std::vector<ripper::RipContext>& contexts) {
     ASSERT_EQ(index.FindById(probe), first.at(probe)) << probe;
     EXPECT_EQ(index.FindById("Missing|Button|"), nullptr);
 
-    const std::span<const ripper::VisibleEntry> visible = index.Visible();
+    const std::span<const gsim::CaptureEntry> visible = index.Visible();
     ASSERT_EQ(visible.size(), walked.size());
     for (size_t i = 0; i < walked.size(); ++i) {
       ASSERT_EQ(visible[i].control, walked[i]) << "entry " << i;
@@ -423,7 +421,7 @@ TEST(VisibleIndexTest, TracksTheWalkAcrossClicksPpoint) {
   tracking::ExpectIndexTracksTheWalk<apps::PpointSim>({tracking::ImageContext()});
 }
 
-// ----- visible-index window slices ------------------------------------------------
+// ----- capture window slices ---------------------------------------------------------
 
 namespace slices {
 
@@ -494,10 +492,10 @@ gsim::Control* RevealDialogOpener(gsim::Application& app) {
 // synthesizes, and end the capture.
 void ExpectTopSliceMatchesWalk(gsim::Application& app, const std::string& state) {
   SCOPED_TRACE(app.name() + ": " + state);
-  ripper::VisibleIndex index(app);
+  gsim::Capture& index = app.capture();
   gsim::Window* top = app.TopWindow();
   ASSERT_NE(top, nullptr);
-  const std::span<const ripper::VisibleEntry> slice = index.TopWindowEntries();
+  const std::span<const gsim::CaptureEntry> slice = index.TopWindowEntries();
   const std::vector<gsim::Control*> walked = WalkVisible(top->root());
   ASSERT_FALSE(walked.empty());
   ASSERT_EQ(slice.size(), walked.size());
@@ -506,7 +504,7 @@ void ExpectTopSliceMatchesWalk(gsim::Application& app, const std::string& state)
     EXPECT_EQ(slice[i].control_id, SynthesizeControlId(*walked[i])) << "entry " << i;
     EXPECT_EQ(slice[i].ancestor_path(), uia::AncestorPath(*walked[i])) << "entry " << i;
   }
-  const std::span<const ripper::VisibleEntry> all = index.Visible();
+  const std::span<const gsim::CaptureEntry> all = index.Visible();
   EXPECT_EQ(slice.data() + slice.size(), all.data() + all.size());
 }
 
@@ -597,7 +595,7 @@ TEST(VisibleIndexTest, WindowSliceMatchesWalkPpoint) {
   slices::ExpectSlicesMatchWalkAcrossStates<apps::PpointSim>();
 }
 
-// ----- visible-index work counters --------------------------------------------------
+// ----- capture work counters -----------------------------------------------------------
 
 namespace warm {
 
@@ -608,10 +606,13 @@ uint64_t IndexCounter(const std::string& name) {
 // While the UI generation holds, a lookup is one probe of the capture: one
 // rebuild serves every id, and no lookup walks the tree. The first stale
 // lookup after a bump walks once and leaves the rebuild to the next capture.
-// The index flushes its tallies when destroyed, so each phase scopes one.
+// The capture flushes its tallies when its application's lease is reset, so
+// a reset closes each phase.
 template <typename App>
 void ExpectWarmLookupsNeverWalk() {
   App app;
+  app.CaptureFreshState();
+  gsim::Capture& index = app.capture();
   const uint64_t rebuilds = IndexCounter("rebuilds");
   const uint64_t lookups = IndexCounter("lookups");
   const uint64_t cold_walks = IndexCounter("cold_walks");
@@ -619,14 +620,13 @@ void ExpectWarmLookupsNeverWalk() {
   std::string probe_id;
   gsim::Control* probe = nullptr;
   {
-    ripper::VisibleIndex index(app);
-    const std::span<const ripper::VisibleEntry> captured = index.Visible();
+    const std::span<const gsim::CaptureEntry> captured = index.Visible();
     ASSERT_FALSE(captured.empty());
     std::map<std::string, gsim::Control*> first;
-    for (const ripper::VisibleEntry& entry : captured) {
+    for (const gsim::CaptureEntry& entry : captured) {
       first.emplace(entry.control_id, entry.control);
     }
-    for (const ripper::VisibleEntry& entry : captured) {
+    for (const gsim::CaptureEntry& entry : captured) {
       EXPECT_EQ(index.FindById(entry.control_id), first.at(entry.control_id))
           << entry.control_id;
     }
@@ -634,18 +634,17 @@ void ExpectWarmLookupsNeverWalk() {
     probe_id = captured.back().control_id;
     probe = first.at(probe_id);
   }
+  app.ResetToFreshState();
   EXPECT_EQ(IndexCounter("rebuilds") - rebuilds, 1u);
   EXPECT_EQ(IndexCounter("lookups") - lookups, entries);
   EXPECT_EQ(IndexCounter("cold_walks") - cold_walks, 0u);
 
   const uint64_t warm_rebuilds = IndexCounter("rebuilds");
   const uint64_t warm_cold_walks = IndexCounter("cold_walks");
-  {
-    ripper::VisibleIndex index(app);
-    (void)index.Visible();
-    app.BumpUiGeneration();
-    EXPECT_EQ(index.FindById(probe_id), probe);
-  }
+  (void)index.Visible();
+  app.BumpUiGeneration();
+  EXPECT_EQ(index.FindById(probe_id), probe);
+  app.ResetToFreshState();
   EXPECT_EQ(IndexCounter("rebuilds") - warm_rebuilds, 1u);  // the capture only
   EXPECT_EQ(IndexCounter("cold_walks") - warm_cold_walks, 1u);
 }
@@ -666,13 +665,14 @@ TEST(VisibleIndexTest, WarmLookupsNeverWalkPpoint) {
 
 namespace warm {
 
-// Once a capture has sized the index's buffers, rebuilding an unchanged UI
-// state reuses them: ids are rewritten in place, ancestor paths share one
-// buffer and the id table keeps its arrays, so the rebuild allocates nothing.
+// Once a capture has sized its buffers, rebuilding an unchanged UI state
+// reuses them: the walk refills the entries, ids are rewritten in place,
+// ancestor paths share one buffer and the id table keeps its arrays, so the
+// rebuild allocates nothing.
 template <typename App>
 void ExpectWarmRebuildAllocatesNothing() {
   App app;
-  ripper::VisibleIndex index(app);
+  gsim::Capture& index = app.capture();
   const size_t entries = index.Visible().size();
   app.BumpUiGeneration();
   bool rebuilt = false;
@@ -730,7 +730,7 @@ TEST(VisibleIndexTest, DuplicateIdsResolveInPreOrder) {
   const std::string twin = "Twin|Button|DupApp";
   DuplicateIdApp app;
   ASSERT_EQ(SynthesizeControlId(*app.second), twin);
-  ripper::VisibleIndex index(app);
+  gsim::Capture& index = app.capture();
   // Stale (an early-exit walk), then fresh, then warm: the first in pre-order.
   EXPECT_EQ(index.FindById(twin), app.first);
   EXPECT_EQ(index.FindByIdEnsureFresh(twin), app.first);
@@ -760,6 +760,24 @@ TEST(VisibleIndexTest, DuplicateIdsResolveInPreOrder) {
   EXPECT_EQ(index.FindById(twin), app.second);
   EXPECT_EQ(index.FindByIdInWindow(twin, &app.main_window()), app.second);
   EXPECT_EQ(index.FindByIdInWindow(twin, app.dialog), app.in_dialog);
+}
+
+// A stale lookup over a walk that wrote no id (the screen's walk) writes ids
+// up to its match and walks no second time; a later id query still builds
+// the generation's id capture.
+TEST(CaptureTest, StaleLookupOverAWalkWithoutIdsDoesNotWalkAgain) {
+  const std::string twin = "Twin|Button|DupApp";
+  DuplicateIdApp app;
+  gsim::Capture& capture = app.capture();
+  capture.Refresh();
+  const uint64_t walks = capture.walks();
+  EXPECT_EQ(capture.FindById(twin), app.first);
+  EXPECT_EQ(capture.FindById("Missing|Button|DupApp"), nullptr);
+  EXPECT_EQ(capture.walks(), walks);
+  bool rebuilt = false;
+  EXPECT_EQ(capture.FindByIdEnsureFresh(twin, &rebuilt), app.first);
+  EXPECT_TRUE(rebuilt);
+  EXPECT_EQ(capture.walks(), walks);
 }
 
 // ----- full-app rip (Word) -----------------------------------------------------------

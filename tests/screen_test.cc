@@ -1,7 +1,7 @@
-// The generation-keyed ScreenView and the Tick() it relies on: the cached
-// observation against a from-scratch walk (tests/screen_reference.h) across
-// a seeded walk of UI mutations, the allocation-free warm refresh, and the
-// logical clock bumping the UI generation only when a reveal matures.
+// The ScreenView over the application's capture and the Tick() it relies on:
+// the cached observation against an uncached walk (tests/screen_reference.h)
+// across a seeded walk of UI mutations, the allocation-free warm refresh, and
+// the logical clock bumping the UI generation only when a reveal matures.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +13,6 @@
 #include "src/gui/application.h"
 #include "src/gui/instability.h"
 #include "src/gui/screen.h"
-#include "src/ripper/visible_index.h"
 #include "src/support/rng.h"
 #include "src/text/tokens.h"
 #include "tests/allocation_counter.h"
@@ -32,12 +31,15 @@ std::string FirstWord(const std::string& name) {
 // injector: every 8th step resets the UI, every 8th step offset by 5 presses
 // ESC, every 4th step offset by 2 ticks the logical clock (a slow popup
 // appears on the tick its reveal matures), and every other step clicks a
-// random visible control. After each step the view must agree with the
-// reference walk: labels, controls, rects, the listing and its token count —
-// before its Refresh (the stale listing counts the controls it holds with
-// their current states) and after it. The top-window name lookup is checked
+// random visible control. After each step, before its Refresh, the view must
+// still show the last refresh: the reference entries of the previous step
+// (controls, rects and hit-tests of that layout, and their listing with the
+// names and states read now, whose token count it reports). After its
+// Refresh it must agree with the reference walk: labels, controls, rects,
+// the listing and its token count. The top-window name lookup is checked
 // too, for visible names and their first words. A view that misses a
-// generation bump serves a stale observation here.
+// generation bump serves a stale observation here, and one whose capture is
+// refreshed behind it shows the new state too early.
 template <typename App>
 void ExpectViewTracksTheWalk() {
   constexpr int kSteps = 400;
@@ -51,6 +53,8 @@ void ExpectViewTracksTheWalk() {
   gsim::ScreenView view(app);
   view.Refresh();
   support::Rng rng(7);
+  support::Rng hit_rng(11);
+  std::vector<screen_reference::Entry> last = screen_reference::LabeledControls(app);
   int maturing_ticks = 0;
   int stale_steps = 0;
   for (int step = 0; step < kSteps; ++step) {
@@ -76,6 +80,29 @@ void ExpectViewTracksTheWalk() {
 
     // Stale: the view still holds the last state's controls.
     EXPECT_EQ(view.ListingTokens(), textutil::CountTokens(view.RenderListing()));
+    {
+      const auto held = view.labeled();
+      ASSERT_EQ(held.size(), last.size());
+      for (size_t i = 0; i < last.size(); ++i) {
+        ASSERT_EQ(held[i].control, last[i].control) << "held label " << last[i].label;
+        const gsim::Rect rect = held[i].control->rect();
+        ASSERT_EQ(rect.x, last[i].rect.x);
+        ASSERT_EQ(rect.y, last[i].rect.y);
+        ASSERT_EQ(rect.width, last[i].rect.width);
+        ASSERT_EQ(rect.height, last[i].rect.height);
+      }
+      ASSERT_EQ(view.RenderListing(), screen_reference::RenderListing(last));
+      for (int probe = 0; probe < 3; ++probe) {
+        const gsim::Point center = last[hit_rng.NextBelow(last.size())].rect.Center();
+        gsim::Control* topmost = nullptr;
+        for (size_t i = last.size(); i-- > 0 && topmost == nullptr;) {
+          if (last[i].rect.Contains(center)) {
+            topmost = last[i].control;
+          }
+        }
+        ASSERT_EQ(view.HitTest(center), topmost);
+      }
+    }
 
     view.Refresh();
     const std::vector<screen_reference::Entry> expected = screen_reference::LabeledControls(app);
@@ -83,7 +110,7 @@ void ExpectViewTracksTheWalk() {
     ASSERT_EQ(labeled.size(), expected.size());
     ASSERT_EQ(view.VisibleCount(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(labeled[i].label, expected[i].label);
+      ASSERT_EQ(view.FindByLabel(expected[i].label), expected[i].control);
       ASSERT_EQ(labeled[i].control, expected[i].control) << "label " << expected[i].label;
       const gsim::Rect rect = labeled[i].control->rect();
       ASSERT_EQ(rect.x, expected[i].rect.x);
@@ -95,6 +122,7 @@ void ExpectViewTracksTheWalk() {
     ASSERT_EQ(view.RenderListing(), listing);
     ASSERT_EQ(view.RenderListing(9), screen_reference::RenderListing(expected, 9));
     ASSERT_EQ(view.ListingTokens(), textutil::CountTokens(listing));
+    last = expected;
 
     for (int probe = 0; probe < 3; ++probe) {
       const std::string name =
@@ -125,10 +153,10 @@ TEST(ScreenViewTest, TracksTheWalkAcrossClicksPpoint) {
   ExpectViewTracksTheWalk<apps::PpointSim>();
 }
 
-// Once a refresh has sized the view's buffers, rebuilding an unchanged UI
-// state reuses them — labels are rewritten in place and the entry list keeps
-// its length — and the listing's token count renders into a kept buffer, so
-// the rebuild, the count and an exact top-window lookup allocate nothing.
+// Once a refresh has sized the capture's buffers, re-walking an unchanged UI
+// state reuses them — the entry list keeps its length and no label is
+// stored — and the listing's token count renders into a kept buffer, so the
+// refresh, the count and an exact top-window lookup allocate nothing.
 template <typename App>
 void ExpectWarmRefreshAllocatesNothing() {
   App app;
@@ -191,9 +219,9 @@ TEST(ScreenViewTest, RefreshAtAnUnchangedGenerationIsANoOp) {
 TEST(TickTest, BumpsTheGenerationOnlyWhenARevealMatures) {
   apps::WordSim app;
   gsim::ScreenView view(app);
-  ripper::VisibleIndex index(app);
+  gsim::Capture& capture = app.capture();
   view.Refresh();
-  (void)index.Visible();
+  (void)capture.Visible();
 
   // No reveal pending: a tick changes nothing.
   uint64_t generation = app.ui_generation();
@@ -202,8 +230,8 @@ TEST(TickTest, BumpsTheGenerationOnlyWhenARevealMatures) {
 
   // Open a transient popup, then make it and its first item load slowly.
   gsim::Control* host = nullptr;
-  for (const gsim::LabeledControl& lc : view.labeled()) {
-    gsim::Control* c = lc.control;
+  for (const gsim::CaptureEntry& entry : view.labeled()) {
+    gsim::Control* c = entry.control;
     if (c->click_effect() == gsim::ClickEffect::kRevealPopup && c->popup() != nullptr &&
         !c->popup_persistent() && !c->popup()->StaticChildren().empty()) {
       host = c;
@@ -218,8 +246,8 @@ TEST(TickTest, BumpsTheGenerationOnlyWhenARevealMatures) {
   app.SetRevealTick(*popup, reveal);
   app.SetRevealTick(*item, reveal);
 
-  auto index_shows = [&](const gsim::Control* control) {
-    for (const ripper::VisibleEntry& entry : index.Visible()) {
+  auto capture_shows = [&](const gsim::Control* control) {
+    for (const gsim::CaptureEntry& entry : capture.Visible()) {
       if (entry.control == control) {
         return true;
       }
@@ -228,15 +256,15 @@ TEST(TickTest, BumpsTheGenerationOnlyWhenARevealMatures) {
   };
   view.Refresh();
   EXPECT_EQ(view.LabelOf(*item), "");
-  EXPECT_FALSE(index_shows(item));
+  EXPECT_FALSE(capture_shows(item));
 
-  // Two ticks before the reveal: no bump, and both caches stay warm.
+  // Two ticks before the reveal: no bump, and the capture stays warm.
   for (int t = 0; t < 2; ++t) {
     generation = app.ui_generation();
     app.Tick();
     EXPECT_EQ(app.ui_generation(), generation);
     bool rebuilt = true;
-    (void)index.Visible(&rebuilt);
+    (void)capture.Visible(&rebuilt);
     EXPECT_FALSE(rebuilt);
     EXPECT_TRUE(item->IsOffscreen());
   }
@@ -250,7 +278,7 @@ TEST(TickTest, BumpsTheGenerationOnlyWhenARevealMatures) {
   view.Refresh();
   EXPECT_NE(view.LabelOf(*popup), "");
   EXPECT_NE(view.LabelOf(*item), "");
-  EXPECT_TRUE(index_shows(item));
+  EXPECT_TRUE(capture_shows(item));
 
   // Past every reveal: ticks change nothing again.
   generation = app.ui_generation();

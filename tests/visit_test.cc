@@ -1,6 +1,7 @@
 // The visit executor's control locate against the reference search
 // (tests/locate_reference.h), which keeps no memo and scores every fuzzy
-// candidate in full, across a seeded walk of UI mutations.
+// candidate in full, across a seeded walk of UI mutations; and the one
+// capture per UI state that the executor and the screen share.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,12 +14,15 @@
 #include "src/apps/ppoint_sim.h"
 #include "src/apps/word_sim.h"
 #include "src/dmi/compiled_model.h"
+#include "src/dmi/session.h"
 #include "src/dmi/visit.h"
 #include "src/gui/instability.h"
+#include "src/gui/screen.h"
 #include "src/ripper/ripper.h"
-#include "src/ripper/visible_index.h"
 #include "src/support/metrics.h"
 #include "src/support/rng.h"
+#include "src/support/strings.h"
+#include "tests/allocation_counter.h"
 #include "tests/locate_reference.h"
 #include "tests/screen_reference.h"
 
@@ -57,7 +61,7 @@ void ExpectLocateMatchesTheReference(const dmi::CompiledModel& model,
   gsim::InstabilityInjector injector(config, 20261019);
   app.SetInstability(&injector);
   dmi::VisitExecutor executor(app, model.catalog(), dmi::VisitConfig{});
-  ripper::VisibleIndex reference_index(app);
+  gsim::Capture& reference_index = app.capture();
   const support::Counter& memo_hits =
       support::MetricsRegistry::Global().GetCounter("visit.locate_memo_hits");
 
@@ -185,6 +189,127 @@ TEST(VisitLocateTest, MatchesTheReferenceAcrossClicksExcel) {
 
 TEST(VisitLocateTest, MatchesTheReferenceAcrossClicksPpoint) {
   ExpectLocateMatchesTheReferenceAcrossClicks<apps::PpointSim>();
+}
+
+// ----- one capture per UI state --------------------------------------------------
+
+// At one UI generation the executor's locates and the screen's refresh share
+// one walk of the visible tree, whichever asks first. The screen's refresh
+// writes no id; the executor's first locate writes them over the same walk,
+// and the screen lays out a walk the executor made.
+template <typename App>
+void ExpectOneWalkPerGeneration() {
+  const std::shared_ptr<const dmi::CompiledModel> model = RipAndCompile<App>();
+  const topo::NavGraph& dag = model->dag();
+  App app;
+  dmi::VisitExecutor executor(app, model->catalog(), dmi::VisitConfig{});
+  gsim::ScreenView screen(app);
+  gsim::Capture& capture = app.capture();
+  support::Rng rng(3);
+  for (int step = 0; step < 24; ++step) {
+    const bool screen_first = step % 2 == 0;
+    SCOPED_TRACE(app.name() + " step " + std::to_string(step) +
+                 (screen_first ? ", screen first" : ", executor first"));
+    const uint64_t generation = app.ui_generation();
+    if (step % 6 == 0) {
+      app.ResetUiState();
+    } else {
+      const std::vector<screen_reference::Entry> visible = screen_reference::LabeledControls(app);
+      (void)app.Click(*visible[rng.NextBelow(visible.size())].control);
+      if (app.in_external_state()) {
+        app.ResetUiState();
+      }
+    }
+    if (app.ui_generation() == generation) {
+      app.BumpUiGeneration();  // an inert click: a new generation all the same
+    }
+    const uint64_t walks = capture.walks();
+    if (screen_first) {
+      screen.Refresh();
+    }
+    for (int draw = 0; draw < 8; ++draw) {
+      (void)executor.LocateControl(
+          dag.node(1 + static_cast<int>(rng.NextBelow(dag.node_count() - 1))));
+    }
+    screen.Refresh();
+    EXPECT_EQ(capture.walks() - walks, 1u);
+    bool rebuilt = true;
+    (void)capture.Visible(&rebuilt);
+    EXPECT_FALSE(rebuilt);  // the first locate built this generation's ids
+
+    const std::vector<screen_reference::Entry> expected = screen_reference::LabeledControls(app);
+    ASSERT_EQ(screen.VisibleCount(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(screen.labeled()[i].control, expected[i].control);
+      const gsim::Rect rect = expected[i].control->rect();
+      ASSERT_EQ(rect.x, expected[i].rect.x) << "label " << expected[i].label;
+      ASSERT_EQ(rect.y, expected[i].rect.y) << "label " << expected[i].label;
+    }
+    ASSERT_EQ(screen.RenderListing(), screen_reference::RenderListing(expected));
+  }
+}
+
+TEST(CaptureTest, OneWalkPerGenerationWord) { ExpectOneWalkPerGeneration<apps::WordSim>(); }
+
+TEST(CaptureTest, OneWalkPerGenerationExcel) { ExpectOneWalkPerGeneration<apps::ExcelSim>(); }
+
+TEST(CaptureTest, OneWalkPerGenerationPpoint) { ExpectOneWalkPerGeneration<apps::PpointSim>(); }
+
+// The capture belongs to the application, so a pooled application's buffers
+// outlive its sessions: once a session has run, a session attached after a
+// reset refreshes its screen, builds a new generation's ids for a locate and
+// labels a control without allocating.
+template <typename App>
+void ExpectWarmSessionAllocatesNothing() {
+  const std::shared_ptr<const dmi::CompiledModel> model = RipAndCompile<App>();
+  const topo::NavGraph& dag = model->dag();
+  App app;
+  app.CaptureFreshState();
+  std::string id;
+  gsim::Control* control = nullptr;
+  {
+    dmi::DmiSession first(app, model);
+    const gsim::CaptureEntry& entry = app.capture().Visible().back();
+    id = entry.control_id;
+    control = entry.control;
+    (void)first.Prompt();
+    // A visit of a leaf: its navigation locates in the start state and past it.
+    for (int i = 1; i < static_cast<int>(dag.node_count()); ++i) {
+      const auto leaf = first.ResolveTargetByNames({dag.node(i).name});
+      if (dag.successors(i).empty() && leaf.ok() && leaf->entry_ref_ids.empty()) {
+        EXPECT_GT(first.Visit(support::Format(R"([{"id":"%d"}])", leaf->id)).ui_actions, 0u);
+        break;
+      }
+    }
+  }
+  app.ResetToFreshState();
+  dmi::DmiSession second(app, model);
+  app.BumpUiGeneration();
+  size_t allocations = 0;
+  gsim::Control* found = nullptr;
+  std::string label;
+  {
+    AllocationCounter counter;
+    second.screen().Refresh();
+    found = app.capture().FindByIdInWindow(id, app.TopWindow());
+    label = second.screen().LabelOf(*control);
+    allocations = counter.count();
+  }
+  EXPECT_NE(found, nullptr);
+  EXPECT_FALSE(label.empty());
+  EXPECT_EQ(allocations, 0u) << "refreshing " << second.screen().VisibleCount() << " controls";
+}
+
+TEST(CaptureTest, WarmSessionAllocatesNothingWord) {
+  ExpectWarmSessionAllocatesNothing<apps::WordSim>();
+}
+
+TEST(CaptureTest, WarmSessionAllocatesNothingExcel) {
+  ExpectWarmSessionAllocatesNothing<apps::ExcelSim>();
+}
+
+TEST(CaptureTest, WarmSessionAllocatesNothingPpoint) {
+  ExpectWarmSessionAllocatesNothing<apps::PpointSim>();
 }
 
 }  // namespace
