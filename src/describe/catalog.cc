@@ -33,14 +33,15 @@ bool IsLargeEnumeration(const topo::NavGraph& dag, const topo::Tree& tree,
 
 }  // namespace
 
-TopologyCatalog::TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest,
-                                 PruneOptions prune, DescribeOptions describe)
-    : dag_(dag), forest_(std::move(forest)), describe_(describe) {
+TopologyCatalog::TopologyCatalog(topo::NavGraph dag, topo::Forest forest,
+                                 const PruneOptions& prune, DescribeOptions describe)
+    : dag_(std::move(dag)), forest_(std::move(forest)), describe_(describe) {
   core_ids_ = IdSet(forest_.max_id());
   ComputeCore(prune);
-  core_text_ = SerializeForest(*dag_, forest_, describe_, &core_ids_);
-  subtree_once_ = std::make_unique<std::once_flag[]>(forest_.shared().size());
-  subtree_text_.resize(forest_.shared().size());
+  core_text_ = SerializeForest(dag_, forest_, describe_, &core_ids_);
+  core_tokens_ = textutil::CountTokens(core_text_);
+  full_text_ = SerializeForest(dag_, forest_, describe_);
+  full_tokens_ = textutil::CountTokens(full_text_);
 }
 
 void TopologyCatalog::ComputeCore(const PruneOptions& prune) {
@@ -64,12 +65,12 @@ void TopologyCatalog::ComputeCore(const PruneOptions& prune) {
         core_stats_.elided += node.children.size();
         continue;
       }
-      const topo::NodeInfo& info = dag_->node(node.graph_index);
+      const topo::NodeInfo& info = dag_.node(node.graph_index);
       if (prune.manual_exclude_names.count(info.name) > 0) {
         core_stats_.elided += node.children.size();
         continue;
       }
-      if (IsLargeEnumeration(*dag_, tree, node, prune.enumeration_limit)) {
+      if (IsLargeEnumeration(dag_, tree, node, prune.enumeration_limit)) {
         core_stats_.elided += node.children.size();
         ++core_stats_.elided_enumerations;
         continue;
@@ -87,75 +88,6 @@ void TopologyCatalog::ComputeCore(const PruneOptions& prune) {
   }
 }
 
-size_t TopologyCatalog::CoreTokens() const {
-  static support::Counter& calls =
-      support::MetricsRegistry::Global().GetCounter("describe.token_count_calls");
-  calls.Increment();
-  std::call_once(core_tokens_once_, [this] {
-    static support::Counter& builds =
-        support::MetricsRegistry::Global().GetCounter("describe.token_count_builds");
-    builds.Increment();
-    core_tokens_ = textutil::CountTokens(core_text_);
-  });
-  return core_tokens_;
-}
-
-const std::string& TopologyCatalog::FullText() const {
-  static support::Counter& calls =
-      support::MetricsRegistry::Global().GetCounter("describe.serialize_full_calls");
-  calls.Increment();
-  std::call_once(full_text_once_, [this] {
-    static support::Counter& builds =
-        support::MetricsRegistry::Global().GetCounter("describe.serialize_full_builds");
-    builds.Increment();
-    // Compose from the memoized per-subtree serializations (shared with
-    // ExpandBranch); byte-identical to SerializeForest, asserted in tests.
-    std::string out;
-    out.reserve(forest_.total_nodes() * 28 + 64);
-    out += "# Navigation topology\n## Main tree\n";
-    out += SerializeTree(*dag_, forest_, -1, describe_, nullptr);
-    out += "\n";
-    for (size_t s = 0; s < forest_.shared().size(); ++s) {
-      if (forest_.shared()[s].nodes.empty()) {
-        continue;
-      }
-      out += "## Shared subtree S" + std::to_string(s) + "\n";
-      out += SubtreeText(static_cast<int>(s));
-      out += "\n";
-    }
-    out += SerializeEntryMap(forest_, nullptr);
-    full_text_ = std::move(out);
-  });
-  return full_text_;
-}
-
-size_t TopologyCatalog::FullTokens() const {
-  static support::Counter& calls =
-      support::MetricsRegistry::Global().GetCounter("describe.token_count_calls");
-  calls.Increment();
-  std::call_once(full_tokens_once_, [this] {
-    static support::Counter& builds =
-        support::MetricsRegistry::Global().GetCounter("describe.token_count_builds");
-    builds.Increment();
-    full_tokens_ = textutil::CountTokens(FullText());
-  });
-  return full_tokens_;
-}
-
-const std::string& TopologyCatalog::SubtreeText(int subtree) const {
-  static support::Counter& calls =
-      support::MetricsRegistry::Global().GetCounter("describe.serialize_subtree_calls");
-  calls.Increment();
-  std::call_once(subtree_once_[static_cast<size_t>(subtree)], [this, subtree] {
-    static support::Counter& builds =
-        support::MetricsRegistry::Global().GetCounter("describe.serialize_subtree_builds");
-    builds.Increment();
-    subtree_text_[static_cast<size_t>(subtree)] =
-        SerializeTree(*dag_, forest_, subtree, describe_, nullptr);
-  });
-  return subtree_text_[static_cast<size_t>(subtree)];
-}
-
 support::Result<std::string> TopologyCatalog::ExpandBranch(int id) const {
   static support::Counter& calls =
       support::MetricsRegistry::Global().GetCounter("describe.expand_branch_calls");
@@ -166,10 +98,9 @@ support::Result<std::string> TopologyCatalog::ExpandBranch(int id) const {
   }
   const topo::TreeNode* node = forest_.NodeAt(*loc);
   if (node->is_reference) {
-    // Expanding a reference expands the shared subtree it points at, served
-    // from the memoized subtree serialization.
+    // Expanding a reference expands the shared subtree it points at.
     return std::string("## Shared subtree S") + std::to_string(node->ref_subtree) + "\n" +
-           SubtreeText(node->ref_subtree);
+           SerializeTree(dag_, forest_, node->ref_subtree, describe_);
   }
   // Serialize the branch rooted at `id` without pruning: temporary keep-set
   // of the branch's ids.
@@ -189,7 +120,7 @@ support::Result<std::string> TopologyCatalog::ExpandBranch(int id) const {
     branch.insert(tree.nodes[static_cast<size_t>(cursor)].id);
     cursor = tree.nodes[static_cast<size_t>(cursor)].parent;
   }
-  return SerializeTree(*dag_, forest_, loc->tree, describe_, &branch);
+  return SerializeTree(dag_, forest_, loc->tree, describe_, &branch);
 }
 
 }  // namespace desc

@@ -7,18 +7,15 @@
 //   - targeted: expand the substructure beneath one node id;
 //   - global (-1): retrieve the complete forest.
 //
-// The forest is immutable after construction, so every serialization and
-// token count is computed at most once: FullText/FullTokens/CoreTokens and
-// the per-shared-subtree serializations are lazy, thread-safe (std::call_once)
-// caches whose hit/miss tallies land on the describe.* metrics (DESIGN.md §9).
+// The catalog is an immutable value: it owns the decycled DAG and its forest,
+// and its constructor computes the core and full texts and their token
+// counts once, so every accessor is a plain getter and concurrent readers
+// need no synchronization (DESIGN.md §9).
 #ifndef SRC_DESCRIBE_CATALOG_H_
 #define SRC_DESCRIBE_CATALOG_H_
 
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "src/describe/serialize.h"
 #include "src/support/status.h"
@@ -45,28 +42,26 @@ struct CoreStats {
 
 class TopologyCatalog {
  public:
-  TopologyCatalog(const topo::NavGraph* dag, topo::Forest forest, PruneOptions prune,
+  // `forest` must be SelectiveExternalize of `dag`: its graph indices point
+  // into it.
+  TopologyCatalog(topo::NavGraph dag, topo::Forest forest, const PruneOptions& prune,
                   DescribeOptions describe);
 
   const topo::Forest& forest() const { return forest_; }
-  const topo::NavGraph& dag() const { return *dag_; }
+  const topo::NavGraph& dag() const { return dag_; }
 
   // Serialized pruned core (what every LLM call carries by default).
   const std::string& CoreText() const { return core_text_; }
-  size_t CoreTokens() const;
+  size_t CoreTokens() const { return core_tokens_; }
 
-  // Serialized complete forest (further_query -1). Cached after the first
-  // call; byte-identical to SerializeForest(dag(), forest(), describe, nullptr).
-  const std::string& FullText() const;
-  size_t FullTokens() const;
-
-  // Memoized serialization of one shared subtree (no pruning); shared by
-  // FullText and ExpandBranch. Errors are impossible: callers index by a
-  // valid subtree id.
-  const std::string& SubtreeText(int subtree) const;
+  // Serialized complete forest (further_query -1):
+  // SerializeForest(dag(), forest(), describe).
+  const std::string& FullText() const { return full_text_; }
+  size_t FullTokens() const { return full_tokens_; }
 
   // Targeted branch query: the full substructure beneath `id` (further_query
-  // with a node id). Errors on unknown ids.
+  // with a node id), serialized on request; a reference expands to the shared
+  // subtree it points at. Errors on unknown ids.
   support::Result<std::string> ExpandBranch(int id) const;
 
   // Whether the id is part of the default core.
@@ -77,22 +72,15 @@ class TopologyCatalog {
  private:
   void ComputeCore(const PruneOptions& prune);
 
-  const topo::NavGraph* dag_;
+  topo::NavGraph dag_;
   topo::Forest forest_;
   DescribeOptions describe_;
   IdSet core_ids_;
   CoreStats core_stats_;
   std::string core_text_;
-
-  // Lazy, thread-safe caches (the forest is immutable after construction).
-  mutable std::once_flag full_text_once_;
-  mutable std::string full_text_;
-  mutable std::once_flag full_tokens_once_;
-  mutable size_t full_tokens_ = 0;
-  mutable std::once_flag core_tokens_once_;
-  mutable size_t core_tokens_ = 0;
-  mutable std::unique_ptr<std::once_flag[]> subtree_once_;
-  mutable std::vector<std::string> subtree_text_;
+  size_t core_tokens_ = 0;
+  std::string full_text_;
+  size_t full_tokens_ = 0;
 };
 
 }  // namespace desc

@@ -42,22 +42,16 @@ std::shared_ptr<const CompiledModel> CompiledModel::Compile(topo::NavGraph graph
                                                             const ripper::ChecksumTable* checksums) {
   support::TraceSpan span("model.build", "model");
   const int64_t build_start_us = support::TraceNowUs();
-  auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
-  model->options_ = options;
-  if (checksums != nullptr) {
-    model->subtree_checksums_ = *checksums;
-  }
-  ModelingStats& stats = model->stats_;
+  ModelingStats stats;
   if (rip != nullptr) {
     stats.rip = *rip;
   }
-  model->ripped_ = std::move(graph);
   // Augmentation is the only pipeline stage that mutates the graph; the
   // model keeps the graph as ripped, so the copy is taken only when needed.
-  const topo::NavGraph* source = &model->ripped_;
+  const topo::NavGraph* source = &graph;
   topo::NavGraph augmented;
   if (options.augment_descriptions) {
-    augmented = model->ripped_;
+    augmented = graph;
     (void)desc::AugmentDescriptions(augmented, desc::BuiltinAugmentRules());
     source = &augmented;
   }
@@ -65,20 +59,25 @@ std::shared_ptr<const CompiledModel> CompiledModel::Compile(topo::NavGraph graph
   topo::DecycleResult decycled = topo::Decycle(*source);
   stats.back_edges_removed = decycled.removed_back_edges;
   stats.unreachable_dropped = decycled.unreachable_dropped;
-  model->dag_ = std::make_unique<topo::NavGraph>(std::move(decycled.dag));
-  topo::Forest forest = topo::SelectiveExternalize(*model->dag_, options.externalize_threshold);
+  topo::Forest forest = topo::SelectiveExternalize(decycled.dag, options.externalize_threshold);
   stats.forest_nodes = forest.total_nodes();
   stats.shared_subtrees = forest.shared().size();
   stats.references = forest.reference_count();
-  model->catalog_ = std::make_unique<desc::TopologyCatalog>(
-      model->dag_.get(), std::move(forest), options.prune, options.describe);
-  stats.core_nodes = model->catalog_->core_stats().kept;
-  stats.core_tokens = model->catalog_->CoreTokens();
-  stats.full_tokens = model->catalog_->FullTokens();
+  auto model = std::shared_ptr<CompiledModel>(new CompiledModel(desc::TopologyCatalog(
+      std::move(decycled.dag), std::move(forest), options.prune, options.describe)));
+  const desc::TopologyCatalog& catalog = model->catalog_;
+  stats.core_nodes = catalog.core_stats().kept;
+  stats.core_tokens = catalog.CoreTokens();
+  stats.full_tokens = catalog.FullTokens();
+  model->stats_ = stats;
+  model->options_ = options;
+  model->ripped_ = std::move(graph);
+  if (checksums != nullptr) {
+    model->subtree_checksums_ = *checksums;
+  }
   // The name index. The ids go in ascending, and a stable sort by name keeps
   // them ascending within each name, the order the resolver's first-wins
   // tie-break relies on.
-  const desc::TopologyCatalog& catalog = *model->catalog_;
   model->ids_by_name_.reserve(static_cast<size_t>(catalog.forest().max_id()));
   for (int id = 1; id <= catalog.forest().max_id(); ++id) {
     const topo::TreeNode* node = catalog.forest().FindById(id);
@@ -94,11 +93,11 @@ std::shared_ptr<const CompiledModel> CompiledModel::Compile(topo::NavGraph graph
   // The shared static prompt segment: assembled and counted exactly once per
   // compiled model. The hint ends in a newline, so the segment-summed count
   // equals the concatenation's count (see textutil::CountTokensAppend).
-  const std::string& core = model->catalog_->CoreText();
+  const std::string& core = catalog.CoreText();
   model->static_prompt_.reserve(UsageHint().size() + core.size());
   model->static_prompt_ = UsageHint();
   model->static_prompt_ += core;
-  model->static_prompt_tokens_ = model->usage_hint_tokens_ + model->catalog_->CoreTokens();
+  model->static_prompt_tokens_ = model->usage_hint_tokens_ + catalog.CoreTokens();
   // Mirror the modeling summary onto the registry (ModelingStats remains the
   // per-model record; the registry is the process-wide aggregate).
   support::CountMetric("model.builds");
@@ -120,8 +119,8 @@ support::Result<ResolvedTarget> CompiledModel::ResolveTargetByNames(
   if (names.empty()) {
     return support::InvalidArgumentError("empty name chain");
   }
-  const topo::Forest& forest = catalog_->forest();
-  const topo::NavGraph& dag = *dag_;
+  const topo::Forest& forest = catalog_.forest();
+  const topo::NavGraph& dag = catalog_.dag();
 
   // Direct references pointing at a shared subtree come from the forest's
   // precomputed reverse-reference index (built at SelectiveExternalize time)
@@ -161,7 +160,7 @@ support::Result<ResolvedTarget> CompiledModel::ResolveTargetByNames(
   // by id, straight from the name index.
   const auto candidates = std::ranges::equal_range(
       ids_by_name_, names.back(), std::less<>{},
-      [this](int id) -> const std::string& { return NodeName(*catalog_, id); });
+      [this](int id) -> const std::string& { return NodeName(catalog_, id); });
   ResolvedTarget best;
   int best_path_len = INT32_MAX;
   for (int id : candidates) {

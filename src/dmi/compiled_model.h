@@ -1,8 +1,8 @@
 // CompiledModel: the immutable, thread-shareable product of the offline
-// modeling pipeline (the ripped graph it was built from + decycled DAG +
-// forest + TopologyCatalog + static prompt segments), built once per
-// application build and shared read-only across every per-run DmiSession via
-// shared_ptr (DESIGN.md §10).
+// modeling pipeline (the ripped graph it was built from + the
+// TopologyCatalog, which owns the decycled DAG and the forest + static prompt
+// segments), built once per application build and shared read-only across
+// every per-run DmiSession via shared_ptr (DESIGN.md §10).
 //
 // This is the amortization split: everything here is a pure function of the
 // ripped NavGraph and the modeling options, so the suite harness compiles it
@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/describe/catalog.h"
@@ -62,8 +63,8 @@ class CompiledModel {
   // model is built: an in-process rip, an artifact load (model_artifact.h)
   // and a delta refresh (DESIGN.md §15) all end here. The model keeps the
   // graph as ripped(); augmentation works on a private copy. The result is
-  // immutable and safe to share across threads: the catalog's lazy caches
-  // are call_once-guarded on an immutable forest (DESIGN.md §9). `rip`
+  // immutable and safe to share across threads: the catalog computes its
+  // texts and counts at construction (DESIGN.md §9). `rip`
   // (optional) folds the ripper's counters into stats(). `checksums`
   // (optional) attaches the app's per-subtree structural checksum table
   // (ripper::ComputeSubtreeChecksums), which together with ripped() makes
@@ -75,8 +76,8 @@ class CompiledModel {
   // The graph the model was compiled from: what an artifact stores and the
   // baseline a delta rip splices.
   const topo::NavGraph& ripped() const { return ripped_; }
-  const topo::NavGraph& dag() const { return *dag_; }
-  const desc::TopologyCatalog& catalog() const { return *catalog_; }
+  const topo::NavGraph& dag() const { return catalog_.dag(); }
+  const desc::TopologyCatalog& catalog() const { return catalog_; }
   const ModelingStats& stats() const { return stats_; }
   // The options the model was compiled with; thin sessions default their
   // interaction config from here.
@@ -119,15 +120,12 @@ class CompiledModel {
   CompiledModel& operator=(const CompiledModel&) = delete;
 
  private:
-  CompiledModel() = default;
+  explicit CompiledModel(desc::TopologyCatalog catalog) : catalog_(std::move(catalog)) {}
 
   ModelingOptions options_;
   ModelingStats stats_;
   topo::NavGraph ripped_;
-  // The catalog holds a raw pointer to the DAG, so the allocation must stay
-  // put for the model's lifetime (hence unique_ptr, not a plain member).
-  std::unique_ptr<topo::NavGraph> dag_;
-  std::unique_ptr<desc::TopologyCatalog> catalog_;
+  desc::TopologyCatalog catalog_;  // owns the decycled DAG and its forest
   size_t usage_hint_tokens_ = 0;  // counted once at compile
   std::string static_prompt_;     // UsageHint() + catalog CoreText()
   size_t static_prompt_tokens_ = 0;

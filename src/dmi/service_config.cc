@@ -1,6 +1,7 @@
 #include "src/dmi/service_config.h"
 
 #include <charconv>
+#include <string>
 
 namespace dmi {
 namespace {
@@ -110,20 +111,24 @@ support::Status ServiceConfig::Validate() const {
     return support::InvalidArgumentError(
         "instability: '" + instability + "' is not one of none|typical|harsh|hostile");
   }
-  if (repeats <= 0) {
-    return support::InvalidArgumentError("repeats: must be positive");
+  if (repeats <= 0 || repeats > kMaxRepeats) {
+    return support::InvalidArgumentError("repeats: must be in 1.." +
+                                         std::to_string(kMaxRepeats));
   }
   if (step_cap <= 0) {
     return support::InvalidArgumentError("step_cap: must be positive");
   }
-  if (workers < 0) {
-    return support::InvalidArgumentError("workers: must be >= 0 (0 = hardware threads)");
+  if (workers < 0 || workers > kMaxServiceThreads) {
+    return support::InvalidArgumentError("workers: must be in 0.." +
+                                         std::to_string(kMaxServiceThreads) +
+                                         " (0 = hardware threads)");
   }
   if (batch_size < 0) {
     return support::InvalidArgumentError("batch_size: must be >= 0 (0 = batching off)");
   }
-  if (max_in_flight <= 0) {
-    return support::InvalidArgumentError("max_in_flight: must be positive");
+  if (max_in_flight <= 0 || max_in_flight > kMaxServiceThreads) {
+    return support::InvalidArgumentError("max_in_flight: must be in 1.." +
+                                         std::to_string(kMaxServiceThreads));
   }
   if (queue_capacity < 0) {
     return support::InvalidArgumentError("queue_capacity: must be >= 0");

@@ -23,6 +23,12 @@
 
 namespace dmi {
 
+// Upper bounds Validate() puts on the values that size thread pools (workers,
+// max_in_flight) and a suite's preallocated run slots (repeats), so a command
+// line cannot ask for billions of threads or slots.
+inline constexpr int kMaxServiceThreads = 256;
+inline constexpr int kMaxRepeats = 10000;
+
 struct ServiceConfig {
   // ----- interface / model ---------------------------------------------------
   std::string mode = "dmi";    // gui | forest | dmi

@@ -45,66 +45,36 @@ DmiSession::DmiSession(gsim::Application& app, std::shared_ptr<const CompiledMod
     : app_(&app),
       model_(std::move(model)),
       screen_(app),
-      executor_(std::make_unique<VisitExecutor>(app, model_->catalog(), options.visit)),
+      executor_(app, model_->catalog(), options.visit),
       interaction_(app, screen_, options.interaction) {
   support::CountMetric("session.compile_attach");
   screen_.Refresh();
 }
 
 VisitReport DmiSession::Visit(const std::string& json_commands) {
-  VisitReport report = executor_->Execute(json_commands);
+  VisitReport report = executor_.Execute(json_commands);
   screen_.Refresh();
   return report;
 }
 
 VisitReport DmiSession::VisitParsed(std::vector<VisitCommand> commands) {
-  VisitReport report = executor_->ExecuteParsed(std::move(commands));
+  VisitReport report = executor_.ExecuteParsed(std::move(commands));
   screen_.Refresh();
   return report;
 }
 
-PromptView DmiSession::Prompt() {
-  const uint64_t generation = app_->ui_generation();
-  if (prompt_cache_.text_valid && prompt_cache_.generation == generation) {
-    PromptCacheHits().Increment();
-  } else {
-    PromptCacheMisses().Increment();
-    // Only the screen/data segment depends on live UI state; the static
-    // segment (usage hint + core topology) is shared on the CompiledModel.
-    // Refresh() lays out at most once per generation and never bumps it, so
-    // the stamp taken above stays valid for the rebuilt cache entry.
-    screen_.Refresh();
-    std::string dynamic = kScreenHeader;
-    dynamic += screen_.RenderListing();
-    const std::string payload = interaction_.GetTextsPassive();
-    if (!payload.empty()) {
-      dynamic += kDataHeader;
-      dynamic += payload;
-    }
-    size_t tokens = 0;
-    textutil::CountTokensAppend(dynamic, &tokens);
-    prompt_cache_.dynamic = std::move(dynamic);
-    prompt_cache_.dynamic_tokens = tokens;
-    prompt_cache_.generation = generation;
-    prompt_cache_.tokens_valid = true;
-    prompt_cache_.text_valid = true;
-  }
-  return PromptView{&model_->static_prompt(), &prompt_cache_.dynamic,
-                    model_->static_prompt_tokens() + prompt_cache_.dynamic_tokens};
-}
-
 size_t DmiSession::PromptTokens() {
   const uint64_t generation = app_->ui_generation();
-  if (prompt_cache_.tokens_valid && prompt_cache_.generation == generation) {
+  if (prompt_cache_.valid && prompt_cache_.generation == generation) {
     PromptCacheHits().Increment();
     return model_->static_prompt_tokens() + prompt_cache_.dynamic_tokens;
   }
   PromptCacheMisses().Increment();
-  // Count-only rebuild: streams each dynamic piece through the token counter
-  // without concatenating them (every split point falls on a newline, so the
-  // segment sums are exact); the listing's count is the screen's own,
-  // memoized per generation. The text cache stays unset — a later Prompt()
-  // call materializes the dynamic segment if anyone needs the bytes.
+  // Streams each dynamic piece through the token counter without
+  // concatenating them (every split point falls on a newline, so the segment
+  // sums are exact); the listing's count is the screen's own, memoized per
+  // generation. Refresh() lays out at most once per generation and never
+  // bumps it, so the stamp taken above stays valid.
   screen_.Refresh();
   size_t tokens = screen_.ListingTokens();
   textutil::CountTokensAppend(kScreenHeader, &tokens);
@@ -113,12 +83,23 @@ size_t DmiSession::PromptTokens() {
     textutil::CountTokensAppend(kDataHeader, &tokens);
     textutil::CountTokensAppend(payload, &tokens);
   }
-  prompt_cache_.dynamic.clear();
-  prompt_cache_.dynamic_tokens = tokens;
-  prompt_cache_.generation = generation;
-  prompt_cache_.tokens_valid = true;
-  prompt_cache_.text_valid = false;
+  prompt_cache_ = PromptCache{true, generation, tokens};
   return model_->static_prompt_tokens() + tokens;
+}
+
+PromptView DmiSession::Prompt() {
+  // Only the screen/data segment depends on live UI state; the static
+  // segment (usage hint + core topology) is shared on the CompiledModel.
+  screen_.Refresh();
+  dynamic_prompt_ = kScreenHeader;
+  dynamic_prompt_ += screen_.RenderListing();
+  const std::string payload = interaction_.GetTextsPassive();
+  if (!payload.empty()) {
+    dynamic_prompt_ += kDataHeader;
+    dynamic_prompt_ += payload;
+  }
+  return PromptView{&model_->static_prompt(), &dynamic_prompt_,
+                    model_->static_prompt_tokens() + textutil::CountTokens(dynamic_prompt_)};
 }
 
 support::Result<ResolvedTarget> DmiSession::ResolveTargetByNames(

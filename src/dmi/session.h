@@ -37,7 +37,7 @@ struct SessionOptions {
 // Zero-copy prompt context (DESIGN.md §12): the static segment (usage hint +
 // core topology) lives on the shared CompiledModel — one copy per app kind,
 // however many sessions are attached — and the dynamic segment (screen
-// listing + passive data payload) is this session's generation-cached state.
+// listing + passive data payload) is this session's render buffer.
 // `tokens` equals CountTokens(static + dynamic); the join point falls on a
 // newline, so the segment sum is exact.
 struct PromptView {
@@ -46,7 +46,7 @@ struct PromptView {
   size_t tokens = 0;
 
   // Materializes the concatenation (tests, tools, anything that needs one
-  // contiguous string). The hot paths consume the segments directly.
+  // contiguous string).
   std::string Assemble() const;
 };
 
@@ -60,6 +60,13 @@ class DmiSession {
   DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model);
   DmiSession(gsim::Application& app, std::shared_ptr<const CompiledModel> model,
              const SessionOptions& options);
+
+  // The interaction layer holds the address of screen_, so a session stays
+  // where it was built.
+  DmiSession(const DmiSession&) = delete;
+  DmiSession& operator=(const DmiSession&) = delete;
+  DmiSession(DmiSession&&) = delete;
+  DmiSession& operator=(DmiSession&&) = delete;
 
   const ModelingStats& stats() const { return model_->stats(); }
   const desc::TopologyCatalog& catalog() const { return model_->catalog(); }
@@ -76,61 +83,58 @@ class DmiSession {
   // ----- per-run robustness plumbing (DESIGN.md §11) -------------------------
   // Tick budget enforced by the visit executor's retry loops and command
   // dispatch; default unlimited.
-  void SetRunDeadline(support::Deadline deadline) { executor_->SetDeadline(deadline); }
-  const support::Deadline& run_deadline() const { return executor_->deadline(); }
+  void SetRunDeadline(support::Deadline deadline) { executor_.SetDeadline(deadline); }
+  const support::Deadline& run_deadline() const { return executor_.deadline(); }
   // Deterministic backoff-jitter seed for this run (visit + interaction).
   void SeedRetryRng(uint64_t seed) {
-    executor_->SeedRetryRng(seed);
+    executor_.SeedRetryRng(seed);
     interaction_.SeedRetryRng(seed ^ 0x5bd1e9955bd1e995ULL);
   }
   // The run's flight recorder (DESIGN.md §13): the visit executor streams
   // executed commands + retry spending into it. Borrowed; nullptr = off.
   void SetFlightRecorder(support::FlightRecorder* recorder) {
-    executor_->SetFlightRecorder(recorder);
+    executor_.SetFlightRecorder(recorder);
   }
-  support::FlightRecorder* flight_recorder() const { return executor_->flight_recorder(); }
+  support::FlightRecorder* flight_recorder() const { return executor_.flight_recorder(); }
 
   // ----- prompt assembly --------------------------------------------------------
-  // Core topology + DMI usage hint + screen labels + passive data payload,
-  // served as a two-segment view: the static segment comes straight off the
-  // shared CompiledModel and the dynamic segment is cached against the
-  // application's UI-state generation — a warm turn (no UI mutation since the
-  // last build) re-renders nothing. Mutating the UI through any
-  // generation-bumping path invalidates the dynamic cache (DESIGN.md §9, §12).
-  PromptView Prompt();
-  // Count-only path: shared static count plus the streamed dynamic segment,
-  // never materializing the assembled prompt (or even the dynamic segment
-  // when only the count is needed). Equal to Prompt().tokens.
+  // Core topology + DMI usage hint + screen labels + passive data payload.
+  // PromptTokens() is what an agent reads on every LLM call: the shared
+  // static count plus the dynamic segment's count, which is cached against
+  // the application's UI-state generation, so a warm turn (no UI mutation
+  // since the last count) renders and counts nothing. Mutating the UI
+  // through any generation-bumping path invalidates it (DESIGN.md §9, §12).
   size_t PromptTokens();
-  // Resident per-session prompt-cache bytes: the dynamic segment only. The
-  // static segment's bytes live once on the shared model
+  // Renders the prompt as a two-segment view, uncached: the static segment
+  // comes straight off the shared CompiledModel, and the dynamic segment is
+  // written into this session's buffer (valid until the next call) and
+  // counted. Its `tokens` equals PromptTokens().
+  PromptView Prompt();
+  // Resident per-session prompt bytes: the dynamic segment of the last
+  // Prompt(). The static segment's bytes live once on the shared model
   // (model().static_prompt().size()).
-  size_t PromptCacheBytes() const { return prompt_cache_.dynamic.size(); }
+  size_t PromptBufferBytes() const { return dynamic_prompt_.size(); }
 
   // ----- name-based resolution (used by task ground truth and examples) --------
   // Forwards to the compiled model (pure query on the immutable forest/DAG).
   support::Result<ResolvedTarget> ResolveTargetByNames(const std::vector<std::string>& names);
 
  private:
-  // Dynamic prompt segment + token count, valid while the application's
-  // UI-state generation is unchanged. Only the dynamic segment is cached
-  // per session; the static segment is shared on the CompiledModel. A
-  // count-only probe (PromptTokens) fills `dynamic_tokens` without
-  // materializing `dynamic`.
+  // PromptTokens()'s dynamic-segment count, stamped with the UI-state
+  // generation it was counted at.
   struct PromptCache {
+    bool valid = false;
     uint64_t generation = 0;
-    bool tokens_valid = false;
-    bool text_valid = false;
-    std::string dynamic;
     size_t dynamic_tokens = 0;
   };
 
   gsim::Application* app_;
   std::shared_ptr<const CompiledModel> model_;
   gsim::ScreenView screen_;
-  std::unique_ptr<VisitExecutor> executor_;
+  VisitExecutor executor_;
   InteractionInterfaces interaction_;
   PromptCache prompt_cache_;
+  std::string dynamic_prompt_;  // Prompt()'s render buffer
 };
 
 }  // namespace dmi

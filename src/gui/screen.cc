@@ -95,6 +95,21 @@ std::string IndexToLabel(size_t index) {
   return label;
 }
 
+std::optional<size_t> LabelToIndex(std::string_view label) {
+  if (label.empty()) {
+    return std::nullopt;
+  }
+  // Bijective base 26: "A" is 1, "Z" 26, "AA" 27; the index is one less.
+  size_t value = 0;
+  for (const char c : label) {
+    if (c < 'A' || c > 'Z' || __builtin_mul_overflow(value, size_t{26}, &value) ||
+        __builtin_add_overflow(value, static_cast<size_t>(c - 'A' + 1), &value)) {
+      return std::nullopt;
+    }
+  }
+  return value - 1;
+}
+
 Control* FindInTopWindow(Application& app, const std::string& name, bool accept_decorated) {
   Window* top = app.TopWindow();
   if (top == nullptr) {
@@ -124,12 +139,8 @@ void ScreenView::Refresh() {
 
 Control* ScreenView::FindByLabel(const std::string& label) const {
   const std::span<const CaptureEntry> entries = labeled();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (IndexToLabel(i) == label) {
-      return entries[i].control;
-    }
-  }
-  return nullptr;
+  const std::optional<size_t> index = LabelToIndex(label);
+  return index && *index < entries.size() ? entries[*index].control : nullptr;
 }
 
 Control* ScreenView::FindByTrueName(const std::string& name) const {

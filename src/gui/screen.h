@@ -18,8 +18,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "src/gui/application.h"
 #include "src/gui/capture.h"
@@ -29,6 +31,12 @@ namespace gsim {
 
 // Converts 0 -> "A", 25 -> "Z", 26 -> "AA", ...
 std::string IndexToLabel(size_t index);
+
+// The inverse of IndexToLabel: "A" -> 0, "AA" -> 26, ... Labels come from
+// the LLM's declarations, so an empty label, a character outside 'A'-'Z' and
+// a label too long to decode all give nullopt. Every index below SIZE_MAX
+// round-trips.
+std::optional<size_t> LabelToIndex(std::string_view label);
 
 // The top window's control named `name`, searched in the order the screen
 // lists it (pre-order, offscreen subtrees pruned): the first whose TrueName()
@@ -54,7 +62,7 @@ class ScreenView {
   // carries IndexToLabel(i). Valid until the capture's next walk.
   std::span<const CaptureEntry> labeled() const { return app_->capture().entries(); }
 
-  // Control carrying the given label, or nullptr.
+  // Control carrying the given label (decoded with LabelToIndex), or nullptr.
   Control* FindByLabel(const std::string& label) const;
 
   // First labeled control whose TrueName() is `name`, or nullptr.

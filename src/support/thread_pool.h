@@ -1,6 +1,6 @@
-// A small fixed-size thread pool used by the parallel ripper and the bench
-// harness. Work items are enqueued with Submit() and return std::futures;
-// the pool drains and joins on destruction.
+// A small fixed-size thread pool: TaskRunner::RunSuite fans a suite's
+// (task, trial) runs out over one. Work items are enqueued with Submit() and
+// return std::futures; the pool drains and joins on destruction.
 //
 // Concurrency contract (see DESIGN.md "Performance architecture"): the GUI
 // simulator is single-threaded by design — one gsim::Application instance per

@@ -151,11 +151,13 @@ TEST(ArtifactRoundTrip, ByteIdenticalModel) {
   EXPECT_EQ(loaded->catalog().CoreTokens(), compiled->catalog().CoreTokens());
   EXPECT_EQ(loaded->catalog().FullText(), compiled->catalog().FullText());
   EXPECT_EQ(loaded->catalog().FullTokens(), compiled->catalog().FullTokens());
-  ASSERT_EQ(loaded->catalog().forest().shared().size(),
-            compiled->catalog().forest().shared().size());
-  for (size_t s = 0; s < compiled->catalog().forest().shared().size(); ++s) {
-    EXPECT_EQ(loaded->catalog().SubtreeText(static_cast<int>(s)),
-              compiled->catalog().SubtreeText(static_cast<int>(s)));
+  // Expanding any node, a reference included, serves the same bytes.
+  ASSERT_EQ(loaded->catalog().forest().AllIds(), compiled->catalog().forest().AllIds());
+  for (int id : compiled->catalog().forest().AllIds()) {
+    auto from_loaded = loaded->catalog().ExpandBranch(id);
+    auto from_compiled = compiled->catalog().ExpandBranch(id);
+    ASSERT_TRUE(from_loaded.ok() && from_compiled.ok()) << id;
+    EXPECT_EQ(*from_loaded, *from_compiled) << id;
   }
   ExpectSameStats(loaded->stats(), compiled->stats());
 
@@ -168,6 +170,36 @@ TEST(ArtifactRoundTrip, ByteIdenticalModel) {
             compiled->options().prune.manual_exclude_names);
   EXPECT_EQ(loaded->options().externalize_threshold,
             compiled->options().externalize_threshold);
+}
+
+TEST(ArtifactRoundTrip, AugmentedCompileKeepsTheRipAndTheOption) {
+  // Description augmentation (ModelingOptions::augment_descriptions) runs
+  // inside Compile, on a private copy of the ripped graph.
+  const auto& plain = WordModel();
+  dmi::ModelingOptions options = WordOptions();
+  options.augment_descriptions = true;
+  const std::shared_ptr<const dmi::CompiledModel> augmented =
+      dmi::CompiledModel::Compile(plain->ripped(), options);
+  EXPECT_TRUE(augmented->ripped().ToJson().Dump() == plain->ripped().ToJson().Dump());
+
+  // The synthesized descriptions reach the full topology: the menu-host
+  // rule's text is in it, and the plain compile has none of it.
+  const std::string synthesized = "nested control(s)";
+  EXPECT_EQ(plain->catalog().FullText().find(synthesized), std::string::npos);
+  EXPECT_NE(augmented->catalog().FullText().find(synthesized), std::string::npos);
+  EXPECT_GT(augmented->catalog().FullTokens(), plain->catalog().FullTokens());
+
+  // The artifact's options byte turns augmentation back on at load, over
+  // runtime options that leave it off.
+  const std::string path = TempPath("augmented_" + std::to_string(::getpid()) + ".dmim");
+  ASSERT_TRUE(dmi::SaveModelArtifact(*augmented, dmi::ArtifactMeta{"WordSim", "1"}, path).ok());
+  auto bytes = support::ReadFileBytes(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto loaded = dmi::ParseModelArtifact(*bytes, "augmented", WordOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->model->options().augment_descriptions);
+  EXPECT_EQ(loaded->model->catalog().FullText(), augmented->catalog().FullText());
 }
 
 TEST(ArtifactRoundTrip, LoadedModelServesSessions) {

@@ -224,7 +224,7 @@ TEST(SharedPrefixTest, StaticSegmentPointerIdenticalAcrossConcurrentSessions) {
       const dmi::PromptView view = session.Prompt();
       statics[static_cast<size_t>(i)] = view.static_text;
       assembled[static_cast<size_t>(i)] = view.Assemble();
-      resident[static_cast<size_t>(i)] = session.PromptCacheBytes();
+      resident[static_cast<size_t>(i)] = session.PromptBufferBytes();
     });
   }
   for (std::thread& t : threads) {
@@ -235,7 +235,7 @@ TEST(SharedPrefixTest, StaticSegmentPointerIdenticalAcrossConcurrentSessions) {
     EXPECT_EQ(statics[static_cast<size_t>(i)], &model->static_prompt()) << i;
     // Byte identity — assembling the shared view reproduces the reference.
     EXPECT_EQ(assembled[static_cast<size_t>(i)], want) << i;
-    // Residency — per-session cache holds only the dynamic segment.
+    // Residency — per-session buffer holds only the dynamic segment.
     EXPECT_LT(resident[static_cast<size_t>(i)], model->static_prompt().size()) << i;
     EXPECT_EQ(resident[static_cast<size_t>(i)],
               want.size() - model->static_prompt().size())

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <set>
+#include <type_traits>
 
 #include "src/apps/excel_sim.h"
 #include "src/apps/ppoint_sim.h"
@@ -257,6 +258,11 @@ std::pair<App*, dmi::DmiSession*> ModelWithScratch(const dmi::ModelingOptions& o
 
 // ----- session modeling ------------------------------------------------------------
 
+// The interaction layer holds the address of the session's screen, so a moved
+// session would drive a view that no longer exists.
+static_assert(!std::is_move_constructible_v<dmi::DmiSession>);
+static_assert(!std::is_copy_constructible_v<dmi::DmiSession>);
+
 class PpointSession : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -417,43 +423,47 @@ TEST_F(PpointSession, PromptCacheByteIdenticalAndInvalidatesOnMutation) {
   auto counter = [](const char* name) {
     return support::MetricsRegistry::Global().Snapshot().CounterValue(name);
   };
-  // Cold build equals the cache-bypassing reference, and the streaming
-  // segment-summed token count equals a fresh count of the assembled bytes.
+  // The rendered prompt equals the from-scratch reference, and the cached,
+  // segment-summed count equals a fresh count of the assembled bytes.
   const std::string first = session_->Prompt().Assemble();
   EXPECT_EQ(first, prompt_reference::BuildPromptContextUncached(*session_));
   EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(first));
-  // Warm turn: no UI mutation, one cache hit serves the unchanged bytes.
+  // Warm turn: no UI mutation, one cache hit serves the unchanged count, and
+  // rendering touches no cache.
   uint64_t hits = counter("describe.prompt_cache_hits");
   uint64_t misses = counter("describe.prompt_cache_misses");
+  EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(first));
   EXPECT_EQ(session_->Prompt().Assemble(), first);
   EXPECT_EQ(counter("describe.prompt_cache_hits") - hits, 1u);
   EXPECT_EQ(counter("describe.prompt_cache_misses") - misses, 0u);
-  // Mutating the UI bumps the generation; the next build misses, reflects
-  // the new screen and again matches the uncached reference.
+  // Mutating the UI bumps the generation; the next count misses and counts
+  // the new screen, which again matches the uncached reference.
   auto target = session_->ResolveTargetByNames({"Transition Gallery", "Transition 9"});
   ASSERT_TRUE(target.ok()) << target.status().ToString();
   ASSERT_TRUE(
       session_->Visit(support::Format(R"([{"id":"%d"}])", target->id)).overall.ok());
   hits = counter("describe.prompt_cache_hits");
   misses = counter("describe.prompt_cache_misses");
-  const std::string after = session_->Prompt().Assemble();
+  const size_t tokens = session_->PromptTokens();
   EXPECT_EQ(counter("describe.prompt_cache_hits") - hits, 0u);
   EXPECT_EQ(counter("describe.prompt_cache_misses") - misses, 1u);
+  const std::string after = session_->Prompt().Assemble();
   EXPECT_NE(after, first);
   EXPECT_EQ(after, prompt_reference::BuildPromptContextUncached(*session_));
-  EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(after));
+  EXPECT_EQ(tokens, textutil::CountTokens(after));
 }
 
 TEST_F(PpointSession, CountOnlyPromptTokensMatchesMaterializedPath) {
   // Bump the UI generation so the cache is cold, then take the count-only
   // path FIRST: it must produce the exact token count of the assembled
-  // prompt without ever materializing the dynamic segment.
+  // prompt without ever rendering the dynamic segment.
   gsim::Control* bold =
       static_cast<gsim::Control*>(uia::FindByName(app_->main_window().root(), "Bold"));
   ASSERT_NE(bold, nullptr);
   bold->set_toggled(!bold->toggled());
+  const size_t buffered = session_->PromptBufferBytes();
   const size_t count_only = session_->PromptTokens();
-  EXPECT_EQ(session_->PromptCacheBytes(), 0u);  // nothing was materialized
+  EXPECT_EQ(session_->PromptBufferBytes(), buffered);  // the count rendered nothing
   const std::string reference = prompt_reference::BuildPromptContextUncached(*session_);
   EXPECT_EQ(count_only, textutil::CountTokens(reference));
   // Materializing afterwards agrees byte- and count-wise, and the static
@@ -462,14 +472,15 @@ TEST_F(PpointSession, CountOnlyPromptTokensMatchesMaterializedPath) {
   EXPECT_EQ(view.tokens, count_only);
   EXPECT_EQ(view.Assemble(), reference);
   EXPECT_EQ(view.static_text, &session_->model().static_prompt());
-  EXPECT_EQ(session_->PromptCacheBytes(), view.dynamic_text->size());
+  EXPECT_EQ(session_->PromptBufferBytes(), view.dynamic_text->size());
   bold->set_toggled(!bold->toggled());  // restore
 }
 
 TEST_F(PpointSession, PromptCacheInvalidatesOnStateSetters) {
   const std::string before = session_->Prompt().Assemble();
+  ASSERT_EQ(session_->PromptTokens(), textutil::CountTokens(before));  // warm count
   // A toggle flip reaches the prompt through the screen listing's [on]
-  // markers; the setter must bump the generation so the cache rebuilds.
+  // markers; the setter must bump the generation so the count is redone.
   gsim::Control* bold =
       static_cast<gsim::Control*>(uia::FindByName(app_->main_window().root(), "Bold"));
   ASSERT_NE(bold, nullptr);
@@ -479,6 +490,7 @@ TEST_F(PpointSession, PromptCacheInvalidatesOnStateSetters) {
   const std::string after = session_->Prompt().Assemble();
   EXPECT_NE(after, before);
   EXPECT_EQ(after, prompt_reference::BuildPromptContextUncached(*session_));
+  EXPECT_EQ(session_->PromptTokens(), textutil::CountTokens(after));
   // Setting the same value again is a no-op: no generation bump, cache holds.
   const uint64_t gen2 = app_->ui_generation();
   bold->set_toggled(bold->toggled());

@@ -8,6 +8,8 @@
 #include "src/uia/tree.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
 namespace {
 
@@ -235,6 +237,35 @@ TEST(ScreenTest, IndexToLabelSequence) {
   EXPECT_EQ(gsim::IndexToLabel(26 + 26 * 26), "AAA");
 }
 
+TEST(ScreenTest, LabelToIndexInvertsIndexToLabel) {
+  // Around the Z->AA and ZZ->AAA boundaries, and at the far end of size_t.
+  const size_t zz = 26 + 26 * 26 - 1;
+  for (size_t index : {size_t{0}, size_t{1}, size_t{24}, size_t{25}, size_t{26}, size_t{27},
+                       size_t{51}, size_t{52}, zz - 1, zz, zz + 1, zz + 2,
+                       std::numeric_limits<size_t>::max() - 1}) {
+    const std::string label = gsim::IndexToLabel(index);
+    EXPECT_EQ(gsim::LabelToIndex(label), index) << label;
+  }
+  EXPECT_EQ(gsim::IndexToLabel(zz), "ZZ");
+  EXPECT_EQ(gsim::LabelToIndex("ZZ"), zz);
+  EXPECT_EQ(gsim::LabelToIndex("AAA"), zz + 1);
+}
+
+TEST(ScreenTest, LabelToIndexRejectsMalformedLabels) {
+  EXPECT_EQ(gsim::LabelToIndex(""), std::nullopt);
+  EXPECT_EQ(gsim::LabelToIndex("a"), std::nullopt);    // lower case
+  EXPECT_EQ(gsim::LabelToIndex("A1"), std::nullopt);   // digit
+  EXPECT_EQ(gsim::LabelToIndex("A "), std::nullopt);   // space
+  EXPECT_EQ(gsim::LabelToIndex("@"), std::nullopt);    // just below 'A'
+  EXPECT_EQ(gsim::LabelToIndex("["), std::nullopt);    // just above 'Z'
+  EXPECT_EQ(gsim::LabelToIndex(std::string(1, '\0')), std::nullopt);
+  // IndexToLabel(SIZE_MAX) and anything longer do not fit in a size_t.
+  EXPECT_EQ(gsim::LabelToIndex(gsim::IndexToLabel(std::numeric_limits<size_t>::max())),
+            std::nullopt);
+  EXPECT_EQ(gsim::LabelToIndex(std::string(14, 'Z')), std::nullopt);
+  EXPECT_EQ(gsim::LabelToIndex(std::string(100, 'A')), std::nullopt);
+}
+
 TEST(ScreenTest, LabelsOnlyVisibleControls) {
   MiniApp app;
   gsim::ScreenView screen(app);
@@ -256,6 +287,9 @@ TEST(ScreenTest, FindByLabelRoundTrip) {
     EXPECT_EQ(screen.FindByLabel(gsim::IndexToLabel(i)), labeled[i].control);
   }
   EXPECT_EQ(screen.FindByLabel("ZZZ"), nullptr);
+  EXPECT_EQ(screen.FindByLabel(gsim::IndexToLabel(labeled.size())), nullptr);
+  EXPECT_EQ(screen.FindByLabel(""), nullptr);
+  EXPECT_EQ(screen.FindByLabel("a"), nullptr);
 }
 
 TEST(ScreenTest, ListingShowsStates) {

@@ -406,6 +406,29 @@ TEST(ServiceConfigTest, ValidateNamesOffendingField) {
   config = dmi::ServiceConfig();
   config.tenant_token_budget = -1;
   EXPECT_FALSE(config.Validate().ok());
+
+  // Values that size thread pools and run slots are bounded; each bound is
+  // accepted and the value just over it is rejected, naming the field.
+  // Validate() starts nothing, so this checks the bounds without a thread.
+  struct Bound {
+    const char* field;
+    int dmi::ServiceConfig::*value;
+    int max;
+  };
+  const Bound bounds[] = {
+      {"workers", &dmi::ServiceConfig::workers, dmi::kMaxServiceThreads},
+      {"max_in_flight", &dmi::ServiceConfig::max_in_flight, dmi::kMaxServiceThreads},
+      {"repeats", &dmi::ServiceConfig::repeats, dmi::kMaxRepeats},
+  };
+  for (const Bound& bound : bounds) {
+    config = dmi::ServiceConfig();
+    config.*bound.value = bound.max;
+    EXPECT_TRUE(config.Validate().ok()) << bound.field;
+    config.*bound.value = bound.max + 1;
+    const support::Status over = config.Validate();
+    EXPECT_EQ(over.code(), support::StatusCode::kInvalidArgument) << bound.field;
+    EXPECT_EQ(over.message().rfind(bound.field, 0), 0u) << over.ToString();
+  }
 }
 
 TEST(ServiceConfigTest, AdapterProjectsLegacyRunConfig) {

@@ -3,7 +3,7 @@
 #
 # The tracing/metrics layer is lock-light by design (thread-local span
 # buffers, relaxed atomics, destructor-flushed tallies), the describe layer's
-# catalog caches are call_once-lazy on an immutable forest, and the run
+# catalog is an immutable value read by every worker, and the run
 # harness shares one CompiledModel per app plus a mutex-guarded application
 # pool across suite workers; this job is the proof. The robustness layer
 # (per-run retry RNGs, deadlines, robust.* counters) runs on every suite
